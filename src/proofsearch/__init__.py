@@ -18,7 +18,6 @@ from .core import (
     ProofState,
     at_least_as_hard,
     canonical_key,
-    is_qed,
     lift_transition,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "canonical_key",
     "ensemble_prove",
     "generate_informal_sketch",
-    "is_qed",
     "lift_transition",
     "prove",
 ]

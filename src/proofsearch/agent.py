@@ -25,7 +25,6 @@ from .core import (
     ProofState,
     at_least_as_hard,
     canonical_key,
-    is_qed,
 )
 from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
 from .prompts import (
@@ -76,16 +75,7 @@ class SearchConfig:
             raise ValueError("wall_timeout_seconds must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "max_queries": self.max_queries,
-            "wall_timeout_seconds": self.wall_timeout_seconds,
-            "per_state_budget": self.per_state_budget,
-            "max_depth": self.max_depth,
-            "format_retry_cap": self.format_retry_cap,
-            "token_budget": self.token_budget,
-            "k_retrieve": self.k_retrieve,
-            "prompt_style": self.prompt_style,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -97,6 +87,9 @@ class SearchOutcome:
     def __post_init__(self):
         if self.proved and not self.proof:
             raise ValueError("a proved outcome needs a nonempty proof")
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "proof": list(self.proof)}
 
 
 @dataclass
@@ -114,20 +107,20 @@ class QueryRecord:
     latency_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "type": "query",
-            "ordinal": self.ordinal,
-            "stage": self.stage,
-            "state_key": self.state_key,
-            "prompt_text": self.prompt_text,
-            "prompt_tokens": self.prompt_tokens,
-            "response": self.response,
-            "stop_reason": self.stop_reason,
-            "tactic": self.tactic,
-            "format_error": self.format_error,
-            "result_class": self.result_class,
-            "latency_seconds": self.latency_seconds,
-        }
+        # A dataclass instance's dict holds exactly its fields, in declaration
+        # order; `dataclasses.asdict` would deep-copy every value, and a
+        # getattr per field name costs three times as much on this per-query path.
+        return {"type": "query", **vars(self)}
+
+
+def _field_dict(obj, names: tuple) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+# EpisodeTrace fields on the trace's header line, and on its outcome line
+# after the SearchOutcome's own fields
+_HEADER_FIELDS = ("theorem", "config", "attempt", "category", "bad_reset")
+_TRAILER_FIELDS = ("queries_used", "wall_seconds", "stage", "aborted")
 
 
 @dataclass
@@ -139,7 +132,6 @@ class EpisodeTrace:
     attempt: int = 1
     category: str | None = None
     bad_reset: str = "per-stage"
-    schema: str = TRACE_SCHEMA
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -160,60 +152,30 @@ class EpisodeTrace:
             item = record.to_dict()
             item.pop("latency_seconds")
             records.append(item)
+        trailer = _field_dict(self, _TRAILER_FIELDS)
+        trailer.pop("wall_seconds")
         return {
-            "theorem": self.theorem,
-            "config": self.config,
-            "attempt": self.attempt,
-            "category": self.category,
-            "bad_reset": self.bad_reset,
+            **_field_dict(self, _HEADER_FIELDS),
             "records": records,
             "events": [list(e) for e in self.events],
             "notes": self.notes,
-            "outcome": None
-            if self.outcome is None
-            else {
-                "proved": self.outcome.proved,
-                "proof": list(self.outcome.proof),
-                "failure_reason": self.outcome.failure_reason,
-            },
-            "queries_used": self.queries_used,
-            "stage": self.stage,
-            "aborted": self.aborted,
+            "outcome": None if self.outcome is None else self.outcome.to_dict(),
+            **trailer,
         }
 
     def save(self, path: str | Path):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        outcome = self.outcome or SearchOutcome(proved=False)
+        lines = [{"type": "header", "schema": TRACE_SCHEMA, **_field_dict(self, _HEADER_FIELDS)}]
+        lines += [record.to_dict() for record in self.records]
+        lines += [{"type": "event", "data": list(event)} for event in self.events]
+        lines += [{"type": "note", "text": note} for note in self.notes]
+        lines.append({"type": "outcome", **outcome.to_dict(),
+                      **_field_dict(self, _TRAILER_FIELDS)})
         with path.open("w", encoding="utf-8") as handle:
-            header = {
-                "type": "header",
-                "schema": self.schema,
-                "theorem": self.theorem,
-                "config": self.config,
-                "attempt": self.attempt,
-                "category": self.category,
-                "bad_reset": self.bad_reset,
-            }
-            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-            for record in self.records:
-                handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-            for event in self.events:
-                handle.write(
-                    json.dumps({"type": "event", "data": list(event)}, ensure_ascii=False) + "\n"
-                )
-            for note in self.notes:
-                handle.write(json.dumps({"type": "note", "text": note}, ensure_ascii=False) + "\n")
-            outcome = {
-                "type": "outcome",
-                "proved": bool(self.outcome and self.outcome.proved),
-                "proof": list(self.outcome.proof) if self.outcome else [],
-                "failure_reason": self.outcome.failure_reason if self.outcome else None,
-                "queries_used": self.queries_used,
-                "wall_seconds": self.wall_seconds,
-                "stage": self.stage,
-                "aborted": self.aborted,
-            }
-            handle.write(json.dumps(outcome, ensure_ascii=False) + "\n")
+            for line in lines:
+                handle.write(json.dumps(line, ensure_ascii=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeTrace":
@@ -224,15 +186,10 @@ class EpisodeTrace:
             item = json.loads(line)
             kind = item.pop("type")
             if kind == "header":
-                if item.get("schema") != TRACE_SCHEMA:
-                    raise ValueError(f"unsupported trace schema {item.get('schema')!r}")
-                trace = cls(
-                    theorem=item["theorem"],
-                    config=item["config"],
-                    attempt=item.get("attempt", 1),
-                    category=item.get("category"),
-                    bad_reset=item["bad_reset"],
-                )
+                schema = item.pop("schema", None)
+                if schema != TRACE_SCHEMA:
+                    raise ValueError(f"unsupported trace schema {schema!r}")
+                trace = cls(**item)
             elif kind == "query":
                 trace.records.append(QueryRecord(**item))
             elif kind == "event":
@@ -240,15 +197,10 @@ class EpisodeTrace:
             elif kind == "note":
                 trace.notes.append(item["text"])
             elif kind == "outcome":
-                trace.outcome = SearchOutcome(
-                    proved=item["proved"],
-                    proof=tuple(item["proof"]),
-                    failure_reason=item["failure_reason"],
-                )
-                trace.queries_used = item["queries_used"]
-                trace.wall_seconds = item["wall_seconds"]
-                trace.stage = item["stage"]
-                trace.aborted = item["aborted"]
+                for name in _TRAILER_FIELDS:
+                    setattr(trace, name, item.pop(name))
+                item["proof"] = tuple(item["proof"])
+                trace.outcome = SearchOutcome(**item)
         if trace is None:
             raise ValueError(f"no trace header in {path}")
         return trace
@@ -310,10 +262,11 @@ class _Searcher:
         self.bad: dict = {}  # state key -> ordered list of bad tactics
         self.frames: list = []
 
-    def run(self, initial: ProofState):
+    def run(self, theorem_id: str):
+        initial = self.env.initial_state(theorem_id)
         if initial.is_error:
             raise ValueError("initial state must be non-error")
-        if is_qed(initial):
+        if initial.is_qed:
             raise ValueError("theorem is already proved at the initial state")
         self._search(initial, depth=0, path=[])
 
@@ -338,7 +291,7 @@ class _Searcher:
                 continue
             tactic, record = queried
             new_state = self.env.apply_tactic(state, tactic)
-            if is_qed(new_state):
+            if new_state.is_qed:
                 record.result_class = "qed"
                 self.trace.event("transition", "qed")
                 raise _Proved(path + [tactic])
@@ -398,11 +351,7 @@ class _Searcher:
                 turns=[("user", prompt.agent_text)],
                 metadata={"state_key": frame.key, "stage": self.stage},
             )
-            try:
-                completion = self.backend.complete(request)
-            except (InfrastructureFailure, BridgeFailure) as exc:
-                self.trace.notes.append(f"infrastructure failure: {exc}")
-                raise _Abort(REASON_INFRASTRUCTURE) from exc
+            completion = self.backend.complete(request)
             ordinal = self.budget.consume()
             parsed = parse_tactic(completion.text, completion.stop_reason)
             record = QueryRecord(
@@ -440,8 +389,9 @@ def prove(
 ):
     """Run the depth-first search for one theorem.
 
-    Returns (SearchOutcome, EpisodeTrace). Infrastructure failures mark the
-    trace as aborted; they are distinct from proof failure.
+    Returns (SearchOutcome, EpisodeTrace). Infrastructure failures of the
+    backend or the environment, `init` included, mark the trace as aborted;
+    they are distinct from proof failure.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -449,17 +399,17 @@ def prove(
         budget = _Budget(config.max_queries, config.wall_timeout_seconds)
     trace.stage = stage
     searcher = _Searcher(env, backend, index, gctx, config, budget, trace, stage)
-    initial = env.initial_state(theorem_id)
-    outcome = None
     try:
-        searcher.run(initial)
+        searcher.run(theorem_id)
         outcome = SearchOutcome(proved=False, failure_reason=REASON_EXHAUSTED)
     except _Proved as proved:
         outcome = SearchOutcome(proved=True, proof=tuple(proved.proof))
     except _Abort as abort:
-        if abort.reason == REASON_INFRASTRUCTURE:
-            trace.aborted = True
         outcome = SearchOutcome(proved=False, failure_reason=abort.reason)
+    except (InfrastructureFailure, BridgeFailure) as exc:
+        trace.notes.append(f"infrastructure failure: {exc}")
+        trace.aborted = True
+        outcome = SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)
     trace.outcome = outcome
     trace.queries_used = budget.queries_used
     trace.wall_seconds = budget.elapsed()

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .agent import EpisodeTrace, SearchConfig, ensemble_prove, prove
-from .core import GlobalContext, is_qed, lift_transition
+from .core import GlobalContext, lift_transition
 from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
     DEFAULT_N_GRID,
@@ -76,17 +77,17 @@ def run_suite(
     results = []
     for theorem in bench.suite.theorems.values():
         for attempt in range(1, attempts + 1):
-            env = _make_env(bench, theorem)
-            backend = backend_factory(theorem, attempt)
-            gctx = GlobalContext(theorem_statement=theorem.statement())
-            if ensemble:
-                outcome, trace = ensemble_prove(
-                    theorem.name, env, backend, bench.index, config, gctx
-                )
-            else:
-                outcome, trace = prove(
-                    theorem.name, env, backend, bench.index, gctx, config
-                )
+            with _episode_env(bench, theorem) as env:
+                backend = backend_factory(theorem, attempt)
+                gctx = GlobalContext(theorem_statement=theorem.statement())
+                if ensemble:
+                    outcome, trace = ensemble_prove(
+                        theorem.name, env, backend, bench.index, config, gctx
+                    )
+                else:
+                    outcome, trace = prove(
+                        theorem.name, env, backend, bench.index, gctx, config
+                    )
             trace.attempt = attempt
             trace.category = theorem.category
             trace_path = traces_dir / f"{theorem.name}__a{attempt}.jsonl"
@@ -96,17 +97,21 @@ def run_suite(
     return results
 
 
-def _make_env(bench: BenchmarkSuite, theorem: ToyTheorem):
+@contextmanager
+def _episode_env(bench: BenchmarkSuite, theorem: ToyTheorem):
+    """The environment of one episode; a bridged one's adapter is killed
+    when the episode ends."""
     if bench.environment == "toy":
-        return ToyEnvironment(theorem)
-    if bench.environment == "bridge":
+        yield ToyEnvironment(theorem)
+    elif bench.environment == "bridge":
         from .bridge import BridgeConfig, BridgedEnvironment, BridgeSession
 
         if not bench.bridge_command:
             raise ValueError("bridge environment needs a bridge command")
-        session = BridgeSession(BridgeConfig(command=bench.bridge_command))
-        return BridgedEnvironment(session)
-    raise ValueError(f"unknown environment selector {bench.environment!r}")
+        with BridgeSession(BridgeConfig(command=bench.bridge_command)) as session:
+            yield BridgedEnvironment(session)
+    else:
+        raise ValueError(f"unknown environment selector {bench.environment!r}")
 
 
 def result_from_trace(trace: EpisodeTrace, trace_path: str | None = None) -> EpisodeResult:
@@ -136,7 +141,7 @@ def replay_trace(trace: EpisodeTrace, env) -> bool:
     if trace.outcome is None or not trace.outcome.proved:
         return False
     initial = env.initial_state(trace.theorem)
-    return is_qed(lift_transition(env, initial, list(trace.outcome.proof)))
+    return lift_transition(env, initial, list(trace.outcome.proof)).is_qed
 
 
 def _fraction(value: float) -> str:
@@ -149,6 +154,13 @@ def _percent(value: float) -> str:
 
 def _stat(value: float | None) -> str:
     return "absent" if value is None else f"{value:.2f}"
+
+
+def _stat_rows(stats, prefix: str) -> list:
+    """(row name, value) for each AggregateStats field named prefix*, in
+    field order; the row name is the field name in kebab case."""
+    return [(f.name.replace("_", "-"), getattr(stats, f.name))
+            for f in fields(stats) if f.name.startswith(prefix)]
 
 
 def render_metrics_text(report: MetricsReport) -> str:
@@ -197,12 +209,7 @@ def render_metrics_csv(report: MetricsReport) -> str:
     writer.writerow(["metric", "k", "n", "fraction"])
     for k, n, fraction in report.pass_grid:
         writer.writerow(["pass@k-with-n-queries", k, n, _fraction(fraction)])
-    stats = report.stats
-    for name, value in (
-        ("avg-queries-total", stats.avg_queries_total),
-        ("avg-queries-on-failure", stats.avg_queries_on_failure),
-        ("avg-queries-on-pass", stats.avg_queries_on_pass),
-    ):
+    for name, value in _stat_rows(report.stats, "avg_queries_"):
         writer.writerow([name, "", "", "" if value is None else f"{value:.6f}"])
     for category, proved, total in report.category_breakdown:
         writer.writerow([f"category:{category}", "", "", f"{proved}/{total}"])
@@ -215,15 +222,7 @@ def render_timing_csv(report: MetricsReport) -> str:
     writer.writerow(["metric", "k_seconds", "fraction"])
     for k, fraction in report.seconds_curve:
         writer.writerow(["pass@k-seconds", f"{k:g}", _fraction(fraction)])
-    stats = report.stats
-    for name, value in (
-        ("time-per-proof-on-pass", stats.time_per_proof_on_pass),
-        ("time-per-proof-on-failure", stats.time_per_proof_on_failure),
-        ("time-per-proof-total", stats.time_per_proof_total),
-        ("time-per-query-on-pass", stats.time_per_query_on_pass),
-        ("time-per-query-on-failure", stats.time_per_query_on_failure),
-        ("time-per-query-total", stats.time_per_query_total),
-    ):
+    for name, value in _stat_rows(report.stats, "time_per_"):
         writer.writerow([name, "", "" if value is None else f"{value:.6f}"])
     return out.getvalue()
 

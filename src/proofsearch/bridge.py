@@ -20,7 +20,13 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Obligation, ProofEnvironment, ProofState, canonical_key
+from .core import (
+    Obligation,
+    ProofEnvironment,
+    ProofState,
+    canonical_key,
+    ordered_obligations,
+)
 
 
 class BridgeFailure(Exception):
@@ -31,7 +37,6 @@ class BridgeFailure(Exception):
 class BridgeConfig:
     command: Sequence[str]
     timeout_seconds: float = 10.0
-    max_restarts: int = 0  # per episode; restarts lose adapter state
 
     def __post_init__(self):
         if self.timeout_seconds <= 0:
@@ -46,7 +51,7 @@ def obligations_to_wire(state: ProofState) -> list:
                 {"name": name, "prop": prop} for name, prop in sorted(ob.hypotheses)
             ],
         }
-        for ob in sorted(state.obligations, key=lambda ob: ob.sort_key())
+        for ob in ordered_obligations(state)
     ]
 
 
@@ -64,13 +69,7 @@ class BridgeSession:
 
     def __init__(self, config: BridgeConfig):
         self.config = config
-        self._proc: subprocess.Popen | None = None
-        self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
-        self._restarts_left = config.max_restarts
-        self._start()
-
-    def _start(self):
         self._proc = subprocess.Popen(
             list(self.config.command),
             stdin=subprocess.PIPE,
@@ -79,26 +78,17 @@ class BridgeSession:
             text=True,
             bufsize=1,
         )
-        self._lines = queue.Queue()
-        thread = threading.Thread(target=self._pump, args=(self._proc,), daemon=True)
-        thread.start()
+        self._lines: queue.Queue = queue.Queue()
+        threading.Thread(target=self._pump, daemon=True).start()
 
-    def _pump(self, proc):
-        for line in proc.stdout:
-            self._lines.put(line)
+    def _pump(self):
+        with self._proc.stdout as stdout:  # this thread is its only reader
+            for line in stdout:
+                self._lines.put(line)
         self._lines.put(None)  # EOF marker
 
-    def restart(self):
-        """Replace a dead adapter process. Previously issued state ids are
-        lost; callers must re-init."""
-        if self._restarts_left <= 0:
-            raise BridgeFailure("adapter crashed and no restarts remain")
-        self._restarts_left -= 1
-        self.close()
-        self._start()
-
     def call(self, cmd: str, **fields) -> dict:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc.poll() is not None:
             raise BridgeFailure("adapter process is not running")
         self._next_id += 1
         request = {"id": self._next_id, "cmd": cmd, **fields}
@@ -152,9 +142,13 @@ class BridgeSession:
             raise BridgeFailure("adapter did not exit after shutdown") from None
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
+        if self._proc.poll() is None:
             self._proc.kill()
             self._proc.wait()
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:  # a request the dead adapter never read
+            pass
 
     @staticmethod
     def _state_from(response: dict) -> ProofState:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .agent import EpisodeTrace, SearchConfig
@@ -34,29 +35,26 @@ from .retrieval import build_index, load_corpus
 from .toy import ToyEnvironment, brute_force_prove, load_suite
 
 
+# SearchConfig fields whose flag is not the field name in kebab case, and
+# argparse settings beyond the field's type and default
+_FLAG_DESTS = {"wall_timeout_seconds": "timeout"}
+_FLAG_EXTRAS = {
+    "wall_timeout_seconds": {"help": "wall-clock timeout in seconds per episode"},
+    "prompt_style": {"choices": ["lean", "coq"]},
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--max-queries", type=int, default=60)
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="wall-clock timeout in seconds per episode")
-    parser.add_argument("--per-state-budget", type=int, default=4)
-    parser.add_argument("--max-depth", type=int, default=50)
-    parser.add_argument("--format-retry-cap", type=int, default=3)
-    parser.add_argument("--token-budget", type=int, default=4096)
-    parser.add_argument("--k-retrieve", type=int, default=8)
-    parser.add_argument("--prompt-style", choices=["lean", "coq"], default="lean")
+    for f in fields(SearchConfig):
+        flag = "--" + _FLAG_DESTS.get(f.name, f.name).replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), default=f.default,
+                            **_FLAG_EXTRAS.get(f.name, {}))
 
 
 def _config_from(args) -> SearchConfig:
-    return SearchConfig(
-        max_queries=args.max_queries,
-        wall_timeout_seconds=args.timeout,
-        per_state_budget=args.per_state_budget,
-        max_depth=args.max_depth,
-        format_retry_cap=args.format_retry_cap,
-        token_budget=args.token_budget,
-        k_retrieve=args.k_retrieve,
-        prompt_style=args.prompt_style,
-    )
+    return SearchConfig(**{
+        f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name)) for f in fields(SearchConfig)
+    })
 
 
 def cmd_run(args) -> int:
@@ -72,6 +70,7 @@ def cmd_run(args) -> int:
     config = _config_from(args)
     out_dir = Path(args.out)
     record_dir = out_dir / "completions"
+    limiter = RateLimiter(args.rate_limit)  # one spacing across all episodes
 
     def backend_factory(theorem, attempt):
         if args.backend == "oracle":
@@ -93,7 +92,7 @@ def cmd_run(args) -> int:
                     api_key_env=args.api_key_env,
                     requests_per_second=args.rate_limit,
                 ),
-                _SHARED_LIMITER,
+                limiter,
             )
         if args.record:
             backend = RecordingBackend(
@@ -109,9 +108,6 @@ def cmd_run(args) -> int:
     proved = sum(1 for r in results if r.proved)
     print(f"{proved}/{len(results)} episodes proved; reports written to {out_dir}")
     return 0
-
-
-_SHARED_LIMITER = RateLimiter(None)
 
 
 def _empty_backend():

@@ -107,11 +107,6 @@ class ProofState:
         return not self.is_error and not self.obligations
 
 
-def is_qed(state: ProofState) -> bool:
-    """True iff the state is non-error and has zero obligations."""
-    return state.is_qed
-
-
 def ordered_obligations(state: ProofState) -> list:
     """Deterministic obligation order: by goal text, then by hypothesis list."""
     return sorted(state.obligations, key=Obligation.sort_key)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import ProofState
+from .core import ProofState, ordered_obligations
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -103,7 +103,7 @@ def bm25_score(index: RetrievalIndex, query_tokens: Sequence[str], doc_index: in
 
 def state_query(state: ProofState) -> str:
     parts = []
-    for obligation in sorted(state.obligations, key=lambda ob: ob.sort_key()):
+    for obligation in ordered_obligations(state):
         parts.append(obligation.goal)
         parts.extend(prop for _, prop in sorted(obligation.hypotheses))
     return " ".join(parts)

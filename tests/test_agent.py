@@ -6,6 +6,7 @@ import pytest
 from proofsearch.agent import (
     EpisodeTrace,
     NO_PROGRESS_MESSAGE,
+    QueryRecord,
     REASON_BUDGET,
     REASON_EXHAUSTED,
     REASON_INFRASTRUCTURE,
@@ -20,7 +21,7 @@ from proofsearch.agent import (
     generate_informal_sketch,
     prove,
 )
-from proofsearch.core import GlobalContext, canonical_key, is_qed, lift_transition
+from proofsearch.core import GlobalContext, canonical_key, lift_transition
 from proofsearch.llm import (
     Completion,
     GuidanceBackend,
@@ -151,7 +152,7 @@ class TestStraightLineProof:
         backend = SequenceBackend([wrap("intro h"), wrap("exact h")])
         outcome, _ = run_plain(scenarios, "pp", backend)
         env = env_for(scenarios, "pp")
-        assert is_qed(lift_transition(env, env.initial_state("pp"), list(outcome.proof)))
+        assert lift_transition(env, env.initial_state("pp"), list(outcome.proof)).is_qed
 
 
 class TestProgressGuard:
@@ -445,3 +446,79 @@ class TestDeterminismAndTrace:
     def test_bad_reset_policy_recorded(self, scenarios):
         trace = self.make_trace(scenarios)
         assert trace.bad_reset == "per-stage"
+
+
+def hand_built_trace():
+    trace = EpisodeTrace(
+        theorem="pp", config={"max_queries": 5, "prompt_style": "lean"},
+        attempt=2, category="implication",
+    )
+    trace.records.append(QueryRecord(
+        ordinal=1, stage=STAGE_PLAIN, state_key="k0", prompt_text="goal P -> P",
+        prompt_tokens=4, response=wrap("intro h"), stop_reason=NATURAL_STOP,
+        tactic="intro h", result_class="progressed", latency_seconds=0.25,
+    ))
+    trace.records.append(QueryRecord(
+        ordinal=2, stage=STAGE_RETRIEVAL, state_key="k1", prompt_text="goal P",
+        prompt_tokens=2, response="noise", stop_reason=NATURAL_STOP,
+        format_error="no tactic", result_class="format-error", latency_seconds=0.1,
+    ))
+    trace.event("push", "k0")
+    trace.event("retrieve", "k0", [["l_pq", 1.5]])
+    trace.notes.append("skipped: budget")
+    trace.outcome = SearchOutcome(proved=True, proof=("intro h", "exact h"))
+    trace.queries_used = 2
+    trace.wall_seconds = 0.7
+    trace.stage = STAGE_RETRIEVAL
+    return trace
+
+
+HAND_BUILT_LINES = [
+    '{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '
+    '"config": {"max_queries": 5, "prompt_style": "lean"}, "attempt": 2, '
+    '"category": "implication", "bad_reset": "per-stage"}',
+    '{"type": "query", "ordinal": 1, "stage": "plain", "state_key": "k0", '
+    '"prompt_text": "goal P -> P", "prompt_tokens": 4, '
+    '"response": "[RUN TACTIC] intro h [END]", "stop_reason": "natural-stop", '
+    '"tactic": "intro h", "format_error": null, "result_class": "progressed", '
+    '"latency_seconds": 0.25}',
+    '{"type": "query", "ordinal": 2, "stage": "retrieval", "state_key": "k1", '
+    '"prompt_text": "goal P", "prompt_tokens": 2, "response": "noise", '
+    '"stop_reason": "natural-stop", "tactic": null, "format_error": "no tactic", '
+    '"result_class": "format-error", "latency_seconds": 0.1}',
+    '{"type": "event", "data": ["push", "k0"]}',
+    '{"type": "event", "data": ["retrieve", "k0", [["l_pq", 1.5]]]}',
+    '{"type": "note", "text": "skipped: budget"}',
+    '{"type": "outcome", "proved": true, "proof": ["intro h", "exact h"], '
+    '"failure_reason": null, "queries_used": 2, "wall_seconds": 0.7, '
+    '"stage": "retrieval", "aborted": false}',
+]
+
+
+class TestTraceFormat:
+    """The on-disk trace format, pinned line by line."""
+
+    def test_saved_lines_match_format(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        assert path.read_text(encoding="utf-8").splitlines() == HAND_BUILT_LINES
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        hand_built_trace().save(first)
+        loaded = EpisodeTrace.load(first)
+        assert [r.latency_seconds for r in loaded.records] == [0.25, 0.1]
+        assert loaded.wall_seconds == 0.7
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_without_attempt_or_category_loads_defaults(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        lines = ['{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '
+                 '"config": {}, "bad_reset": "per-stage"}'] + HAND_BUILT_LINES[1:]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace = EpisodeTrace.load(path)
+        assert trace.attempt == 1
+        assert trace.category is None
+        assert trace.outcome == SearchOutcome(proved=True, proof=("intro h", "exact h"))
+        assert trace.stage == STAGE_RETRIEVAL

@@ -2,6 +2,7 @@
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
 import random
+import sys
 
 import pytest
 
@@ -16,8 +17,11 @@ from proofsearch.bench import (
     run_suite,
     write_report,
 )
-from proofsearch.agent import EpisodeTrace, SearchConfig
+import proofsearch.bridge
+import proofsearch.cli
+from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
 from proofsearch.cli import main as cli_main
+from proofsearch.llm import SequenceBackend
 from proofsearch.metrics import (
     EpisodeResult,
     aggregate_stats,
@@ -25,7 +29,7 @@ from proofsearch.metrics import (
     pass_at_k_seconds,
     pass_at_k_with_n_queries,
 )
-from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy import ToyEnvironment, brute_force_prove, parse_suite
 
 from conftest import CORPUS_PATH, SUITE_PATH
 
@@ -253,6 +257,89 @@ class TestRunSuite:
         assert replay_trace(trace, env) is False
 
 
+TWO_THEOREMS = """
+theorem imp_self
+  goal P -> P
+end
+
+theorem imp_const
+  goal P -> Q -> P
+end
+"""
+
+
+@pytest.fixture()
+def recorded_sessions(monkeypatch):
+    """Every BridgeSession the runner starts, kept for inspection."""
+    sessions = []
+
+    class RecordedSession(proofsearch.bridge.BridgeSession):
+        def __init__(self, config):
+            super().__init__(config)
+            sessions.append(self)
+
+    monkeypatch.setattr(proofsearch.bridge, "BridgeSession", RecordedSession)
+    yield sessions
+    for session in sessions:
+        session.close()
+
+
+def bridged_run(tmp_path, command, backend_factory, ensemble=True):
+    suite = parse_suite(TWO_THEOREMS)
+    bench = BenchmarkSuite(suite=suite, environment="bridge", bridge_command=command)
+    out_dir = tmp_path / "out"
+    return out_dir, run_suite(
+        bench, SearchConfig(), out_dir, backend_factory, ensemble=ensemble
+    )
+
+
+class TestBridgedRunSuite:
+    def test_no_adapter_outlives_its_episode(self, tmp_path, recorded_sessions):
+        suite_path = tmp_path / "two.toysuite"
+        suite_path.write_text(TWO_THEOREMS, encoding="utf-8")
+        command = [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
+        _, results = bridged_run(
+            tmp_path, command, lambda theorem, attempt: oracle_scripted_backend(theorem)
+        )
+        assert [r.proved for r in results] == [True, True]
+        assert len(recorded_sessions) == 2  # one spawn per episode
+        assert all(s._proc.poll() is not None for s in recorded_sessions)
+        assert all(s._proc.stdin.closed for s in recorded_sessions)
+
+    def test_adapter_dead_at_init_aborts_each_episode(self, tmp_path, recorded_sessions):
+        command = [sys.executable, "-c", "pass"]
+        out_dir, results = bridged_run(
+            tmp_path, command, lambda theorem, attempt: SequenceBackend([])
+        )
+        assert [(r.theorem, r.aborted, r.proved) for r in results] == [
+            ("imp_self", True, False), ("imp_const", True, False),
+        ]
+        for result in results:
+            trace = EpisodeTrace.load(out_dir / "traces" / f"{result.theorem}__a1.jsonl")
+            assert trace.aborted
+            assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
+            assert trace.queries_used == 0
+            assert any(note.startswith("infrastructure failure:") for note in trace.notes)
+
+    def test_adapter_dead_after_init_aborts_the_episode(self, tmp_path, recorded_sessions):
+        # answers `init` with one obligation, then exits before any `apply`
+        script = (
+            "import json, sys; req = json.loads(sys.stdin.readline()); "
+            "print(json.dumps({'id': req['id'], 'status': 'ok', 'state_id': 's0', "
+            "'obligations': [{'goal': 'P -> P', 'hypotheses': []}]}), flush=True)"
+        )
+        out_dir, results = bridged_run(
+            tmp_path, [sys.executable, "-c", script],
+            lambda theorem, attempt: SequenceBackend([], default="[RUN TACTIC] intro h [END]"),
+            ensemble=False,
+        )
+        assert [(r.aborted, r.proved, r.queries_used) for r in results] == [
+            (True, False, 1), (True, False, 1),
+        ]
+        trace = EpisodeTrace.load(out_dir / "traces" / "imp_self__a1.jsonl")
+        assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
+
+
 class TestOracleScriptedBackend:
     def test_unprovable_theorem_gives_none(self):
         from proofsearch.toy import parse_suite
@@ -301,6 +388,29 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "imp_self\tproved\tintro h; exact h" in out
+
+    def test_rate_limit_builds_one_shared_limiter(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        class FakeHttpBackend(SequenceBackend):
+            def __init__(self, config, rate_limiter=None):
+                super().__init__([], default="")
+                self.config = config
+                self.rate_limiter = rate_limiter
+                built.append(self)
+
+        monkeypatch.setattr(proofsearch.cli, "HttpBackend", FakeHttpBackend)
+        code = cli_main(
+            ["run", "--suite", str(SUITE_PATH), "--out", str(tmp_path / "out"),
+             "--backend", "http", "--base-url", "http://localhost:1", "--model", "m",
+             "--rate-limit", "2", "--max-queries", "1", "--no-ensemble"]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) == 32
+        limiter = built[0].rate_limiter
+        assert limiter._interval == pytest.approx(0.5)
+        assert all(backend.rate_limiter is limiter for backend in built)
 
     def test_record_then_replay_backend(self, tmp_path, capsys):
         out1 = tmp_path / "first"

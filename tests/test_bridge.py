@@ -16,7 +16,7 @@ from proofsearch.bridge import (
     obligations_from_wire,
     obligations_to_wire,
 )
-from proofsearch.core import Obligation, ProofState, canonical_key, is_qed
+from proofsearch.core import Obligation, ProofState, canonical_key
 from proofsearch.toy import ToyEnvironment, brute_force_prove, candidate_tactics
 
 from conftest import SUITE_PATH
@@ -179,7 +179,7 @@ class TestBridgedEnvironment:
         state = env.initial_state("imp_self")
         state = env.apply_tactic(state, "intro h")
         assert state == ProofState.of([Obligation.make("P", {"h": "P"})])
-        assert is_qed(env.apply_tactic(state, "exact h"))
+        assert env.apply_tactic(state, "exact h").is_qed
 
     def test_error_absorbs_locally(self, session):
         env = BridgedEnvironment(session)

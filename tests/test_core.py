@@ -12,7 +12,6 @@ from proofsearch.core import (
     ProofState,
     at_least_as_hard,
     canonical_key,
-    is_qed,
     lift_transition,
     normalize_text,
     ordered_obligations,
@@ -46,14 +45,14 @@ class TestObligation:
 
 class TestQed:
     def test_empty_obligations_is_qed(self):
-        assert is_qed(ProofState.qed())
+        assert ProofState.qed().is_qed
 
     def test_nonempty_is_not_qed(self):
-        assert not is_qed(state_of(("P", {})))
+        assert not state_of(("P", {})).is_qed
 
     def test_error_state_is_not_qed(self):
         err = ProofState.error([Obligation.make("P")], "msg")
-        assert not is_qed(err)
+        assert not err.is_qed
         assert err.is_error
 
     def test_error_needs_message(self):
@@ -184,7 +183,7 @@ class TestLiftTransition:
 
     def test_two_step_proof_reaches_qed(self, env):
         start = env.initial_state("pp")
-        assert is_qed(lift_transition(env, start, ["intro h", "exact h"]))
+        assert lift_transition(env, start, ["intro h", "exact h"]).is_qed
 
     def test_fold_associativity(self, env):
         start = env.initial_state("pp")

@@ -3,7 +3,7 @@ brute-force oracle, and the suite file format."""
 
 import pytest
 
-from proofsearch.core import Obligation, ProofState, is_qed, lift_transition
+from proofsearch.core import Obligation, ProofState, lift_transition
 from proofsearch.toy import (
     ToyEnvironment,
     ToyTacticParseError,
@@ -148,14 +148,14 @@ class TestKernel:
         assert state.error_message == "intro failed: hypothesis name 'h' already in use"
 
     def test_exact_discharges(self):
-        assert is_qed(run(theorem_of("P", hyps=[("h", "P")]), "exact h"))
+        assert run(theorem_of("P", hyps=[("h", "P")]), "exact h").is_qed
 
     def test_exact_wrong_hypothesis(self):
         state = run(theorem_of("P", hyps=[("h", "Q")]), "exact h")
         assert state.error_message == "exact failed: hypothesis 'h' does not match the goal"
 
     def test_assumption(self):
-        assert is_qed(run(theorem_of("Q", hyps=[("a", "P"), ("b", "Q")]), "assumption"))
+        assert run(theorem_of("Q", hyps=[("a", "P"), ("b", "Q")]), "assumption").is_qed
         state = run(theorem_of("Q", hyps=[("a", "P")]), "assumption")
         assert state.error_message == "assumption failed: no hypothesis matches the goal"
 
@@ -170,7 +170,7 @@ class TestKernel:
         assert state.error_message == "split failed: goal is not a conjunction"
 
     def test_refl(self):
-        assert is_qed(run(theorem_of("a = a"), "refl"))
+        assert run(theorem_of("a = a"), "refl").is_qed
 
     def test_refl_requires_syntactic_equality(self):
         state = run(theorem_of("a = b", hyps=[("h", "a = b")]), "refl")
@@ -203,7 +203,7 @@ class TestKernel:
         assert state == ProofState.of([Obligation.make("P", {"hp": "P"})])
 
     def test_apply_fact_lemma_acts_like_exact(self):
-        assert is_qed(run(theorem_of("P", lemmas=[("l", "P")]), "apply l"))
+        assert run(theorem_of("P", lemmas=[("l", "P")]), "apply l").is_qed
 
     def test_apply_is_scoped_to_lemmas(self):
         state = run(theorem_of("Q", hyps=[("h", "P -> Q")]), "apply h")
@@ -294,7 +294,7 @@ class TestOracle:
             proof = brute_force_prove(theorem, 4)
             assert proof is not None, theorem.name
             env = ToyEnvironment(theorem)
-            assert is_qed(lift_transition(env, theorem.initial_state(), proof))
+            assert lift_transition(env, theorem.initial_state(), proof).is_qed
             if len(proof) > 1:
                 assert brute_force_prove(theorem, len(proof) - 1) is None, theorem.name
 
