@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .agent import EpisodeTrace, SearchConfig, ensemble_prove, prove
+from .agent import EpisodeTrace, SearchConfig, ensemble_prove, overwrite_text, prove
 from .core import GlobalContext, lift_transition
 from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
@@ -230,17 +230,18 @@ def render_timing_csv(report: MetricsReport) -> str:
 def write_results_csv(results: Sequence[EpisodeResult], path: str | Path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["theorem", "attempt", "proved", "queries_used", "wall_seconds",
+         "stage", "category", "aborted"]
+    )
+    for r in results:
         writer.writerow(
-            ["theorem", "attempt", "proved", "queries_used", "wall_seconds",
-             "stage", "category", "aborted"]
+            [r.theorem, r.attempt, int(r.proved), r.queries_used,
+             f"{r.wall_seconds:.3f}", r.stage, r.category or "", int(r.aborted)]
         )
-        for r in results:
-            writer.writerow(
-                [r.theorem, r.attempt, int(r.proved), r.queries_used,
-                 f"{r.wall_seconds:.3f}", r.stage, r.category or "", int(r.aborted)]
-            )
+    overwrite_text(path, out.getvalue())
 
 
 def write_report(
@@ -253,8 +254,8 @@ def write_report(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = build_report(results, attempts_grid, n_grid, seconds_grid)
-    (out_dir / "metrics.txt").write_text(render_metrics_text(report), encoding="utf-8")
-    (out_dir / "metrics.csv").write_text(render_metrics_csv(report), encoding="utf-8")
-    (out_dir / "timing.txt").write_text(render_timing_text(report), encoding="utf-8")
-    (out_dir / "timing.csv").write_text(render_timing_csv(report), encoding="utf-8")
+    overwrite_text(out_dir / "metrics.txt", render_metrics_text(report))
+    overwrite_text(out_dir / "metrics.csv", render_metrics_csv(report))
+    overwrite_text(out_dir / "timing.txt", render_timing_text(report))
+    overwrite_text(out_dir / "timing.csv", render_timing_csv(report))
     return report

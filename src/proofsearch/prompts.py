@@ -10,6 +10,7 @@ assets.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -89,6 +90,7 @@ def estimate_tokens(text: str, estimator: Callable[[str], int] | None = None) ->
     return math.ceil(len(text) / 4)
 
 
+@functools.cache
 def system_prompt(style: str = "lean") -> str:
     try:
         asset = _ASSETS[style]
@@ -97,6 +99,7 @@ def system_prompt(style: str = "lean") -> str:
     return resources.files("proofsearch.assets").joinpath(asset).read_text(encoding="utf-8")
 
 
+@functools.cache
 def sketch_prompt() -> str:
     return resources.files("proofsearch.assets").joinpath("sketch_fewshot.txt").read_text(
         encoding="utf-8"

@@ -3,12 +3,21 @@
 The query for a proof state is the concatenation of its goal texts and
 hypothesis propositions. Scoring uses the standard BM25 formula with
 idf = ln(1 + (N - df + 0.5) / (df + 0.5)) and defaults k1 = 1.2, b = 0.75.
+
+The index is inverted: each term maps to its postings, the indices of the
+records that contain it. A query scores only the postings of its own
+terms, so its cost grows with the length of those postings, not with the
+size of the corpus; records outside them score zero. Only a query that
+scores fewer than k records passes over the corpus, to fill the ranking
+with zero-score records in name order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +49,7 @@ class LemmaRecord:
 @dataclass
 class RetrievalIndex:
     records: tuple
-    doc_tokens: tuple  # token list per record
+    postings: dict  # term -> record indices, one entry per occurrence, ascending
     doc_lengths: tuple
     avg_doc_length: float
     doc_freq: dict  # term -> number of documents containing it
@@ -74,30 +83,47 @@ def build_index(
     names = [record.name for record in records]
     if len(names) != len(set(names)):
         raise ValueError("duplicate record names in corpus")
-    doc_tokens = tuple(tokenize(f"{r.name} {r.statement}") for r in records)
-    doc_lengths = tuple(len(tokens) for tokens in doc_tokens)
-    doc_freq: dict = {}
-    for tokens in doc_tokens:
-        for term in set(tokens):
-            doc_freq[term] = doc_freq.get(term, 0) + 1
+    postings: dict = {}
+    repeats = []  # one entry per occurrence of a term after its first in a record
+    doc_lengths = []
+    for i, record in enumerate(records):
+        tokens = tokenize(f"{record.name} {record.statement}")
+        doc_lengths.append(len(tokens))
+        for term in tokens:
+            posting = postings.get(term)
+            if posting is None:
+                postings[term] = [i]
+            else:
+                if posting[-1] == i:
+                    repeats.append(term)
+                posting.append(i)
+    doc_freq = {term: len(posting) for term, posting in postings.items()}
+    for term in repeats:
+        doc_freq[term] -= 1
     avg = sum(doc_lengths) / len(records) if records else 0.0
-    return RetrievalIndex(records, doc_tokens, doc_lengths, avg, doc_freq, k1, b)
+    return RetrievalIndex(records, postings, tuple(doc_lengths), avg, doc_freq, k1, b)
+
+
+def _idf(index: RetrievalIndex, term: str) -> float:
+    df = index.doc_freq[term]
+    return math.log(1.0 + (len(index.records) - df + 0.5) / (df + 0.5))
+
+
+def _weight(index: RetrievalIndex, idf: float, tf: int, length: int) -> float:
+    """One query term's contribution to the score of a record of `length`
+    tokens that holds it `tf` times."""
+    return idf * tf * (index.k1 + 1.0) / (
+        tf + index.k1 * (1.0 - index.b + index.b * length / index.avg_doc_length)
+    )
 
 
 def bm25_score(index: RetrievalIndex, query_tokens: Sequence[str], doc_index: int) -> float:
-    n_docs = len(index.records)
-    tokens = index.doc_tokens[doc_index]
     length = index.doc_lengths[doc_index]
     score = 0.0
     for term in query_tokens:
-        tf = tokens.count(term)
-        if tf == 0:
-            continue
-        df = index.doc_freq[term]
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        score += idf * tf * (index.k1 + 1.0) / (
-            tf + index.k1 * (1.0 - index.b + index.b * length / index.avg_doc_length)
-        )
+        tf = index.postings.get(term, []).count(doc_index)
+        if tf:
+            score += _weight(index, _idf(index, term), tf, length)
     return score
 
 
@@ -110,18 +136,32 @@ def state_query(state: ProofState) -> str:
 
 
 def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> RetrievalResult:
-    """Top k_retrieve records for the state; ties broken by name ascending."""
+    """Top k_retrieve records for the state; ties broken by name ascending.
+
+    Each query token, duplicates included, adds its weight to the records
+    in its postings, in query order, so every score is the same sum as
+    `bm25_score` gives. Fewer than k_retrieve scored records are followed
+    by zero-score records in name order."""
     if state.is_error:
         raise ValueError("retrieval query requires a non-error state")
     if not index.records or k_retrieve <= 0:
         return RetrievalResult([])
-    query_tokens = tokenize(state_query(state))
-    scored = [
-        (record, bm25_score(index, query_tokens, i))
-        for i, record in enumerate(index.records)
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].name))
-    return RetrievalResult(scored[:k_retrieve])
+    records, lengths = index.records, index.doc_lengths
+    scores: dict = {}
+    for term in tokenize(state_query(state)):
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        idf = _idf(index, term)
+        for i, tf in Counter(posting).items():
+            scores[i] = scores.get(i, 0.0) + _weight(index, idf, tf, lengths[i])
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], records[item[0]].name))
+    ranked = [(records[i], score) for i, score in ranked[:k_retrieve]]
+    if len(ranked) < k_retrieve:
+        unscored = (record for i, record in enumerate(records) if i not in scores)
+        fill = heapq.nsmallest(k_retrieve - len(ranked), unscored, key=lambda r: r.name)
+        ranked += [(record, 0.0) for record in fill]
+    return RetrievalResult(ranked)
 
 
 def parse_corpus(text: str) -> list:

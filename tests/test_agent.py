@@ -512,6 +512,19 @@ class TestTraceFormat:
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_save_over_a_longer_file_leaves_only_the_new_trace(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        path.write_text("x" * 5000 + "\n", encoding="utf-8")
+        hand_built_trace().save(path)
+        assert path.read_text(encoding="utf-8").splitlines() == HAND_BUILT_LINES
+        shorter = hand_built_trace()
+        shorter.records.pop()
+        shorter.save(path)
+        fresh = tmp_path / "fresh.jsonl"
+        shorter.save(fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert len(EpisodeTrace.load(path).records) == 1
+
     def test_header_without_attempt_or_category_loads_defaults(self, tmp_path):
         path = tmp_path / "old.jsonl"
         lines = ['{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '

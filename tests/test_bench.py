@@ -339,6 +339,24 @@ class TestBridgedRunSuite:
         trace = EpisodeTrace.load(out_dir / "traces" / "imp_self__a1.jsonl")
         assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
 
+    def test_unknown_theorem_at_init_aborts_as_infrastructure(
+        self, tmp_path, recorded_sessions
+    ):
+        # the adapter's suite lacks imp_const, so its `init` answers `error`
+        suite_path = tmp_path / "one.toysuite"
+        suite_path.write_text("theorem imp_self\n  goal P -> P\nend\n", encoding="utf-8")
+        command = [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
+        out_dir, results = bridged_run(
+            tmp_path, command, lambda theorem, attempt: oracle_scripted_backend(theorem)
+        )
+        assert [(r.theorem, r.aborted, r.proved) for r in results] == [
+            ("imp_self", False, True), ("imp_const", True, False),
+        ]
+        trace = EpisodeTrace.load(out_dir / "traces" / "imp_const__a1.jsonl")
+        assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
+        assert trace.queries_used == 0
+        assert any("init failed" in note for note in trace.notes)
+
 
 class TestOracleScriptedBackend:
     def test_unprovable_theorem_gives_none(self):

@@ -2,9 +2,12 @@
 the response parser with partial-response salvage, and the repair message."""
 
 import random
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+from proofsearch import prompts
 from proofsearch.core import GlobalContext, Obligation, ProofState
 from proofsearch.prompts import (
     AgentPrompt,
@@ -62,6 +65,20 @@ class TestSystemPrompts:
 
     def test_sketch_prompt_has_examples(self):
         assert sketch_prompt().strip()
+
+    def test_asset_read_once(self, monkeypatch):
+        reads = []
+
+        def counting_files(package):
+            reads.append(package)
+            return resources.files(package)
+
+        monkeypatch.setattr(prompts, "resources", SimpleNamespace(files=counting_files))
+        system_prompt.cache_clear()
+        sketch_prompt.cache_clear()
+        assert system_prompt("lean") == system_prompt("lean")
+        assert sketch_prompt() == sketch_prompt()
+        assert len(reads) == 2
 
 
 class TestPromptifyGolden:

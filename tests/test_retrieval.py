@@ -175,6 +175,90 @@ class TestRetrieve:
         assert first == second
 
 
+def full_scan(index, state, k):
+    """Reference ranking: every record scored with `bm25_score`, sorted by
+    (-score, name), cut to k."""
+    query = tokenize(state_query(state))
+    scored = [(record, bm25_score(index, query, i)) for i, record in enumerate(index.records)]
+    scored.sort(key=lambda pair: (-pair[1], pair[0].name))
+    return scored[:k]
+
+
+def random_corpus(rng, vocabulary):
+    """Records in shuffled name order; some repeat a term, some have a
+    statement with no tokens, some carry a vocabulary word in the name."""
+    size = rng.randint(1, 40)
+    serials = rng.sample(range(1000), size)
+    corpus = []
+    for serial in serials:
+        shape = rng.random()
+        if shape < 0.1:
+            statement = rng.choice(["", "->", "( ) = /\\"])
+        elif shape < 0.3:
+            term = rng.choice(vocabulary)
+            statement = " ".join([term] * rng.randint(2, 4) + rng.choices(vocabulary, k=3))
+        else:
+            statement = " ".join(rng.choices(vocabulary, k=rng.randint(1, 12)))
+        name = f"{rng.choice(vocabulary)}_r{serial}" if rng.random() < 0.3 else f"r{serial}"
+        corpus.append(LemmaRecord(name, statement, rng.choice(["lemma", "definition"])))
+    return corpus
+
+
+class TestRankingMatchesFullScan:
+    """`retrieve` must give exactly (==, not approx) the ranking of a full
+    scan that scores every record with `bm25_score`."""
+
+    VOCABULARY = [f"tok{i}" for i in range(25)]
+    ABSENT = ["nowhere", "missing"]
+
+    def assert_matches(self, index, state, k):
+        assert retrieve(index, state, k).ranked == full_scan(index, state, k)
+
+    def test_random_corpora(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            corpus = random_corpus(rng, self.VOCABULARY)
+            index = build_index(corpus)
+            words = rng.choices(self.VOCABULARY + self.ABSENT, k=rng.randint(1, 10))
+            words += rng.sample(words, rng.randint(0, len(words)))  # duplicates
+            state = goal_state(" ".join(words), {"h": rng.choice(self.VOCABULARY)})
+            query = tokenize(state_query(state))
+            matching = sum(
+                1 for i in range(len(corpus)) if bm25_score(index, query, i) > 0.0
+            )
+            for k in {0, 1, matching, matching + 1, rng.randint(0, 45), len(corpus), 45}:
+                self.assert_matches(index, state, k)
+            statements = [tokenize(record.statement) for record in corpus]
+            cases = {
+                "duplicate query tokens": len(set(query)) < len(query),
+                "absent query term": bool(set(query) & set(self.ABSENT)),
+                "zero fill": matching < len(corpus),
+                "no statement tokens": not all(statements),
+                "tf > 1": any(len(set(tokens)) < len(tokens) for tokens in statements),
+            }
+            seen.update(case for case, happened in cases.items() if happened)
+        assert seen == {
+            "duplicate query tokens", "absent query term", "zero fill",
+            "no statement tokens", "tf > 1",
+        }
+
+    def test_k_zero_larger_than_corpus_and_empty_corpus(self):
+        corpus = [
+            LemmaRecord("b", "alpha alpha beta"),
+            LemmaRecord("a", "->"),
+            LemmaRecord("c", "gamma"),
+        ]
+        index = build_index(corpus)
+        state = goal_state("alpha alpha nowhere")
+        for k in (0, 1, 2, 3, 4, 100):
+            self.assert_matches(index, state, k)
+        assert [r.name for r in retrieve(index, state, 3).records()] == ["b", "a", "c"]
+        empty = build_index([])
+        for k in (0, 1, 5):
+            self.assert_matches(empty, state, k)
+
+
 class TestCorpusFormat:
     def test_bundled_corpus_loads(self, corpus):
         assert len(corpus) == 10
