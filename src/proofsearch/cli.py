@@ -30,6 +30,7 @@ from .llm import (
     RateLimiter,
     RecordingBackend,
     ReplayBackend,
+    SequenceBackend,
 )
 from .retrieval import build_index, load_corpus
 from .toy import ToyEnvironment, brute_force_prove, load_suite
@@ -58,6 +59,10 @@ def _config_from(args) -> SearchConfig:
 
 
 def cmd_run(args) -> int:
+    for flag, value, dest in [("backend", "replay", "replay_dir"), ("backend", "http", "base_url"),
+                              ("backend", "http", "model"), ("env", "bridge", "bridge_cmd")]:
+        if getattr(args, flag) == value and not getattr(args, dest):  # before any output
+            raise SystemExit(f"--{dest.replace('_', '-')} is required for --{flag} {value}")
     suite = load_suite(args.suite)
     index = build_index(load_corpus(args.corpus)) if args.corpus else None
     bench = BenchmarkSuite(
@@ -77,20 +82,17 @@ def cmd_run(args) -> int:
             backend = oracle_scripted_backend(theorem, max_depth=args.oracle_depth)
             if backend is None:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
-                backend = _empty_backend()
+                backend = SequenceBackend([])
         elif args.backend == "replay":
             backend = ReplayBackend(
                 Path(args.replay_dir) / f"{theorem.name}__a{attempt}.jsonl"
             )
         else:
-            if not args.base_url or not args.model:
-                raise SystemExit("--base-url and --model are required for the http backend")
             backend = HttpBackend(
                 HttpBackendConfig(
                     base_url=args.base_url,
                     model=args.model,
                     api_key_env=args.api_key_env,
-                    requests_per_second=args.rate_limit,
                 ),
                 limiter,
             )
@@ -108,12 +110,6 @@ def cmd_run(args) -> int:
     proved = sum(1 for r in results if r.proved)
     print(f"{proved}/{len(results)} episodes proved; reports written to {out_dir}")
     return 0
-
-
-def _empty_backend():
-    from .llm import SequenceBackend
-
-    return SequenceBackend([], default="")
 
 
 def cmd_replay(args) -> int:

@@ -159,10 +159,6 @@ class ProofEnvironment(ABC):
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
         ...
 
-    def tactic_alphabet(self) -> str:
-        """Informal description of the tactics the environment accepts."""
-        return ""
-
 
 def lift_transition(
     env: ProofEnvironment, state: ProofState, tactics: Sequence[str]

@@ -113,26 +113,27 @@ class HttpBackendConfig:
     timeout_seconds: float = 120.0
     max_transport_retries: int = 3
     backoff_seconds: float = 1.0
-    requests_per_second: float | None = None
 
 
 class HttpBackend(GuidanceBackend):
-    """Chat-completions-style HTTP client.
+    """Chat-completions-style HTTP client on ``urllib``.
 
     POSTs {model, messages, temperature, max_tokens, n: 1} to
-    <base_url>/chat/completions. Transport failures are retried with
-    exponential backoff; retries are not inference calls and are invisible
-    to the query budget.
+    <base_url>/chat/completions. Transport errors, non-2xx statuses and
+    malformed bodies are all retried with exponential backoff; retries are
+    not inference calls and are invisible to the query budget.
     """
 
     def __init__(self, config: HttpBackendConfig, rate_limiter: RateLimiter | None = None):
-        import requests  # deferred so offline use never needs it
-
-        self._requests = requests
         self.config = config
-        self.rate_limiter = rate_limiter or RateLimiter(config.requests_per_second)
+        self.rate_limiter = rate_limiter or RateLimiter(None)
 
     def complete(self, request: CompletionRequest) -> Completion:
+        # deferred: these import ssl, which would cost every run ~30 ms and 7 MiB
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.config.model,
             "messages": [{"role": "system", "content": request.system}]
@@ -147,6 +148,7 @@ class HttpBackend(GuidanceBackend):
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         url = self.config.base_url.rstrip("/") + "/chat/completions"
+        http_request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
         start = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.config.max_transport_retries + 1):
@@ -154,21 +156,21 @@ class HttpBackend(GuidanceBackend):
                 time.sleep(self.config.backoff_seconds * 2 ** (attempt - 1))
             self.rate_limiter.wait()
             try:
-                response = self._requests.post(
-                    url, json=payload, headers=headers, timeout=self.config.timeout_seconds
-                )
-                if response.status_code >= 500 or response.status_code == 429:
-                    last_error = RuntimeError(f"server returned {response.status_code}")
-                    continue
-                response.raise_for_status()
-                body = response.json()
+                # urlopen raises HTTPError (an OSError) for every non-2xx status
+                with urllib.request.urlopen(
+                    http_request, timeout=self.config.timeout_seconds
+                ) as response:
+                    body = json.load(response)
                 choice = body["choices"][0]
+                text = choice["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"completion content is {type(text).__name__}")
                 stop = LENGTH_CAP if choice.get("finish_reason") == "length" else NATURAL_STOP
-                return Completion(
-                    choice["message"]["content"], stop, time.monotonic() - start
-                )
-            except (self._requests.RequestException, KeyError, ValueError) as exc:
+                return Completion(text, stop, time.monotonic() - start)
+            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the error response, still open
         raise InfrastructureFailure(f"transport retries exhausted: {last_error}")
 
 

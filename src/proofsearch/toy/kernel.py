@@ -177,6 +177,3 @@ class ToyEnvironment(ProofEnvironment):
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
         return apply_toy_tactic(state, tactic, self._lemmas)
-
-    def tactic_alphabet(self) -> str:
-        return "intro NAME | split | assumption | exact NAME | refl | rw [<-] NAME | apply NAME"

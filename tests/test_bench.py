@@ -430,6 +430,27 @@ class TestCli:
         assert limiter._interval == pytest.approx(0.5)
         assert all(backend.rate_limiter is limiter for backend in built)
 
+    def run_without(self, tmp_path, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), *flags])
+        assert not out.exists()
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message  # non-zero, one line
+        return message
+
+    def test_replay_backend_needs_replay_dir(self, tmp_path):
+        message = self.run_without(tmp_path, ["--backend", "replay"])
+        assert message == "--replay-dir is required for --backend replay"
+
+    def test_bridge_env_needs_bridge_cmd(self, tmp_path):
+        message = self.run_without(tmp_path, ["--env", "bridge"])
+        assert message == "--bridge-cmd is required for --env bridge"
+
+    def test_http_backend_needs_base_url_and_model(self, tmp_path):
+        message = self.run_without(tmp_path, ["--backend", "http", "--base-url", "http://x"])
+        assert message == "--model is required for --backend http"
+
     def test_record_then_replay_backend(self, tmp_path, capsys):
         out1 = tmp_path / "first"
         cli_main(

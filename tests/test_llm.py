@@ -90,7 +90,7 @@ class TestRecordReplay:
 
 class _MockHandler(BaseHTTPRequestHandler):
     server_version = "MockChat/1"
-    behaviors = []  # mutated per test: list of ("ok"|"error"|"garbage", payload)
+    behaviors = []  # mutated per test: list of ("ok"|"error"|"garbage"|"body", payload)
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -112,15 +112,18 @@ class _MockHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"not json")
             return
-        max_tokens = body.get("max_tokens")
-        text = payload["text"]
-        finish = "stop"
-        if max_tokens is not None and len(text.split()) > max_tokens:
-            text = " ".join(text.split()[:max_tokens])
-            finish = "length"
-        response = {
-            "choices": [{"message": {"content": text}, "finish_reason": finish}]
-        }
+        if kind == "body":  # a 200 whose JSON body is the payload itself
+            response = payload
+        else:
+            max_tokens = body.get("max_tokens")
+            text = payload["text"]
+            finish = "stop"
+            if max_tokens is not None and len(text.split()) > max_tokens:
+                text = " ".join(text.split()[:max_tokens])
+                finish = "length"
+            response = {
+                "choices": [{"message": {"content": text}, "finish_reason": finish}]
+            }
         data = json.dumps(response).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -190,9 +193,19 @@ class TestHttpBackend:
         with pytest.raises(InfrastructureFailure):
             http_backend(base_url, max_transport_retries=2).complete(request_for())
 
-    def test_malformed_body_raises_infrastructure(self, mock_server):
+    @pytest.mark.parametrize(
+        "behavior",
+        [
+            ("garbage", None),
+            ("body", {"choices": []}),
+            ("body", [{"message": {"content": "intro h"}}]),
+            ("body", {"choices": [{"message": {"content": None}, "finish_reason": "stop"}]}),
+        ],
+        ids=["not-json", "no-choices", "json-array", "null-content"],
+    )
+    def test_malformed_body_raises_infrastructure(self, mock_server, behavior):
         base_url, handler = mock_server
-        handler.behaviors = [("garbage", None)] * 10
+        handler.behaviors = [behavior] * 10
         with pytest.raises(InfrastructureFailure):
             http_backend(base_url, max_transport_retries=1).complete(request_for())
 
