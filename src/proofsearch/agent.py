@@ -355,7 +355,7 @@ class _Searcher:
             if reason is not None:
                 raise _Abort(reason)
             bundle = PromptBundle(
-                stack=[f.state for f in self.frames],
+                state=frame.state,
                 bad_tactics=list(bad),
                 retrieved=frame.rho,
                 context=self.gctx,
@@ -441,7 +441,6 @@ def generate_informal_sketch(
     backend: GuidanceBackend,
     budget: _Budget,
     trace: EpisodeTrace,
-    stage: str = STAGE_INFORMAL,
 ) -> str | None:
     """One few-shot completion producing an informal proof sketch.
 
@@ -456,7 +455,7 @@ def generate_informal_sketch(
     request = CompletionRequest(
         system=system,
         turns=[("user", f"Theorem: {theorem_statement}")],
-        metadata={"state_key": "sketch", "stage": stage},
+        metadata={"state_key": "sketch", "stage": STAGE_INFORMAL},
     )
     try:
         completion = backend.complete(request)
@@ -467,7 +466,7 @@ def generate_informal_sketch(
     trace.records.append(
         QueryRecord(
             ordinal=ordinal,
-            stage=stage,
+            stage=STAGE_INFORMAL,
             state_key="sketch",
             prompt_text=f"Theorem: {theorem_statement}",
             prompt_tokens=0,

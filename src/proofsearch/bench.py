@@ -114,18 +114,18 @@ def _episode_env(bench: BenchmarkSuite, theorem: ToyTheorem):
         raise ValueError(f"unknown environment selector {bench.environment!r}")
 
 
+# EpisodeResult fields copied from the EpisodeTrace attribute of the same name
+_TRACE_FIELDS = tuple(f.name for f in fields(EpisodeResult)
+                      if f.name not in ("proved", "trace_path"))
+# EpisodeResult fields that are results.csv columns, in field order
+_CSV_FIELDS = tuple(f for f in fields(EpisodeResult) if f.name != "trace_path")
+
+
 def result_from_trace(trace: EpisodeTrace, trace_path: str | None = None) -> EpisodeResult:
-    outcome = trace.outcome
     return EpisodeResult(
-        theorem=trace.theorem,
-        attempt=trace.attempt,
-        proved=bool(outcome and outcome.proved),
-        queries_used=trace.queries_used,
-        wall_seconds=trace.wall_seconds,
-        stage=trace.stage,
-        category=trace.category,
-        aborted=trace.aborted,
+        proved=bool(trace.outcome and trace.outcome.proved),
         trace_path=trace_path,
+        **{name: getattr(trace, name) for name in _TRACE_FIELDS},
     )
 
 
@@ -163,17 +163,18 @@ def _stat_rows(stats, prefix: str) -> list:
             for f in fields(stats) if f.name.startswith(prefix)]
 
 
+def _stat_line(stats, label: str, prefix: str) -> str:
+    """One text-report line: the prefix* stats in field order."""
+    return f"  {label}: " + " / ".join(_stat(v) for _, v in _stat_rows(stats, prefix)) + "\n"
+
+
 def render_metrics_text(report: MetricsReport) -> str:
     out = io.StringIO()
     out.write("pass@k-with-n-queries\n")
     for k, n, fraction in report.pass_grid:
         out.write(f"  k={k} n={n}: {_percent(fraction)} ({_fraction(fraction)})\n")
     out.write("\naggregate queries (Total / Failure / Pass)\n")
-    stats = report.stats
-    out.write(
-        f"  avg queries: {_stat(stats.avg_queries_total)} / "
-        f"{_stat(stats.avg_queries_on_failure)} / {_stat(stats.avg_queries_on_pass)}\n"
-    )
+    out.write(_stat_line(report.stats, "avg queries", "avg_queries_"))
     if report.category_breakdown:
         out.write("\nper-category proved\n")
         for category, proved, total in report.category_breakdown:
@@ -190,16 +191,9 @@ def render_timing_text(report: MetricsReport) -> str:
     out.write("pass@k-seconds\n")
     for k, fraction in report.seconds_curve:
         out.write(f"  k={k:g}s: {_percent(fraction)} ({_fraction(fraction)})\n")
-    stats = report.stats
     out.write("\navg time in seconds (On Pass / On Fail / All)\n")
-    out.write(
-        f"  per proof: {_stat(stats.time_per_proof_on_pass)} / "
-        f"{_stat(stats.time_per_proof_on_failure)} / {_stat(stats.time_per_proof_total)}\n"
-    )
-    out.write(
-        f"  per query: {_stat(stats.time_per_query_on_pass)} / "
-        f"{_stat(stats.time_per_query_on_failure)} / {_stat(stats.time_per_query_total)}\n"
-    )
+    out.write(_stat_line(report.stats, "per proof", "time_per_proof_"))
+    out.write(_stat_line(report.stats, "per query", "time_per_query_"))
     return out.getvalue()
 
 
@@ -227,20 +221,23 @@ def render_timing_csv(report: MetricsReport) -> str:
     return out.getvalue()
 
 
+def _csv_cell(type_name: str, value):
+    """A results.csv cell for a value of the annotated field type."""
+    if type_name == "bool":
+        return int(value)
+    if type_name == "float":
+        return f"{value:.3f}"
+    return "" if value is None else value
+
+
 def write_results_csv(results: Sequence[EpisodeResult], path: str | Path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["theorem", "attempt", "proved", "queries_used", "wall_seconds",
-         "stage", "category", "aborted"]
-    )
+    writer.writerow([f.name for f in _CSV_FIELDS])
     for r in results:
-        writer.writerow(
-            [r.theorem, r.attempt, int(r.proved), r.queries_used,
-             f"{r.wall_seconds:.3f}", r.stage, r.category or "", int(r.aborted)]
-        )
+        writer.writerow([_csv_cell(f.type, getattr(r, f.name)) for f in _CSV_FIELDS])
     overwrite_text(path, out.getvalue())
 
 

@@ -129,18 +129,6 @@ class BridgeSession:
     def reset(self):
         self.call("reset")
 
-    def shutdown(self, wait_seconds: float | None = None) -> int:
-        """Ask the adapter to exit; returns its exit status."""
-        try:
-            self.call("shutdown")
-        except BridgeFailure:
-            pass
-        try:
-            return self._proc.wait(timeout=wait_seconds or self.config.timeout_seconds)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            raise BridgeFailure("adapter did not exit after shutdown") from None
-
     def close(self):
         if self._proc.poll() is None:
             self._proc.kill()

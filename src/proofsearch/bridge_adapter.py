@@ -20,8 +20,7 @@ def _respond(payload: dict):
     sys.stdout.flush()
 
 
-def serve(suite_path: str, stdin=None, stdout=None):
-    stdin = stdin or sys.stdin
+def serve(suite_path: str):
     suite = load_suite(suite_path)
     states: dict = {}  # state id -> ProofState
     env: ToyEnvironment | None = None
@@ -43,7 +42,7 @@ def serve(suite_path: str, stdin=None, stdout=None):
             payload["obligations"] = obligations_to_wire(state)
         return payload
 
-    for line in stdin:
+    for line in sys.stdin:
         if not line.strip():
             continue
         try:

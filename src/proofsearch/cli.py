@@ -63,6 +63,12 @@ def cmd_run(args) -> int:
                               ("backend", "http", "model"), ("env", "bridge", "bridge_cmd")]:
         if getattr(args, flag) == value and not getattr(args, dest):  # before any output
             raise SystemExit(f"--{dest.replace('_', '-')} is required for --{flag} {value}")
+    if args.attempts < 1:
+        raise SystemExit("--attempts must be >= 1")
+    if args.oracle_depth < 1:
+        raise SystemExit("--oracle-depth must be >= 1")
+    if args.rate_limit is not None and args.rate_limit <= 0:
+        raise SystemExit("--rate-limit must be > 0")
     suite = load_suite(args.suite)
     index = build_index(load_corpus(args.corpus)) if args.corpus else None
     bench = BenchmarkSuite(

@@ -185,13 +185,8 @@ class RecordingBackend(GuidanceBackend):
 
     def complete(self, request: CompletionRequest) -> Completion:
         completion = self.inner.complete(request)
-        record = {
-            "text": completion.text,
-            "stop_reason": completion.stop_reason,
-            "latency_seconds": completion.latency_seconds,
-        }
         with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(vars(completion), ensure_ascii=False) + "\n")
         return completion
 
 
@@ -211,4 +206,4 @@ class ReplayBackend(GuidanceBackend):
             raise InfrastructureFailure("replay stream exhausted")
         record = self.records[self._cursor]
         self._cursor += 1
-        return Completion(record["text"], record["stop_reason"], record["latency_seconds"])
+        return Completion(**record)

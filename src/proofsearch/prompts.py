@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .core import GlobalContext, Obligation, ProofState, ordered_obligations
-from .retrieval import RetrievalResult
+from .core import GlobalContext, ProofState, ordered_obligations
 
 NATURAL_STOP = "natural-stop"
 LENGTH_CAP = "length-cap"
@@ -47,22 +46,17 @@ class PromptBudgetError(Exception):
 
 @dataclass
 class PromptBundle:
-    """Everything promptify needs: the stack view (innermost state last),
-    the failure set at the current state, retrieval results, global
-    context, and last-step feedback."""
+    """Everything promptify needs: the current state, the failure set at
+    it, retrieval results, global context, and last-step feedback."""
 
-    stack: Sequence[ProofState]
+    state: ProofState
     bad_tactics: Sequence[str] = ()
-    retrieved: RetrievalResult | None = None
+    retrieved: list | None = None  # (record, score) pairs from `retrieve`
     context: GlobalContext | None = None
     steps: Sequence[str] = ()
     last_step: str | None = None
     last_outcome: str | None = None  # "success" or an error message
     format_error_notice: str | None = None
-
-    @property
-    def current(self) -> ProofState:
-        return self.stack[-1]
 
 
 @dataclass(frozen=True)
@@ -83,10 +77,8 @@ class FormatError:
     repair_message: str
 
 
-def estimate_tokens(text: str, estimator: Callable[[str], int] | None = None) -> int:
-    """Default token estimate: ceil(len / 4). A custom estimator wins."""
-    if estimator is not None:
-        return estimator(text)
+def estimate_tokens(text: str) -> int:
+    """Token estimate: ceil(len / 4)."""
     return math.ceil(len(text) / 4)
 
 
@@ -106,7 +98,7 @@ def sketch_prompt() -> str:
     )
 
 
-def _render_goals(state: ProofState, retrieved: RetrievalResult | None) -> str:
+def _render_goals(state: ProofState, retrieved: list | None) -> str:
     lines = ["[GOALS]"]
     for i, obligation in enumerate(ordered_obligations(state), start=1):
         lines.append(f"[GOAL] {i}")
@@ -116,7 +108,7 @@ def _render_goals(state: ProofState, retrieved: RetrievalResult | None) -> str:
             lines.append(f"[HYPOTHESES] {i}")
             for name, prop in hyps.items():
                 lines.append(f"[HYPOTHESIS] {name} : {prop}")
-        if i == 1 and retrieved is not None and len(retrieved):
+        if i == 1 and retrieved:
             definitions = [r for r, _ in retrieved if r.kind == "definition"]
             theorems = [r for r, _ in retrieved if r.kind == "lemma"]
             if definitions:
@@ -128,10 +120,8 @@ def _render_goals(state: ProofState, retrieved: RetrievalResult | None) -> str:
     return "\n".join(lines)
 
 
-def _sections(bundle: PromptBundle, with_retrieved: bool) -> dict:
-    sections: dict = {}
-    retrieved = bundle.retrieved if with_retrieved else None
-    sections[_SECTION_GOALS] = _render_goals(bundle.current, retrieved)
+def _sections(bundle: PromptBundle) -> dict:
+    sections = {_SECTION_GOALS: _render_goals(bundle.state, bundle.retrieved)}
     if bundle.context is not None and bundle.context.informal_hints:
         sections[_SECTION_INFORMAL] = "[INFORMAL-PROOF]\n" + bundle.context.informal_hints.strip()
     if bundle.steps:
@@ -169,47 +159,29 @@ def _assemble(sections: dict) -> str:
     return "\n".join(parts + ["[END]"])
 
 
-def promptify(
-    bundle: PromptBundle,
-    token_budget: int,
-    style: str = "lean",
-    estimator: Callable[[str], int] | None = None,
-) -> AgentPrompt:
+def promptify(bundle: PromptBundle, token_budget: int, style: str = "lean") -> AgentPrompt:
     """Render the agent prompt, trimming sections to fit the budget.
 
     Sections drop in a fixed priority order; the goals block (and a
     pending format-error notice) are never dropped. If even those exceed
     the budget, a PromptBudgetError is raised.
     """
-    if bundle.current.is_error:
+    if bundle.state.is_error:
         raise ValueError("cannot promptify an error state")
-    sections = _sections(bundle, with_retrieved=True)
-    # the retrieved entries live inside the goals block; rebuilding without
-    # them is how the "retrieved" drop level works
-    drop_plan = list(_DROP_ORDER)
-    while True:
+    sections = _sections(bundle)
+    for drop in (None, *_DROP_ORDER):  # None: try the full prompt first
+        if drop == _SECTION_RETRIEVED:
+            # the retrieved entries live inside the goals block
+            sections[_SECTION_GOALS] = _render_goals(bundle.state, None)
+        else:
+            sections.pop(drop, None)
         text = _assemble(sections)
-        estimate = estimate_tokens(text, estimator)
+        estimate = estimate_tokens(text)
         if estimate <= token_budget:
             return AgentPrompt(system_prompt(style), text, estimate)
-        dropped = False
-        while drop_plan:
-            name = drop_plan.pop(0)
-            if name == _SECTION_RETRIEVED:
-                rebuilt = _render_goals(bundle.current, None)
-                if rebuilt != sections[_SECTION_GOALS]:
-                    sections[_SECTION_GOALS] = rebuilt
-                    dropped = True
-                    break
-            elif name in sections:
-                del sections[name]
-                dropped = True
-                break
-        if not dropped:
-            raise PromptBudgetError(
-                f"token budget {token_budget} cannot fit the goals section "
-                f"(needs about {estimate})"
-            )
+    raise PromptBudgetError(
+        f"token budget {token_budget} cannot fit the goals section (needs about {estimate})"
+    )
 
 
 _RUN_TACTIC = "[RUN TACTIC]"

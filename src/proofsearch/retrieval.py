@@ -7,18 +7,18 @@ idf = ln(1 + (N - df + 0.5) / (df + 0.5)) and defaults k1 = 1.2, b = 0.75.
 The index is inverted: each term maps to its postings, the indices of the
 records that contain it. A query scores only the postings of its own
 terms, so its cost grows with the length of those postings, not with the
-size of the corpus; records outside them score zero. Only a query that
-scores fewer than k records passes over the corpus, to fill the ranking
-with zero-score records in name order.
+size of the corpus; records outside them score zero. A query that
+scores fewer than k records fills the ranking with zero-score records
+taken in name order from the index's `by_name`, so the fill costs O(k).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,27 +53,12 @@ class RetrievalIndex:
     doc_lengths: tuple
     avg_doc_length: float
     doc_freq: dict  # term -> number of documents containing it
+    by_name: tuple  # record indices in name order
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass
-class RetrievalResult:
-    """Ranked (record, score) pairs, scores non-increasing."""
-
-    ranked: list = field(default_factory=list)
-
-    def records(self) -> list:
-        return [record for record, _ in self.ranked]
-
-    def __len__(self) -> int:
-        return len(self.ranked)
-
-    def __iter__(self):
-        return iter(self.ranked)
 
 
 def build_index(
@@ -101,7 +86,8 @@ def build_index(
     for term in repeats:
         doc_freq[term] -= 1
     avg = sum(doc_lengths) / len(records) if records else 0.0
-    return RetrievalIndex(records, postings, tuple(doc_lengths), avg, doc_freq, k1, b)
+    by_name = tuple(sorted(range(len(records)), key=names.__getitem__))
+    return RetrievalIndex(records, postings, tuple(doc_lengths), avg, doc_freq, by_name, k1, b)
 
 
 def _idf(index: RetrievalIndex, term: str) -> float:
@@ -135,8 +121,9 @@ def state_query(state: ProofState) -> str:
     return " ".join(parts)
 
 
-def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> RetrievalResult:
-    """Top k_retrieve records for the state; ties broken by name ascending.
+def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> list:
+    """Top k_retrieve (record, score) pairs for the state, scores
+    non-increasing; ties broken by name ascending.
 
     Each query token, duplicates included, adds its weight to the records
     in its postings, in query order, so every score is the same sum as
@@ -145,7 +132,7 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> Retri
     if state.is_error:
         raise ValueError("retrieval query requires a non-error state")
     if not index.records or k_retrieve <= 0:
-        return RetrievalResult([])
+        return []
     records, lengths = index.records, index.doc_lengths
     scores: dict = {}
     for term in tokenize(state_query(state)):
@@ -158,10 +145,9 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> Retri
     ranked = sorted(scores.items(), key=lambda item: (-item[1], records[item[0]].name))
     ranked = [(records[i], score) for i, score in ranked[:k_retrieve]]
     if len(ranked) < k_retrieve:
-        unscored = (record for i, record in enumerate(records) if i not in scores)
-        fill = heapq.nsmallest(k_retrieve - len(ranked), unscored, key=lambda r: r.name)
-        ranked += [(record, 0.0) for record in fill]
-    return RetrievalResult(ranked)
+        unscored = (i for i in index.by_name if i not in scores)
+        ranked += [(records[i], 0.0) for i in islice(unscored, k_retrieve - len(ranked))]
+    return ranked
 
 
 def parse_corpus(text: str) -> list:

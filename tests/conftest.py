@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled theorem suite, corpus, and small helpers."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,16 @@ import pytest
 from proofsearch.retrieval import build_index, load_corpus
 from proofsearch.toy import load_suite
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "proofsearch" / "data"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+DATA_DIR = SRC_DIR / "proofsearch" / "data"
 SUITE_PATH = DATA_DIR / "basic.toysuite"
 CORPUS_PATH = DATA_DIR / "basic.corpus.tsv"
+
+# loopback adapters run as `python -m proofsearch.bridge_adapter` in a child
+# process, which finds the package only through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")
@@ -54,13 +62,13 @@ def fuzz_bundle(rng):
     """A random but grammar-safe PromptBundle for fuzz tests."""
     from proofsearch.core import GlobalContext, Obligation, ProofState
     from proofsearch.prompts import PromptBundle, repair_message
-    from proofsearch.retrieval import LemmaRecord, RetrievalResult
+    from proofsearch.retrieval import LemmaRecord
 
     obligations = []
     for i in range(rng.randint(1, 4)):
         hyps = {f"h{j}": fuzz_text(rng) for j in range(rng.randint(0, 4))}
         obligations.append(Obligation.make(f"{fuzz_text(rng)} {i}", hyps))
-    stack = [ProofState.of(obligations)]
+    state = ProofState.of(obligations)
     retrieved = None
     if rng.random() < 0.6:
         ranked = [
@@ -69,7 +77,7 @@ def fuzz_bundle(rng):
             for i in range(rng.randint(1, 5))
         ]
         ranked.sort(key=lambda pair: -pair[1])
-        retrieved = RetrievalResult(ranked)
+        retrieved = ranked
     context = None
     if rng.random() < 0.5:
         hints = fuzz_text(rng) if rng.random() < 0.5 else None
@@ -88,7 +96,7 @@ def fuzz_bundle(rng):
     if rng.random() < 0.3:
         notice = repair_message(fuzz_text(rng), rng.choice(["natural-stop", "length-cap"]))
     return PromptBundle(
-        stack=stack,
+        state=state,
         bad_tactics=bad,
         retrieved=retrieved,
         context=context,

@@ -16,6 +16,7 @@ from proofsearch.bench import (
     results_from_traces,
     run_suite,
     write_report,
+    write_results_csv,
 )
 import proofsearch.bridge
 import proofsearch.cli
@@ -192,6 +193,56 @@ class TestReport:
         report = build_report(synthetic(4, 2))
         assert "pass@k-seconds" in render_timing_text(report)
         assert "pass@k-seconds" not in render_metrics_text(report)
+
+    def test_text_reports_exact(self):
+        report = build_report(
+            [
+                result("a", True, queries=4, seconds=2.5, category="logic"),
+                result("b", True, queries=2, seconds=0.5, category="logic"),
+                result("c", False, queries=0, seconds=0.25, aborted=True),
+            ],
+            n_grid=(1, 5),
+            seconds_grid=(1.0, 10.0),
+        )
+        assert render_metrics_text(report) == (
+            "pass@k-with-n-queries\n"
+            "  k=1 n=1: 0.00% (0.000000)\n"
+            "  k=1 n=5: 100.00% (1.000000)\n"
+            "\n"
+            "aggregate queries (Total / Failure / Pass)\n"
+            "  avg queries: 3.00 / absent / 3.00\n"
+            "\n"
+            "per-category proved\n"
+            "  logic: 2/2\n"
+            "\n"
+            "infrastructure-aborted episodes (excluded from metrics)\n"
+            "  c attempt 1\n"
+        )
+        assert render_timing_text(report) == (
+            "pass@k-seconds\n"
+            "  k=1s: 50.00% (0.500000)\n"
+            "  k=10s: 100.00% (1.000000)\n"
+            "\n"
+            "avg time in seconds (On Pass / On Fail / All)\n"
+            "  per proof: 1.50 / absent / 1.50\n"
+            "  per query: 0.50 / absent / 0.50\n"
+        )
+
+    def test_results_csv_exact(self, tmp_path):
+        results = [
+            result("alpha", True, queries=3, seconds=1.23456, stage="retrieval",
+                   category="algebra", trace_path="traces/alpha__a1.jsonl"),
+            result("beta", False, queries=0, seconds=0.5, attempt=2, aborted=True),
+            result("gamma", False, queries=7, seconds=2.0, category=None),
+        ]
+        path = tmp_path / "results.csv"
+        write_results_csv(results, path)
+        assert path.read_text(encoding="utf-8") == (
+            "theorem,attempt,proved,queries_used,wall_seconds,stage,category,aborted\n"
+            "alpha,1,1,3,1.235,retrieval,algebra,0\n"
+            "beta,2,0,0,0.500,plain,,1\n"
+            "gamma,1,0,7,2.000,plain,,0\n"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +501,14 @@ class TestCli:
     def test_http_backend_needs_base_url_and_model(self, tmp_path):
         message = self.run_without(tmp_path, ["--backend", "http", "--base-url", "http://x"])
         assert message == "--model is required for --backend http"
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--attempts", "0"], "--attempts must be >= 1"),
+        (["--oracle-depth", "0"], "--oracle-depth must be >= 1"),
+        (["--rate-limit", "-2"], "--rate-limit must be > 0"),
+    ], ids=["attempts", "oracle-depth", "rate-limit"])
+    def test_bad_flag_value_rejected(self, tmp_path, flags, expected):
+        assert self.run_without(tmp_path, flags) == expected
 
     def test_record_then_replay_backend(self, tmp_path, capsys):
         out1 = tmp_path / "first"

@@ -170,7 +170,8 @@ class TestBridgeSession:
         assert response["status"] == "ok"
 
     def test_shutdown_within_timeout(self, session):
-        assert session.shutdown() == 0
+        assert session.call("shutdown")["status"] == "ok"
+        assert session._proc.wait(timeout=session.config.timeout_seconds) == 0
 
 
 class TestBridgedEnvironment:

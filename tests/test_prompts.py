@@ -26,7 +26,7 @@ from proofsearch.prompts import (
     sketch_prompt,
     system_prompt,
 )
-from proofsearch.retrieval import LemmaRecord, RetrievalResult
+from proofsearch.retrieval import LemmaRecord
 
 from conftest import fuzz_bundle, fuzz_tactic
 
@@ -47,9 +47,6 @@ class TestEstimateTokens:
 
     def test_ceiling(self):
         assert estimate_tokens("a" * 9) == 3
-
-    def test_custom_estimator_wins(self):
-        assert estimate_tokens("whatever", estimator=lambda text: 42) == 42
 
 
 class TestSystemPrompts:
@@ -83,7 +80,7 @@ class TestSystemPrompts:
 
 class TestPromptifyGolden:
     def test_minimal_goal_with_hypothesis(self):
-        bundle = PromptBundle(stack=[single_state("x * x % 2 = 0", {"h": "x % 2 = 0"})])
+        bundle = PromptBundle(state=single_state("x * x % 2 = 0", {"h": "x % 2 = 0"}))
         prompt = promptify(bundle, BIG_BUDGET)
         assert prompt.agent_text == (
             "[GOALS]\n"
@@ -99,27 +96,27 @@ class TestPromptifyGolden:
 
     def test_incorrect_steps_inline_section(self):
         bundle = PromptBundle(
-            stack=[single_state("g")],
+            state=single_state("g"),
             bad_tactics=["apply h₁,", "rw ←h₁"],
         )
         text = promptify(bundle, BIG_BUDGET).agent_text
         assert "[INCORRECT STEPS][STEP]apply h₁,[STEP]rw ←h₁" in text
 
     def test_steps_inline_section(self):
-        bundle = PromptBundle(stack=[single_state("g")], steps=["intros a.", "induction a."])
+        bundle = PromptBundle(state=single_state("g"), steps=["intros a.", "induction a."])
         text = promptify(bundle, BIG_BUDGET).agent_text
         assert "[STEPS][STEP]intros a.[STEP]induction a." in text
 
     def test_last_step_success(self):
         bundle = PromptBundle(
-            stack=[single_state("g")], last_step="intro h", last_outcome="success"
+            state=single_state("g"), last_step="intro h", last_outcome="success"
         )
         text = promptify(bundle, BIG_BUDGET).agent_text
         assert "[LAST STEP] intro h\n[SUCCESS]" in text
 
     def test_last_step_error_message(self):
         bundle = PromptBundle(
-            stack=[single_state("g")],
+            state=single_state("g"),
             last_step="refl",
             last_outcome="refl failed: goal is not an equality",
         )
@@ -128,30 +125,28 @@ class TestPromptifyGolden:
 
     def test_multiple_goals_numbered(self):
         state = ProofState.of([Obligation.make("A"), Obligation.make("B", {"h": "P"})])
-        text = promptify(PromptBundle(stack=[state]), BIG_BUDGET).agent_text
+        text = promptify(PromptBundle(state=state), BIG_BUDGET).agent_text
         assert "[GOAL] 1\nA\n" in text
         assert "[GOAL] 2\nB\n[HYPOTHESES] 2\n[HYPOTHESIS] h : P" in text
 
     def test_retrieved_records_attach_to_first_goal(self):
-        retrieved = RetrievalResult(
-            [
-                (LemmaRecord("l_ab", "a = b", "lemma"), 2.0),
-                (LemmaRecord("d_gcd", "gcd a b", "definition"), 1.0),
-            ]
-        )
-        bundle = PromptBundle(stack=[single_state("a = b")], retrieved=retrieved)
+        retrieved = [
+            (LemmaRecord("l_ab", "a = b", "lemma"), 2.0),
+            (LemmaRecord("d_gcd", "gcd a b", "definition"), 1.0),
+        ]
+        bundle = PromptBundle(state=single_state("a = b"), retrieved=retrieved)
         text = promptify(bundle, BIG_BUDGET).agent_text
         assert "[DEFINITIONS] 1\n[DEFINITION] d_gcd : gcd a b" in text
         assert "[THEOREMS] 1\n[THEOREM] l_ab : a = b" in text
 
     def test_informal_hints_rendered(self):
         gctx = GlobalContext(theorem_statement="t", informal_hints="Use reflexivity.")
-        text = promptify(PromptBundle(stack=[single_state("g")], context=gctx), BIG_BUDGET).agent_text
+        text = promptify(PromptBundle(state=single_state("g"), context=gctx), BIG_BUDGET).agent_text
         assert "[INFORMAL-PROOF]\nUse reflexivity." in text
 
     def test_format_notice_supplies_closing_end(self):
         notice = repair_message("Great!", NATURAL_STOP)
-        bundle = PromptBundle(stack=[single_state("g")], format_error_notice=notice)
+        bundle = PromptBundle(state=single_state("g"), format_error_notice=notice)
         text = promptify(bundle, BIG_BUDGET).agent_text
         assert text.endswith(" Please respond only in the format specified.[END]")
         assert text.count("[END]") == 1
@@ -159,14 +154,14 @@ class TestPromptifyGolden:
     def test_error_state_rejected(self):
         err = ProofState.error([Obligation.make("g")], "boom")
         with pytest.raises(ValueError):
-            promptify(PromptBundle(stack=[err]), BIG_BUDGET)
+            promptify(PromptBundle(state=err), BIG_BUDGET)
 
 
 def full_bundle():
-    retrieved = RetrievalResult([(LemmaRecord("l_ab", "a = b", "lemma"), 1.5)])
+    retrieved = [(LemmaRecord("l_ab", "a = b", "lemma"), 1.5)]
     gctx = GlobalContext(theorem_statement="t", informal_hints="Rewrite twice, then refl.")
     return PromptBundle(
-        stack=[single_state("a = c", {"h1": "a = b", "h2": "b = c"})],
+        state=single_state("a = c", {"h1": "a = b", "h2": "b = c"}),
         bad_tactics=["refl", "split"],
         retrieved=retrieved,
         context=gctx,
@@ -242,7 +237,7 @@ class TestTrimming:
 
     def test_budget_too_small_for_goals(self):
         with pytest.raises(PromptBudgetError):
-            promptify(PromptBundle(stack=[single_state("a" * 400)]), 10)
+            promptify(PromptBundle(state=single_state("a" * 400)), 10)
 
     def test_notice_never_dropped(self):
         notice = repair_message("nope", NATURAL_STOP)

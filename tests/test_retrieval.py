@@ -57,7 +57,7 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         index = build_index([])
         assert len(index) == 0
-        assert retrieve(index, goal_state("P"), 5).ranked == []
+        assert retrieve(index, goal_state("P"), 5) == []
 
     def test_single_record_df(self):
         index = build_index([LemmaRecord("l", "gcd a b")])
@@ -92,7 +92,7 @@ class TestScoring:
         assert s1 == pytest.approx(naive_bm25(corpus, query, 0), abs=1e-12)
         assert s2 == 0.0
         result = retrieve(index, state, 2)
-        assert result.records()[0].name == "d1"
+        assert result[0][0].name == "d1"
         assert s1 > s2
 
     def test_absent_token_contributes_zero(self):
@@ -110,8 +110,8 @@ class TestScoring:
         ]
         index = build_index(corpus)
         result = retrieve(index, goal_state("gcd lcm"), 3)
-        assert [r.name for r in result.records()] == ["a_copy", "b_copy", "other"]
-        assert result.ranked[0][1] == pytest.approx(result.ranked[1][1])
+        assert [r.name for r, _ in result] == ["a_copy", "b_copy", "other"]
+        assert result[0][1] == pytest.approx(result[1][1])
 
     def test_matches_naive_reference_on_random_corpora(self):
         rng = random.Random(20240818)
@@ -139,17 +139,17 @@ class TestRetrieve:
 
     def test_scores_non_increasing(self, corpus_index):
         result = retrieve(corpus_index, goal_state("P -> Q", {"h": "a = b"}), 8)
-        scores = [score for _, score in result.ranked]
+        scores = [score for _, score in result]
         assert scores == sorted(scores, reverse=True)
 
     def test_zero_score_documents_still_returned(self, corpus_index):
         result = retrieve(corpus_index, goal_state("nothing_matches_this"), 4)
         assert len(result) == 4
-        assert all(score == 0.0 for _, score in result.ranked)
+        assert all(score == 0.0 for _, score in result)
 
     def test_positive_scores_outrank_zero(self, corpus_index):
         result = retrieve(corpus_index, goal_state("Q", {"hp": "P"}), len(corpus_index))
-        scores = [score for _, score in result.ranked]
+        scores = [score for _, score in result]
         assert scores[0] > 0.0
         first_zero = next(i for i, s in enumerate(scores) if s == 0.0)
         assert all(s == 0.0 for s in scores[first_zero:])
@@ -166,13 +166,41 @@ class TestRetrieve:
         query = state_query(state)
         assert "alpha" in query and "zeta" in query
         result = retrieve(index, state, 2)
-        assert {r.name for r in result.records()} == {"hyp_hit", "goal_hit"}
+        assert {r.name for r, _ in result} == {"hyp_hit", "goal_hit"}
+
+    def test_zero_fill_reads_only_k_records(self):
+        corpus = [LemmaRecord(f"r{i:03d}", f"alpha{i}") for i in reversed(range(200))]
+        index = build_index(corpus)
+        index.records = CountingRecords(index.records)
+        result = retrieve(index, goal_state("nowhere"), 3)
+        assert [(r.name, score) for r, score in result] == [
+            ("r000", 0.0), ("r001", 0.0), ("r002", 0.0)
+        ]
+        assert index.records.reads <= 3
 
     def test_deterministic(self, corpus_index):
         state = goal_state("P -> Q")
-        first = retrieve(corpus_index, state, 5).ranked
-        second = retrieve(corpus_index, state, 5).ranked
+        first = retrieve(corpus_index, state, 5)
+        second = retrieve(corpus_index, state, 5)
         assert first == second
+
+
+class CountingRecords(tuple):
+    """A record tuple that counts the records read from it."""
+
+    def __new__(cls, records):
+        self = super().__new__(cls, records)
+        self.reads = 0
+        return self
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for record in super().__iter__():
+            self.reads += 1
+            yield record
 
 
 def full_scan(index, state, k):
@@ -212,7 +240,7 @@ class TestRankingMatchesFullScan:
     ABSENT = ["nowhere", "missing"]
 
     def assert_matches(self, index, state, k):
-        assert retrieve(index, state, k).ranked == full_scan(index, state, k)
+        assert retrieve(index, state, k) == full_scan(index, state, k)
 
     def test_random_corpora(self):
         rng = random.Random(5)
@@ -253,7 +281,7 @@ class TestRankingMatchesFullScan:
         state = goal_state("alpha alpha nowhere")
         for k in (0, 1, 2, 3, 4, 100):
             self.assert_matches(index, state, k)
-        assert [r.name for r in retrieve(index, state, 3).records()] == ["b", "a", "c"]
+        assert [r.name for r, _ in retrieve(index, state, 3)] == ["b", "a", "c"]
         empty = build_index([])
         for k in (0, 1, 5):
             self.assert_matches(empty, state, k)
