@@ -31,6 +31,7 @@ from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
 from .prompts import (
     FormatError,
     ParsedAction,
+    PromptBudgetError,
     PromptBundle,
     parse_tactic,
     promptify,
@@ -410,8 +411,8 @@ def prove(
     """Run the depth-first search for one theorem.
 
     Returns (SearchOutcome, EpisodeTrace). Infrastructure failures of the
-    backend or the environment, `init` included, mark the trace as aborted;
-    they are distinct from proof failure.
+    backend or the environment, `init` included, and a token budget too
+    small for the goals abort the trace; they are not proof failures.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -426,7 +427,7 @@ def prove(
         outcome = SearchOutcome(proved=True, proof=tuple(proved.proof))
     except _Abort as abort:
         outcome = SearchOutcome(proved=False, failure_reason=abort.reason)
-    except (InfrastructureFailure, BridgeFailure) as exc:
+    except (InfrastructureFailure, BridgeFailure, PromptBudgetError) as exc:
         trace.notes.append(f"infrastructure failure: {exc}")
         trace.aborted = True
         outcome = SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)

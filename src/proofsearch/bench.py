@@ -61,6 +61,11 @@ def oracle_scripted_backend(theorem: ToyTheorem, max_depth: int = 6) -> Scripted
     return ScriptedBackend(program)
 
 
+def trace_file_name(theorem: str, attempt: int) -> str:
+    """The name of an episode's trace file in a run's traces/ directory."""
+    return f"{theorem}__a{attempt}.jsonl"
+
+
 def run_suite(
     bench: BenchmarkSuite,
     config: SearchConfig,
@@ -90,7 +95,7 @@ def run_suite(
                     )
             trace.attempt = attempt
             trace.category = theorem.category
-            trace_path = traces_dir / f"{theorem.name}__a{attempt}.jsonl"
+            trace_path = traces_dir / trace_file_name(theorem.name, attempt)
             trace.save(trace_path)
             results.append(result_from_trace(trace, str(trace_path)))
     write_results_csv(results, out_dir / "results.csv")

@@ -22,13 +22,13 @@ from .bench import (
     replay_trace,
     results_from_traces,
     run_suite,
+    trace_file_name,
     write_report,
 )
 from .llm import (
     HttpBackend,
     HttpBackendConfig,
     RateLimiter,
-    RecordingBackend,
     ReplayBackend,
     SequenceBackend,
 )
@@ -45,17 +45,24 @@ _FLAG_EXTRAS = {
 }
 
 
+def _flag(name: str) -> str:  # of a SearchConfig field
+    return "--" + _FLAG_DESTS.get(name, name).replace("_", "-")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
     for f in fields(SearchConfig):
-        flag = "--" + _FLAG_DESTS.get(f.name, f.name).replace("_", "-")
-        parser.add_argument(flag, type=type(f.default), default=f.default,
+        parser.add_argument(_flag(f.name), type=type(f.default), default=f.default,
                             **_FLAG_EXTRAS.get(f.name, {}))
 
 
 def _config_from(args) -> SearchConfig:
-    return SearchConfig(**{
-        f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name)) for f in fields(SearchConfig)
-    })
+    try:
+        return SearchConfig(**{
+            f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name)) for f in fields(SearchConfig)
+        })
+    except ValueError as exc:  # "<field> must be ...": name its flag instead
+        name, _, rule = str(exc).partition(" ")
+        raise SystemExit(f"{_flag(name)} {rule}") from None
 
 
 def cmd_run(args) -> int:
@@ -69,7 +76,14 @@ def cmd_run(args) -> int:
         raise SystemExit("--oracle-depth must be >= 1")
     if args.rate_limit is not None and args.rate_limit <= 0:
         raise SystemExit("--rate-limit must be > 0")
+    config = _config_from(args)
     suite = load_suite(args.suite)
+    if args.backend == "replay":  # every episode's trace, before any output
+        for theorem in suite.theorems.values():
+            for attempt in range(1, args.attempts + 1):
+                name = trace_file_name(theorem.name, attempt)
+                if not (Path(args.replay_dir) / name).is_file():
+                    raise SystemExit(f"--replay-dir {args.replay_dir} has no trace {name}")
     index = build_index(load_corpus(args.corpus)) if args.corpus else None
     bench = BenchmarkSuite(
         suite=suite,
@@ -78,9 +92,7 @@ def cmd_run(args) -> int:
         bridge_command=shlex.split(args.bridge_cmd) if args.bridge_cmd else None,
         index=index,
     )
-    config = _config_from(args)
     out_dir = Path(args.out)
-    record_dir = out_dir / "completions"
     limiter = RateLimiter(args.rate_limit)  # one spacing across all episodes
 
     def backend_factory(theorem, attempt):
@@ -90,9 +102,8 @@ def cmd_run(args) -> int:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
                 backend = SequenceBackend([])
         elif args.backend == "replay":
-            backend = ReplayBackend(
-                Path(args.replay_dir) / f"{theorem.name}__a{attempt}.jsonl"
-            )
+            path = Path(args.replay_dir) / trace_file_name(theorem.name, attempt)
+            backend = ReplayBackend(EpisodeTrace.load(path).records)
         else:
             backend = HttpBackend(
                 HttpBackendConfig(
@@ -101,10 +112,6 @@ def cmd_run(args) -> int:
                     api_key_env=args.api_key_env,
                 ),
                 limiter,
-            )
-        if args.record:
-            backend = RecordingBackend(
-                backend, record_dir / f"{theorem.name}__a{attempt}.jsonl"
             )
         return backend
 
@@ -172,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--corpus", help="lemma corpus file enabling retrieval stages")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--backend", choices=["oracle", "replay", "http"], default="oracle")
-    run.add_argument("--replay-dir", help="recorded completions for --backend replay")
-    run.add_argument("--record", action="store_true",
-                     help="record completions for later replay")
+    run.add_argument("--replay-dir", help="an earlier run's traces/ directory for --backend replay")
     run.add_argument("--oracle-depth", type=int, default=6)
     run.add_argument("--attempts", type=int, default=1)
     run.add_argument("--no-ensemble", action="store_true",

@@ -1,8 +1,8 @@
 """Guidance-model backends.
 
 Three families: a remote chat-completions HTTP client, deterministic
-scripted backends for tests, and record/replay around any backend. All of
-them enforce the inference discipline of the search: temperature 0 and
+scripted backends for tests, and a replay of an earlier run's trace. All
+of them enforce the inference discipline of the search: temperature 0 and
 exactly one completion per call.
 """
 
@@ -14,7 +14,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .prompts import LENGTH_CAP, NATURAL_STOP
@@ -31,7 +30,7 @@ class CompletionRequest:
     turns: Sequence[tuple] = ()  # (role, content) pairs, user turn last
     temperature: float = 0.0
     max_tokens: int | None = None
-    metadata: dict = field(default_factory=dict)  # state_key, ordinal_at_state
+    metadata: dict = field(default_factory=dict)  # state_key, stage
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -174,36 +173,22 @@ class HttpBackend(GuidanceBackend):
         raise InfrastructureFailure(f"transport retries exhausted: {last_error}")
 
 
-class RecordingBackend(GuidanceBackend):
-    """Wraps a backend and appends every completion to a JSONL file."""
-
-    def __init__(self, inner: GuidanceBackend, path: str | Path):
-        self.inner = inner
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("", encoding="utf-8")
-
-    def complete(self, request: CompletionRequest) -> Completion:
-        completion = self.inner.complete(request)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(vars(completion), ensure_ascii=False) + "\n")
-        return completion
-
-
 class ReplayBackend(GuidanceBackend):
-    """Replays a recorded completion stream byte-identically, in order."""
+    """Answers from an earlier run's query records, in order. A request must
+    ask what its record asked (stage, state key and user turn); one that
+    does not raises and leaves the record unused."""
 
-    def __init__(self, path: str | Path):
-        self.records = [
-            json.loads(line)
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+    def __init__(self, records: Sequence):
+        self.records = list(records)
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:
         if self._cursor >= len(self.records):
             raise InfrastructureFailure("replay stream exhausted")
         record = self.records[self._cursor]
+        asked = (request.metadata.get("stage"), request.metadata.get("state_key"),
+                 request.turns[-1][1])
+        if (record.stage, record.state_key, record.prompt_text) != asked:
+            raise InfrastructureFailure(f"replay mismatch at query {record.ordinal}")
         self._cursor += 1
-        return Completion(**record)
+        return Completion(record.response, record.stop_reason, record.latency_seconds)

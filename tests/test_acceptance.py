@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from proofsearch.agent import REASON_BUDGET, SearchConfig, prove
+from proofsearch.agent import REASON_BUDGET, EpisodeTrace, SearchConfig, prove
 from proofsearch.bench import (
     oracle_scripted_backend,
     replay_trace,
@@ -32,7 +32,6 @@ from proofsearch.core import (
 )
 from proofsearch.llm import (
     Completion,
-    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     SequenceBackend,
@@ -556,21 +555,22 @@ def deterministic_run(theorems, backend_for, out_dir):
 def test_criterion_11_determinism(suite, tmp_path):
     with criterion(11, "record/replay determinism"):
         theorems = list(suite.theorems.values())[:10]
-        record_dir = tmp_path / "completions"
+        traces_dir = tmp_path / "traces"
 
-        def recording(theorem):
-            return RecordingBackend(
-                oracle_scripted_backend(theorem, max_depth=4),
-                record_dir / f"{theorem.name}.jsonl",
-            )
+        def oracle(theorem):
+            return oracle_scripted_backend(theorem, max_depth=4)
 
         def replaying(theorem):
-            return ReplayBackend(record_dir / f"{theorem.name}.jsonl")
+            return ReplayBackend(EpisodeTrace.load(traces_dir / f"{theorem.name}.jsonl").records)
 
-        first = deterministic_run(theorems, recording, tmp_path / "first")
+        first = deterministic_run(theorems, oracle, tmp_path / "first")
+        for trace in first:
+            trace.save(traces_dir / f"{trace.theorem}.jsonl")
         second = deterministic_run(theorems, replaying, tmp_path / "second")
         for a, b in zip(first, second):
             assert a.comparable() == b.comparable()
+            assert [r.latency_seconds for r in a.records] == [
+                r.latency_seconds for r in b.records]
         for name in ("metrics.txt", "metrics.csv"):
             assert (tmp_path / "first" / name).read_bytes() == (
                 tmp_path / "second" / name

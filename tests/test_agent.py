@@ -281,6 +281,16 @@ class TestBudgets:
         assert trace.aborted
         assert any("connection reset" in note for note in trace.notes)
 
+    def test_token_budget_too_small_aborts(self, scenarios):
+        backend = SequenceBackend([wrap("intro h"), wrap("exact h")])
+        outcome, trace = run_plain(scenarios, "pp", backend, cfg=config(token_budget=5))
+        assert not outcome.proved
+        assert outcome.failure_reason == REASON_INFRASTRUCTURE
+        assert trace.aborted
+        assert trace.queries_used == 0
+        assert trace.notes == ["infrastructure failure: token budget 5 cannot fit the goals "
+                               "section (needs about 8)"]
+
 
 class TestSketch:
     def test_sketch_costs_one_query(self, scenarios):

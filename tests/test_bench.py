@@ -2,6 +2,7 @@
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -506,23 +507,77 @@ class TestCli:
         (["--attempts", "0"], "--attempts must be >= 1"),
         (["--oracle-depth", "0"], "--oracle-depth must be >= 1"),
         (["--rate-limit", "-2"], "--rate-limit must be > 0"),
-    ], ids=["attempts", "oracle-depth", "rate-limit"])
+        (["--max-queries", "0"], "--max-queries must be >= 1"),
+        (["--timeout", "0"], "--timeout must be > 0"),
+        (["--format-retry-cap", "-1"], "--format-retry-cap must be >= 0"),
+        (["--backend", "replay", "--replay-dir", "no-such-run/traces"],
+         "--replay-dir no-such-run/traces has no trace imp_self__a1.jsonl"),
+    ], ids=["attempts", "oracle-depth", "rate-limit", "max-queries", "timeout",
+            "format-retry-cap", "replay-dir"])
     def test_bad_flag_value_rejected(self, tmp_path, flags, expected):
         assert self.run_without(tmp_path, flags) == expected
 
-    def test_record_then_replay_backend(self, tmp_path, capsys):
-        out1 = tmp_path / "first"
-        cli_main(
-            ["run", "--suite", str(SUITE_PATH), "--out", str(out1),
-             "--backend", "oracle", "--oracle-depth", "4", "--record"]
-        )
-        out2 = tmp_path / "second"
+    def test_replay_needs_every_attempts_trace(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(first), "--no-ensemble"])
+        capsys.readouterr()
+        message = self.run_without(
+            tmp_path, ["--backend", "replay", "--replay-dir", str(first / "traces"),
+                       "--attempts", "2"])
+        assert message == f"--replay-dir {first / 'traces'} has no trace imp_self__a2.jsonl"
+
+    def run_twice(self, tmp_path, flags, replay_flags=()):
+        """A run, then a replay of it from its traces; returns both output
+        directories."""
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out1), *flags])
         code = cli_main(
-            ["run", "--suite", str(SUITE_PATH), "--out", str(out2),
-             "--backend", "replay", "--replay-dir", str(out1 / "completions")]
+            ["run", "--suite", str(SUITE_PATH), "--out", str(out2), *flags,
+             "--backend", "replay", "--replay-dir", str(out1 / "traces"), *replay_flags]
+        )
+        assert code == 0
+        return out1, out2
+
+    def test_record_then_replay_backend(self, tmp_path, capsys):
+        out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--attempts", "2",
+                                               "--oracle-depth", "4"])
+        capsys.readouterr()
+
+        def without_wall_seconds(path):
+            return re.sub(r'"wall_seconds": [^,]+,', '"wall_seconds": 0.0,',
+                          path.read_text(encoding="utf-8"))
+
+        names = sorted(p.name for p in (out1 / "traces").iterdir())
+        assert names == sorted(p.name for p in (out2 / "traces").iterdir())
+        assert len(names) == 64
+        for name in names:
+            assert without_wall_seconds(out2 / "traces" / name) == without_wall_seconds(
+                out1 / "traces" / name)
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+
+    def test_replay_of_a_different_question_aborts(self, tmp_path, capsys):
+        out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--no-ensemble"],
+                                    ["--k-retrieve", "1"])
+        assert "0/32 episodes proved" in capsys.readouterr().out
+        for path in sorted((out2 / "traces").iterdir()):
+            trace = EpisodeTrace.load(path)
+            assert trace.aborted
+            assert trace.notes == ["infrastructure failure: replay mismatch at query 1"]
+
+    def test_token_budget_too_small_aborts_only_its_episode(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(
+            ["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH), "--out", str(out),
+             "--oracle-depth", "2", "--token-budget", "40"]
         )
         capsys.readouterr()
         assert code == 0
-        assert (out2 / "metrics.txt").read_text(encoding="utf-8") == (
-            out1 / "metrics.txt"
-        ).read_text(encoding="utf-8")
+        aborted = [r for r in results_from_traces(out / "traces") if r.aborted]
+        assert len(aborted) == 4
+        assert (out / "results.csv").exists()
+        metrics = (out / "metrics.txt").read_text(encoding="utf-8")
+        assert all(f"  {r.theorem} attempt 1\n" in metrics for r in aborted)
+        for r in aborted:
+            note, = EpisodeTrace.load(r.trace_path).notes
+            assert note.startswith("infrastructure failure: token budget 40 cannot fit")

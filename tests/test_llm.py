@@ -1,5 +1,5 @@
-"""Guidance backends: scripted determinism, record/replay, and the HTTP
-client against a local mock chat-completions server."""
+"""Guidance backends: scripted determinism, replay from query records, and
+the HTTP client against a local mock chat-completions server."""
 
 import json
 import threading
@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from proofsearch.agent import QueryRecord
 from proofsearch.llm import (
     Completion,
     CompletionRequest,
@@ -14,7 +15,6 @@ from proofsearch.llm import (
     HttpBackendConfig,
     InfrastructureFailure,
     RateLimiter,
-    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     SequenceBackend,
@@ -61,31 +61,43 @@ class TestSequenceBackend:
         assert texts == ["a", "b", "d", "d"]
 
 
+def record_for(ordinal, response, stage="plain", state_key="s", text="hello"):
+    return QueryRecord(ordinal=ordinal, stage=stage, state_key=state_key,
+                       prompt_text=text, prompt_tokens=1, response=response,
+                       stop_reason=NATURAL_STOP, latency_seconds=0.25 * ordinal)
+
+
+def replay_request(stage="plain", state_key="s", text="hello"):
+    return CompletionRequest(system="sys", turns=[("user", text)],
+                             metadata={"state_key": state_key, "stage": stage})
+
+
 class TestRecordReplay:
-    def test_round_trip_byte_identical(self, tmp_path):
-        path = tmp_path / "completions.jsonl"
-        inner = SequenceBackend(["alpha", "beta", "gamma"])
-        recorder = RecordingBackend(inner, path)
-        originals = [recorder.complete(request_for()) for _ in range(3)]
+    def test_round_trip_byte_identical(self):
+        records = [record_for(1, "alpha"), record_for(2, "beta"),
+                   record_for(3, "gamma", stage="informal", state_key="sketch", text="T")]
+        replay = ReplayBackend(records)
+        replayed = [replay.complete(replay_request()), replay.complete(replay_request()),
+                    replay.complete(replay_request("informal", "sketch", "T"))]
+        assert replayed == [Completion("alpha", NATURAL_STOP, 0.25),
+                            Completion("beta", NATURAL_STOP, 0.5),
+                            Completion("gamma", NATURAL_STOP, 0.75)]
 
-        replay = ReplayBackend(path)
-        replayed = [replay.complete(request_for()) for _ in range(3)]
-        assert replayed == originals
+    def test_replay_exhaustion_is_infrastructure(self):
+        replay = ReplayBackend([record_for(1, "only")])
+        replay.complete(replay_request())
+        with pytest.raises(InfrastructureFailure, match="replay stream exhausted"):
+            replay.complete(replay_request())
 
-    def test_replay_exhaustion_is_infrastructure(self, tmp_path):
-        path = tmp_path / "completions.jsonl"
-        RecordingBackend(SequenceBackend(["only"]), path).complete(request_for())
-        replay = ReplayBackend(path)
-        replay.complete(request_for())
-        with pytest.raises(InfrastructureFailure):
-            replay.complete(request_for())
-
-    def test_recording_overwrites_previous_file(self, tmp_path):
-        path = tmp_path / "completions.jsonl"
-        path.write_text('{"stale": true}\n', encoding="utf-8")
-        RecordingBackend(SequenceBackend(["fresh"]), path).complete(request_for())
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["text"] == "fresh"
+    @pytest.mark.parametrize("asked", [
+        {"stage": "retrieval"}, {"state_key": "t"}, {"text": "hello again"},
+    ], ids=["stage", "state-key", "prompt"])
+    def test_mismatch_is_infrastructure_and_keeps_the_record(self, asked):
+        replay = ReplayBackend([record_for(1, "first"), record_for(2, "second")])
+        assert replay.complete(replay_request()).text == "first"
+        with pytest.raises(InfrastructureFailure, match="^replay mismatch at query 2$"):
+            replay.complete(replay_request(**asked))
+        assert replay.complete(replay_request()).text == "second"
 
 
 class _MockHandler(BaseHTTPRequestHandler):
