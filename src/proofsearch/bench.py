@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .agent import EpisodeTrace, SearchConfig, ensemble_prove, overwrite_text, prove
-from .core import GlobalContext, lift_transition
+from .agent import (
+    EpisodeTrace,
+    SearchConfig,
+    SearchOutcome,
+    ensemble_prove,
+    overwrite_text,
+    prove,
+)
+from .core import GlobalContext, ProofEnvironment, lift_transition
 from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
     DEFAULT_N_GRID,
@@ -80,9 +86,10 @@ def run_suite(
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for theorem in bench.suite.theorems.values():
-        for attempt in range(1, attempts + 1):
-            with _episode_env(bench, theorem) as env:
+    with _Environments(bench) as environments:
+        for theorem in bench.suite.theorems.values():
+            for attempt in range(1, attempts + 1):
+                env = environments.open(theorem)
                 backend = backend_factory(theorem, attempt)
                 gctx = GlobalContext(theorem_statement=theorem.statement())
                 if ensemble:
@@ -93,42 +100,70 @@ def run_suite(
                     outcome, trace = prove(
                         theorem.name, env, backend, bench.index, gctx, config
                     )
-            trace.attempt = attempt
-            trace.category = theorem.category
-            trace_path = traces_dir / trace_file_name(theorem.name, attempt)
-            trace.save(trace_path)
-            results.append(result_from_trace(trace, str(trace_path)))
+                if trace.aborted:
+                    environments.close()
+                trace.attempt = attempt
+                trace.category = theorem.category
+                trace_path = traces_dir / trace_file_name(theorem.name, attempt)
+                trace.save(trace_path)
+                results.append(result_from_trace(trace, str(trace_path)))
     write_results_csv(results, out_dir / "results.csv")
     return results
 
 
-@contextmanager
-def _episode_env(bench: BenchmarkSuite, theorem: ToyTheorem):
-    """The environment of one episode; a bridged one's adapter is killed
-    when the episode ends."""
-    if bench.environment == "toy":
-        yield ToyEnvironment(theorem)
-    elif bench.environment == "bridge":
-        from .bridge import BridgeConfig, BridgedEnvironment, BridgeSession
+class _Environments:
+    """The environments of a run's episodes.
 
-        if not bench.bridge_command:
+    A bridged run holds one adapter session at a time. It is spawned for
+    the first episode that needs one, and every later episode on it starts
+    with `reset` (sent from its first `initial_state`, so a failed reset
+    aborts only that episode). `close` ends it: after an aborted episode,
+    so that a dead adapter costs one episode and a reply that came too
+    late never answers a later request, and when the run ends."""
+
+    def __init__(self, bench: BenchmarkSuite):
+        if bench.environment not in ("toy", "bridge"):
+            raise ValueError(f"unknown environment selector {bench.environment!r}")
+        if bench.environment == "bridge" and not bench.bridge_command:
             raise ValueError("bridge environment needs a bridge command")
-        with BridgeSession(BridgeConfig(command=bench.bridge_command)) as session:
-            yield BridgedEnvironment(session)
-    else:
-        raise ValueError(f"unknown environment selector {bench.environment!r}")
+        self.bench = bench
+        self.session = None
+
+    def open(self, theorem: ToyTheorem) -> ProofEnvironment:
+        if self.bench.environment == "toy":
+            return ToyEnvironment(theorem)
+        from . import bridge  # BridgeSession is looked up at each spawn
+
+        served = self.session is not None  # a live session served an earlier episode
+        if not served:
+            self.session = bridge.BridgeSession(
+                bridge.BridgeConfig(command=self.bench.bridge_command))
+        return bridge.BridgedEnvironment(self.session, reset=served)
+
+    def close(self):
+        if self.session is not None:
+            self.session.close()
+            self.session = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 # EpisodeResult fields copied from the EpisodeTrace attribute of the same name
 _TRACE_FIELDS = tuple(f.name for f in fields(EpisodeResult)
-                      if f.name not in ("proved", "trace_path"))
+                      if f.name not in ("proved", "failure_reason", "trace_path"))
 # EpisodeResult fields that are results.csv columns, in field order
 _CSV_FIELDS = tuple(f for f in fields(EpisodeResult) if f.name != "trace_path")
 
 
 def result_from_trace(trace: EpisodeTrace, trace_path: str | None = None) -> EpisodeResult:
+    outcome = trace.outcome or SearchOutcome(proved=False)
     return EpisodeResult(
-        proved=bool(trace.outcome and trace.outcome.proved),
+        proved=outcome.proved,
+        failure_reason=outcome.failure_reason,
         trace_path=trace_path,
         **{name: getattr(trace, name) for name in _TRACE_FIELDS},
     )

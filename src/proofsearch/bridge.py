@@ -127,7 +127,9 @@ class BridgeSession:
         return self.call("apply", state_id=state_id, tactic=tactic)
 
     def reset(self):
-        self.call("reset")
+        response = self.call("reset")
+        if response["status"] != "ok":
+            raise BridgeFailure(f"reset failed: {response.get('message')}")
 
     def close(self):
         if self._proc.poll() is None:
@@ -157,13 +159,22 @@ class BridgedEnvironment(ProofEnvironment):
     "qed" responses map to QED, "ok" to the reported obligations, and
     "error" to an error state carrying the previous obligations plus the
     adapter's message. Error states absorb locally without a wire call.
+
+    With `reset`, the first `initial_state` sends `reset` before its `init`,
+    so that an adapter which served an earlier episode drops that
+    episode's states; later ones (the next ensemble stages) send `init`
+    alone.
     """
 
-    def __init__(self, session: BridgeSession):
+    def __init__(self, session: BridgeSession, reset: bool = False):
         self.session = session
+        self._reset = reset
         self._ids: dict = {}  # canonical state key -> adapter state id
 
     def initial_state(self, theorem_id: str) -> ProofState:
+        if self._reset:
+            self.session.reset()
+            self._reset = False
         state_id, state = self.session.init(theorem_id)
         self._ids[canonical_key(state)] = state_id
         return state

@@ -32,6 +32,7 @@ from .llm import (
     ReplayBackend,
     SequenceBackend,
 )
+from .prompts import system_prompt
 from .retrieval import build_index, load_corpus
 from .toy import ToyEnvironment, brute_force_prove, load_suite
 
@@ -103,7 +104,9 @@ def cmd_run(args) -> int:
                 backend = SequenceBackend([])
         elif args.backend == "replay":
             path = Path(args.replay_dir) / trace_file_name(theorem.name, attempt)
-            backend = ReplayBackend(EpisodeTrace.load(path).records)
+            recorded = EpisodeTrace.load(path)
+            backend = ReplayBackend(recorded.records,
+                                    system_prompt(recorded.config["prompt_style"]))
         else:
             backend = HttpBackend(
                 HttpBackendConfig(

@@ -22,6 +22,7 @@ class EpisodeResult:
     stage: str = "plain"
     category: str | None = None
     aborted: bool = False
+    failure_reason: str | None = None
     trace_path: str | None = None
 
     def __post_init__(self):

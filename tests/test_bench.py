@@ -1,6 +1,8 @@
 """Benchmark harness: metrics arithmetic, aggregate statistics, report
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
+import functools
+import json
 import random
 import re
 import sys
@@ -233,16 +235,19 @@ class TestReport:
         results = [
             result("alpha", True, queries=3, seconds=1.23456, stage="retrieval",
                    category="algebra", trace_path="traces/alpha__a1.jsonl"),
-            result("beta", False, queries=0, seconds=0.5, attempt=2, aborted=True),
-            result("gamma", False, queries=7, seconds=2.0, category=None),
+            result("beta", False, queries=0, seconds=0.5, attempt=2, aborted=True,
+                   failure_reason="infrastructure"),
+            result("gamma", False, queries=7, seconds=2.0, category=None,
+                   failure_reason="search exhausted"),
         ]
         path = tmp_path / "results.csv"
         write_results_csv(results, path)
         assert path.read_text(encoding="utf-8") == (
-            "theorem,attempt,proved,queries_used,wall_seconds,stage,category,aborted\n"
-            "alpha,1,1,3,1.235,retrieval,algebra,0\n"
-            "beta,2,0,0,0.500,plain,,1\n"
-            "gamma,1,0,7,2.000,plain,,0\n"
+            "theorem,attempt,proved,queries_used,wall_seconds,stage,category,aborted,"
+            "failure_reason\n"
+            "alpha,1,1,3,1.235,retrieval,algebra,0,\n"
+            "beta,2,0,0,0.500,plain,,1,infrastructure\n"
+            "gamma,1,0,7,2.000,plain,,0,search exhausted\n"
         )
 
 
@@ -322,13 +327,21 @@ end
 
 @pytest.fixture()
 def recorded_sessions(monkeypatch):
-    """Every BridgeSession the runner starts, kept for inspection."""
+    """Every BridgeSession the runner starts, kept for inspection, with the
+    number of earlier adapters still alive at its spawn and the commands
+    it sent."""
     sessions = []
 
     class RecordedSession(proofsearch.bridge.BridgeSession):
         def __init__(self, config):
+            self.alive_at_spawn = sum(s._proc.poll() is None for s in sessions)
+            self.commands = []
             super().__init__(config)
             sessions.append(self)
+
+        def call(self, cmd, **fields):
+            self.commands.append(cmd)
+            return super().call(cmd, **fields)
 
     monkeypatch.setattr(proofsearch.bridge, "BridgeSession", RecordedSession)
     yield sessions
@@ -345,18 +358,91 @@ def bridged_run(tmp_path, command, backend_factory, ensemble=True):
     )
 
 
+def loopback_command(tmp_path):
+    """The loopback adapter over TWO_THEOREMS."""
+    suite_path = tmp_path / "adapter.toysuite"
+    suite_path.write_text(TWO_THEOREMS, encoding="utf-8")
+    return [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
+
+
+def assert_all_closed(sessions):
+    """No adapter alive, never two alive at once, every stdin closed."""
+    assert all(s._proc.poll() is not None for s in sessions)
+    assert all(s.alive_at_spawn == 0 for s in sessions)
+    assert all(s._proc.stdin.closed for s in sessions)
+
+
 class TestBridgedRunSuite:
-    def test_no_adapter_outlives_its_episode(self, tmp_path, recorded_sessions):
-        suite_path = tmp_path / "two.toysuite"
-        suite_path.write_text(TWO_THEOREMS, encoding="utf-8")
-        command = [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
+    def test_one_adapter_serves_the_whole_run(self, tmp_path, recorded_sessions):
         _, results = bridged_run(
-            tmp_path, command, lambda theorem, attempt: oracle_scripted_backend(theorem)
+            tmp_path, loopback_command(tmp_path),
+            lambda theorem, attempt: oracle_scripted_backend(theorem),
         )
         assert [r.proved for r in results] == [True, True]
-        assert len(recorded_sessions) == 2  # one spawn per episode
-        assert all(s._proc.poll() is not None for s in recorded_sessions)
-        assert all(s._proc.stdin.closed for s in recorded_sessions)
+        assert len(recorded_sessions) == 1  # one spawn for the run
+        assert [c for c in recorded_sessions[0].commands if c != "apply"] == [
+            "init", "reset", "init",
+        ]
+        assert_all_closed(recorded_sessions)
+
+    def test_killed_adapter_aborts_only_its_episode(self, tmp_path, recorded_sessions):
+        class KillingBackend(SequenceBackend):
+            def complete(self, request):
+                adapter = recorded_sessions[-1]._proc
+                adapter.kill()
+                adapter.wait()
+                return super().complete(request)
+
+        def factory(theorem, attempt):
+            if theorem.name == "imp_self":
+                return KillingBackend([], default="[RUN TACTIC] intro h [END]")
+            return oracle_scripted_backend(theorem)
+
+        out_dir, results = bridged_run(tmp_path, loopback_command(tmp_path), factory)
+        assert [(r.theorem, r.aborted, r.proved) for r in results] == [
+            ("imp_self", True, False), ("imp_const", False, True),
+        ]
+        trace = EpisodeTrace.load(out_dir / "traces" / "imp_self__a1.jsonl")
+        assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
+        assert len(recorded_sessions) == 2  # a fresh spawn for episode 2
+        assert recorded_sessions[1].commands[0] == "init"
+        assert_all_closed(recorded_sessions)
+
+    def test_late_reply_never_answers_the_next_episode(
+        self, tmp_path, monkeypatch, recorded_sessions
+    ):
+        # the loopback adapter, but its first `apply` after `init imp_self`
+        # is answered only after the client's timeout
+        suite_path = loopback_command(tmp_path)[-1]
+        script = (
+            "import json, sys, time\n"
+            "from proofsearch import bridge_adapter\n"
+            "def lines(stdin=sys.stdin):\n"
+            "    slow = False\n"
+            "    for line in stdin:\n"
+            "        request = json.loads(line)\n"
+            "        if request['cmd'] == 'init':\n"
+            "            slow = request['theorem'] == 'imp_self'\n"
+            "        elif slow:\n"
+            "            time.sleep(1.0)\n"
+            "            slow = False\n"
+            "        yield line\n"
+            "sys.stdin = lines()\n"
+            f"bridge_adapter.serve({suite_path!r})\n"
+        )
+        monkeypatch.setattr(proofsearch.bridge, "BridgeConfig", functools.partial(
+            proofsearch.bridge.BridgeConfig, timeout_seconds=0.3))
+        out_dir, results = bridged_run(
+            tmp_path, [sys.executable, "-c", script],
+            lambda theorem, attempt: oracle_scripted_backend(theorem),
+        )
+        assert [(r.theorem, r.aborted, r.proved) for r in results] == [
+            ("imp_self", True, False), ("imp_const", False, True),
+        ]
+        note, = EpisodeTrace.load(out_dir / "traces" / "imp_self__a1.jsonl").notes
+        assert "timed out" in note
+        assert len(recorded_sessions) == 2
+        assert_all_closed(recorded_sessions)
 
     def test_adapter_dead_at_init_aborts_each_episode(self, tmp_path, recorded_sessions):
         command = [sys.executable, "-c", "pass"]
@@ -564,6 +650,51 @@ class TestCli:
             trace = EpisodeTrace.load(path)
             assert trace.aborted
             assert trace.notes == ["infrastructure failure: replay mismatch at query 1"]
+
+    def test_replay_with_another_prompt_style_aborts(self, tmp_path, capsys):
+        # depth 2 leaves episodes unproved, so the runs hold sketch queries,
+        # whose system prompt is not the style's
+        flags = ["--corpus", str(CORPUS_PATH), "--oracle-depth", "2"]
+        out1, out2 = self.run_twice(tmp_path, flags)
+        assert any(r.stage == "informal" for r in results_from_traces(out1 / "traces"))
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+        out3 = tmp_path / "third"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out3), *flags,
+                  "--backend", "replay", "--replay-dir", str(out1 / "traces"),
+                  "--prompt-style", "coq"])
+        assert capsys.readouterr().out.endswith(f"0/32 episodes proved; reports written to {out3}\n")
+        for path in sorted((out3 / "traces").iterdir()):
+            trace = EpisodeTrace.load(path)
+            assert trace.aborted
+            assert trace.notes == ["infrastructure failure: replay mismatch at query 1"]
+
+    def test_bridged_run_equals_the_in_process_run(self, tmp_path, capsys, recorded_sessions):
+        # depth 2 leaves 24 episodes unproved, and each of them runs all
+        # three ensemble stages, so sends `init` three times
+        flags = ["--corpus", str(CORPUS_PATH), "--attempts", "2", "--oracle-depth", "2"]
+        toy, bridged = tmp_path / "toy", tmp_path / "bridge"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(toy), *flags])
+        code = cli_main(
+            ["run", "--suite", str(SUITE_PATH), "--out", str(bridged), *flags,
+             "--env", "bridge", "--bridge-cmd",
+             f"{sys.executable} -m proofsearch.bridge_adapter {SUITE_PATH}"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("40/64 episodes proved") == 2
+        names = sorted(p.name for p in (toy / "traces").iterdir())
+        assert names == sorted(p.name for p in (bridged / "traces").iterdir())
+        assert len(names) == 64
+        for name in names:
+            expected, actual = (json.dumps(EpisodeTrace.load(out / "traces" / name).comparable())
+                                for out in (toy, bridged))
+            assert actual == expected, name
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (bridged / name).read_bytes() == (toy / name).read_bytes()
+        session, = recorded_sessions
+        assert session.commands.count("reset") == 63  # once per episode after the first
+        assert session.commands.count("init") == 40 + 3 * 24
+        assert_all_closed(recorded_sessions)
 
     def test_token_budget_too_small_aborts_only_its_episode(self, tmp_path, capsys):
         out = tmp_path / "out"

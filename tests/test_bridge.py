@@ -162,6 +162,29 @@ class TestConformance:
         assert code == 0
 
 
+class TestSessionReuse:
+    """An adapter serves a whole run: every episode after the first starts
+    with `reset`, then `init`."""
+
+    def test_hundred_reset_init_cycles(self, suite):
+        theorems = list(suite.theorems.values())
+        issued = []
+        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as session:
+            for cycle in range(100):
+                if cycle:
+                    session.reset()
+                    for stale in issued:
+                        response = session.apply(stale, "intro h")
+                        assert response["status"] == "error", (cycle, stale)
+                theorem = theorems[cycle % len(theorems)]
+                state_id, _ = session.init(theorem.name)
+                issued.append(state_id)
+                step = session.apply(state_id, brute_force_prove(theorem, 4)[0])
+                if "state_id" in step:
+                    issued.append(step["state_id"])
+        assert len(set(issued)) == len(issued)
+
+
 class TestBridgeSession:
     def test_init_and_apply(self, session):
         state_id, state = session.init("imp_self")
