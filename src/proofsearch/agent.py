@@ -284,6 +284,9 @@ class _Searcher:
         self.frames: list = []
 
     def run(self, theorem_id: str):
+        reason = self.budget.exhausted_reason()
+        if reason is not None:  # no budget left to start this stage
+            raise _Abort(reason)
         initial = self.env.initial_state(theorem_id)
         if initial.is_error:
             raise ValueError("initial state must be non-error")
@@ -313,32 +316,24 @@ class _Searcher:
             tactic, record = queried
             new_state = self.env.apply_tactic(state, tactic)
             if new_state.is_qed:
-                record.result_class = "qed"
-                self.trace.event("transition", "qed")
+                result = "qed"
+            elif new_state.is_error:
+                result, last_outcome = "error", new_state.error_message
+            elif (any(at_least_as_hard(new_state, f.state) for f in self.frames)
+                  or depth + 1 >= self.config.max_depth):
+                result, last_outcome = "no-progress", NO_PROGRESS_MESSAGE
+            else:
+                result, last_outcome = "progressed", "success"
+            record.result_class = result
+            self.trace.event("transition", result)
+            last_step = tactic
+            if result == "qed":
                 raise _Proved(path + [tactic])
-            if new_state.is_error:
-                record.result_class = "error"
-                self.trace.event("transition", "error")
-                if tactic not in bad:
-                    bad.append(tactic)
-                    self.trace.event("bad", key, tactic)
-                last_step, last_outcome = tactic, new_state.error_message
-                continue
-            dominated = any(
-                at_least_as_hard(new_state, f.state) for f in self.frames
-            )
-            if dominated or depth + 1 >= self.config.max_depth:
-                record.result_class = "no-progress"
-                self.trace.event("transition", "no-progress")
-                if tactic not in bad:
-                    bad.append(tactic)
-                    self.trace.event("bad", key, tactic)
-                last_step, last_outcome = tactic, NO_PROGRESS_MESSAGE
-                continue
-            record.result_class = "progressed"
-            self.trace.event("transition", "progressed")
-            last_step, last_outcome = tactic, "success"
-            self._search(new_state, depth + 1, path + [tactic])
+            if result == "progressed":
+                self._search(new_state, depth + 1, path + [tactic])
+            elif tactic not in bad:
+                bad.append(tactic)
+                self.trace.event("bad", key, tactic)
         # per-state attempts exhausted: backtrack (a proof or an abort
         # unwinds past this point without emitting a pop)
         self.frames.pop()
@@ -357,10 +352,10 @@ class _Searcher:
                 raise _Abort(reason)
             bundle = PromptBundle(
                 state=frame.state,
-                bad_tactics=list(bad),
+                bad_tactics=bad,
                 retrieved=frame.rho,
                 context=self.gctx,
-                steps=list(path),
+                steps=path,
                 last_step=last_step,
                 last_outcome=last_outcome,
                 format_error_notice=notice,
@@ -408,9 +403,11 @@ def prove(
     budget: _Budget | None = None,
     stage: str = STAGE_PLAIN,
 ):
-    """Run the depth-first search for one theorem.
+    """Run one stage: the depth-first search for one theorem.
 
-    Returns (SearchOutcome, EpisodeTrace). Infrastructure failures of the
+    Returns (SearchOutcome, EpisodeTrace) and records on the trace how the
+    stage ended; a budget spent before it starts ends it with no call to
+    the environment. Infrastructure failures of the
     backend or the environment, `init` included, and a token budget too
     small for the goals abort the trace; they are not proof failures.
     """
@@ -486,45 +483,32 @@ def ensemble_prove(
     env: ProofEnvironment,
     backend: GuidanceBackend,
     index: RetrievalIndex | None,
+    gctx: GlobalContext,
     config: SearchConfig,
-    gctx: GlobalContext | None = None,
 ):
     """Staged strategy under one shared query/time budget: plain search,
     then with retrieval, then with retrieval plus an informal sketch.
 
-    The failure table is reset between stages (each stage is a distinct
-    execution); the trace labels every query with its stage.
+    Each stage is one call to `prove`, which records how it ended; the
+    episode stops at the first stage that does not end in an exhausted
+    search. The failure table is reset between stages (each stage is a
+    distinct execution); the trace labels every query with its stage.
     """
-    if gctx is None:
-        gctx = GlobalContext(theorem_statement=theorem_id)
     trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
     budget = _Budget(config.max_queries, config.wall_timeout_seconds)
-
-    stages = [(STAGE_PLAIN, None, gctx)]
+    stages = [(STAGE_PLAIN, None)]
     if index is not None:
-        stages.append((STAGE_RETRIEVAL, index, gctx))
-        stages.append((STAGE_INFORMAL, index, gctx))
-
-    outcome = SearchOutcome(proved=False, failure_reason=REASON_EXHAUSTED)
-    for stage, stage_index, stage_gctx in stages:
+        stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
+    for stage, stage_index in stages:
+        stage_gctx = gctx
         if stage == STAGE_INFORMAL:
             sketch = generate_informal_sketch(gctx.theorem_statement, backend, budget, trace)
             if sketch is not None:
                 stage_gctx = replace(gctx, informal_hints=sketch)
-        reason = budget.exhausted_reason()
-        if reason is not None:
-            outcome = SearchOutcome(proved=False, failure_reason=reason)
-            trace.stage = stage
-            break
         outcome, trace = prove(
             theorem_id, env, backend, stage_index, stage_gctx, config,
             trace=trace, budget=budget, stage=stage,
         )
-        if outcome.proved or outcome.failure_reason in (
-            REASON_BUDGET, REASON_TIMEOUT, REASON_INFRASTRUCTURE,
-        ):
+        if outcome.failure_reason != REASON_EXHAUSTED:
             break
-    trace.outcome = outcome
-    trace.queries_used = budget.queries_used
-    trace.wall_seconds = budget.elapsed()
     return outcome, trace

@@ -86,27 +86,20 @@ def run_suite(
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     results = []
+    search = ensemble_prove if ensemble else prove
     with _Environments(bench) as environments:
         for theorem in bench.suite.theorems.values():
             for attempt in range(1, attempts + 1):
                 env = environments.open(theorem)
                 backend = backend_factory(theorem, attempt)
                 gctx = GlobalContext(theorem_statement=theorem.statement())
-                if ensemble:
-                    outcome, trace = ensemble_prove(
-                        theorem.name, env, backend, bench.index, config, gctx
-                    )
-                else:
-                    outcome, trace = prove(
-                        theorem.name, env, backend, bench.index, gctx, config
-                    )
+                _, trace = search(theorem.name, env, backend, bench.index, gctx, config)
                 if trace.aborted:
                     environments.close()
                 trace.attempt = attempt
                 trace.category = theorem.category
-                trace_path = traces_dir / trace_file_name(theorem.name, attempt)
-                trace.save(trace_path)
-                results.append(result_from_trace(trace, str(trace_path)))
+                trace.save(traces_dir / trace_file_name(theorem.name, attempt))
+                results.append(result_from_trace(trace))
     write_results_csv(results, out_dir / "results.csv")
     return results
 
@@ -154,17 +147,14 @@ class _Environments:
 
 # EpisodeResult fields copied from the EpisodeTrace attribute of the same name
 _TRACE_FIELDS = tuple(f.name for f in fields(EpisodeResult)
-                      if f.name not in ("proved", "failure_reason", "trace_path"))
-# EpisodeResult fields that are results.csv columns, in field order
-_CSV_FIELDS = tuple(f for f in fields(EpisodeResult) if f.name != "trace_path")
+                      if f.name not in ("proved", "failure_reason"))
 
 
-def result_from_trace(trace: EpisodeTrace, trace_path: str | None = None) -> EpisodeResult:
+def result_from_trace(trace: EpisodeTrace) -> EpisodeResult:
     outcome = trace.outcome or SearchOutcome(proved=False)
     return EpisodeResult(
         proved=outcome.proved,
         failure_reason=outcome.failure_reason,
-        trace_path=trace_path,
         **{name: getattr(trace, name) for name in _TRACE_FIELDS},
     )
 
@@ -172,7 +162,7 @@ def result_from_trace(trace: EpisodeTrace, trace_path: str | None = None) -> Epi
 def results_from_traces(traces_dir: str | Path) -> list:
     results = []
     for path in sorted(Path(traces_dir).glob("*.jsonl")):
-        results.append(result_from_trace(EpisodeTrace.load(path), str(path)))
+        results.append(result_from_trace(EpisodeTrace.load(path)))
     return results
 
 
@@ -275,9 +265,10 @@ def write_results_csv(results: Sequence[EpisodeResult], path: str | Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f.name for f in _CSV_FIELDS])
+    columns = fields(EpisodeResult)
+    writer.writerow([f.name for f in columns])
     for r in results:
-        writer.writerow([_csv_cell(f.type, getattr(r, f.name)) for f in _CSV_FIELDS])
+        writer.writerow([_csv_cell(f.type, getattr(r, f.name)) for f in columns])
     overwrite_text(path, out.getvalue())
 
 

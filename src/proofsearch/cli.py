@@ -144,6 +144,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
+    for flag in ("k_grid", "n_grid"):
+        if min(getattr(args, flag) or [1]) < 1:  # before any output
+            raise SystemExit(f"--{flag.replace('_', '-')} values must be >= 1")
     results = results_from_traces(args.traces)
     if not results:
         print(f"no trace files under {args.traces}", file=sys.stderr)
@@ -156,6 +159,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.max_depth < 1:
+        raise SystemExit("--max-depth must be >= 1")
     suite = load_suite(args.suite)
     found = 0
     for theorem in suite.theorems.values():
@@ -186,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle-depth", type=int, default=6)
     run.add_argument("--attempts", type=int, default=1)
     run.add_argument("--no-ensemble", action="store_true",
-                     help="single plain-search stage instead of the staged ensemble")
+                     help="one stage, labelled plain, instead of the staged ensemble; "
+                          "it retrieves when --corpus is given")
     run.add_argument("--env", choices=["toy", "bridge"], default="toy")
     run.add_argument("--bridge-cmd", help="adapter command line for --env bridge")
     run.add_argument("--base-url", help="chat-completions base URL (http backend)")

@@ -28,13 +28,7 @@ class InfrastructureFailure(Exception):
 class CompletionRequest:
     system: str
     turns: Sequence[tuple] = ()  # (role, content) pairs, user turn last
-    temperature: float = 0.0
-    max_tokens: int | None = None
     metadata: dict = field(default_factory=dict)  # state_key, stage
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class HttpBackendConfig:
 class HttpBackend(GuidanceBackend):
     """Chat-completions-style HTTP client on ``urllib``.
 
-    POSTs {model, messages, temperature, max_tokens, n: 1} to
+    POSTs {model, messages, temperature: 0, n: 1} to
     <base_url>/chat/completions. Transport errors, non-2xx statuses and
     malformed bodies are all retried with exponential backoff; retries are
     not inference calls and are invisible to the query budget.
@@ -137,11 +131,9 @@ class HttpBackend(GuidanceBackend):
             "model": self.config.model,
             "messages": [{"role": "system", "content": request.system}]
             + [{"role": role, "content": content} for role, content in request.turns],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "n": 1,
         }
-        if request.max_tokens is not None:
-            payload["max_tokens"] = request.max_tokens
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env)
         if api_key:

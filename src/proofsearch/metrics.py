@@ -23,7 +23,6 @@ class EpisodeResult:
     category: str | None = None
     aborted: bool = False
     failure_reason: str | None = None
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.attempt < 1:

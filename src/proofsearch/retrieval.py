@@ -2,7 +2,7 @@
 
 The query for a proof state is the concatenation of its goal texts and
 hypothesis propositions. Scoring uses the standard BM25 formula with
-idf = ln(1 + (N - df + 0.5) / (df + 0.5)) and defaults k1 = 1.2, b = 0.75.
+idf = ln(1 + (N - df + 0.5) / (df + 0.5)) and k1 = 1.2, b = 0.75.
 
 The index is inverted: each term maps to its postings, the indices of the
 records that contain it. A query scores only the postings of its own
@@ -54,16 +54,12 @@ class RetrievalIndex:
     avg_doc_length: float
     doc_freq: dict  # term -> number of documents containing it
     by_name: tuple  # record indices in name order
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def build_index(
-    corpus: Iterable[LemmaRecord], k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> RetrievalIndex:
+def build_index(corpus: Iterable[LemmaRecord]) -> RetrievalIndex:
     records = tuple(corpus)
     names = [record.name for record in records]
     if len(names) != len(set(names)):
@@ -87,7 +83,7 @@ def build_index(
         doc_freq[term] -= 1
     avg = sum(doc_lengths) / len(records) if records else 0.0
     by_name = tuple(sorted(range(len(records)), key=names.__getitem__))
-    return RetrievalIndex(records, postings, tuple(doc_lengths), avg, doc_freq, by_name, k1, b)
+    return RetrievalIndex(records, postings, tuple(doc_lengths), avg, doc_freq, by_name)
 
 
 def _idf(index: RetrievalIndex, term: str) -> float:
@@ -98,8 +94,8 @@ def _idf(index: RetrievalIndex, term: str) -> float:
 def _weight(index: RetrievalIndex, idf: float, tf: int, length: int) -> float:
     """One query term's contribution to the score of a record of `length`
     tokens that holds it `tf` times."""
-    return idf * tf * (index.k1 + 1.0) / (
-        tf + index.k1 * (1.0 - index.b + index.b * length / index.avg_doc_length)
+    return idf * tf * (DEFAULT_K1 + 1.0) / (
+        tf + DEFAULT_K1 * (1.0 - DEFAULT_B + DEFAULT_B * length / index.avg_doc_length)
     )
 
 

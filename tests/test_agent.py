@@ -331,12 +331,35 @@ def retrieval_index(scenarios):
     )
 
 
+class CountingEnvironment(ToyEnvironment):
+    """Counts the calls the search makes to the environment."""
+
+    def __init__(self, theorem):
+        super().__init__(theorem)
+        self.initial_states = 0
+        self.tactics = 0
+
+    def initial_state(self, theorem_id):
+        self.initial_states += 1
+        return super().initial_state(theorem_id)
+
+    def apply_tactic(self, state, tactic):
+        self.tactics += 1
+        return super().apply_tactic(state, tactic)
+
+
+def sketch_or_split(request, prompt):
+    if request.metadata.get("state_key") == "sketch":
+        return "Apply the library lemma."
+    return wrap("split")  # always an error on needs_lemma
+
+
 class TestEnsemble:
     def test_stage1_success_skips_later_stages(self, scenarios):
         backend = SequenceBackend([wrap("intro h"), wrap("exact h")])
         outcome, trace = ensemble_prove(
             "pp", env_for(scenarios, "pp"), backend, retrieval_index(scenarios),
-            config(), gctx_for(scenarios, "pp"),
+            gctx_for(scenarios, "pp"), config(),
         )
         assert outcome.proved
         assert trace.stage == STAGE_PLAIN
@@ -354,7 +377,7 @@ class TestEnsemble:
         cfg = config(per_state_budget=2)
         outcome, trace = ensemble_prove(
             "needs_lemma", env_for(scenarios, "needs_lemma"), backend,
-            retrieval_index(scenarios), cfg, gctx_for(scenarios, "needs_lemma"),
+            retrieval_index(scenarios), gctx_for(scenarios, "needs_lemma"), cfg,
         )
         assert outcome.proved
         assert trace.stage == STAGE_RETRIEVAL
@@ -378,7 +401,7 @@ class TestEnsemble:
         cfg = config(per_state_budget=1)
         outcome, trace = ensemble_prove(
             "needs_lemma", env_for(scenarios, "needs_lemma"), backend,
-            retrieval_index(scenarios), cfg, gctx_for(scenarios, "needs_lemma"),
+            retrieval_index(scenarios), gctx_for(scenarios, "needs_lemma"), cfg,
         )
         assert outcome.proved
         assert trace.stage == STAGE_INFORMAL
@@ -391,7 +414,7 @@ class TestEnsemble:
         cfg = config(per_state_budget=2, max_queries=60)
         outcome, trace = ensemble_prove(
             "needs_lemma", env_for(scenarios, "needs_lemma"), backend,
-            retrieval_index(scenarios), cfg, gctx_for(scenarios, "needs_lemma"),
+            retrieval_index(scenarios), gctx_for(scenarios, "needs_lemma"), cfg,
         )
         assert not outcome.proved
         assert trace.queries_used == 7  # 2 + 2 + sketch + 2
@@ -401,7 +424,7 @@ class TestEnsemble:
         backend = SequenceBackend([], default=wrap("split"))
         outcome, trace = ensemble_prove(
             "pp", env_for(scenarios, "pp"), backend, None,
-            config(per_state_budget=1), gctx_for(scenarios, "pp"),
+            gctx_for(scenarios, "pp"), config(per_state_budget=1),
         )
         assert not outcome.proved
         assert {r.stage for r in trace.records} == {STAGE_PLAIN}
@@ -418,11 +441,64 @@ class TestEnsemble:
         backend = PromptAwareBackend(choose)
         ensemble_prove(
             "needs_lemma", env_for(scenarios, "needs_lemma"), backend,
-            retrieval_index(scenarios), config(per_state_budget=2),
-            gctx_for(scenarios, "needs_lemma"),
+            retrieval_index(scenarios), gctx_for(scenarios, "needs_lemma"),
+            config(per_state_budget=2),
         )
         stage2_first = next(p for stage, p in prompts if stage == STAGE_RETRIEVAL)
         assert "[INCORRECT STEPS]" not in stage2_first
+
+    def needs_lemma(self, scenarios, backend, **overrides):
+        env = CountingEnvironment(scenarios.theorem("needs_lemma"))
+        outcome, trace = ensemble_prove(
+            "needs_lemma", env, backend, retrieval_index(scenarios),
+            gctx_for(scenarios, "needs_lemma"), config(per_state_budget=2, **overrides),
+        )
+        return outcome, trace, env
+
+    def test_budget_spent_by_the_plain_stage(self, scenarios):
+        outcome, trace, env = self.needs_lemma(
+            scenarios, PromptAwareBackend(sketch_or_split), max_queries=2)
+        assert outcome.failure_reason == REASON_BUDGET
+        assert trace.outcome == outcome
+        assert trace.stage == STAGE_RETRIEVAL
+        assert trace.queries_used == 2
+        assert {r.stage for r in trace.records} == {STAGE_PLAIN}
+        assert env.initial_states == 1  # the retrieval stage never starts
+
+    def test_sketch_spends_the_last_query(self, scenarios):
+        outcome, trace, env = self.needs_lemma(
+            scenarios, PromptAwareBackend(sketch_or_split), max_queries=5)
+        assert outcome.failure_reason == REASON_BUDGET
+        assert trace.stage == STAGE_INFORMAL
+        assert trace.queries_used == 5
+        assert [r.result_class for r in trace.records].count("sketch") == 1
+        assert trace.notes == []
+        assert env.initial_states == 2  # the informal stage never starts
+
+    def test_infrastructure_failure_in_retrieval_ends_the_episode(self, scenarios):
+        def choose(request, prompt):
+            if request.metadata.get("stage") == STAGE_RETRIEVAL:
+                raise InfrastructureFailure("connection reset")
+            return sketch_or_split(request, prompt)
+
+        outcome, trace, env = self.needs_lemma(scenarios, PromptAwareBackend(choose))
+        assert outcome.failure_reason == REASON_INFRASTRUCTURE
+        assert trace.aborted
+        assert trace.stage == STAGE_RETRIEVAL
+        assert trace.notes == ["infrastructure failure: connection reset"]
+        assert {r.stage for r in trace.records} == {STAGE_PLAIN}
+        assert "sketch" not in [e[0] for e in trace.events]
+        assert env.initial_states == 2
+
+    def test_stage_past_its_deadline_never_calls_the_environment(self, scenarios):
+        env = CountingEnvironment(scenarios.theorem("pp"))
+        outcome, trace = prove(
+            "pp", env, SequenceBackend([wrap("intro h")]), None,
+            gctx_for(scenarios, "pp"), config(wall_timeout_seconds=1e-9),
+        )
+        assert outcome.failure_reason == REASON_TIMEOUT
+        assert (env.initial_states, env.tactics) == (0, 0)
+        assert trace.events == []
 
 
 class TestDeterminismAndTrace:

@@ -2,6 +2,7 @@
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
 import functools
+import hashlib
 import json
 import random
 import re
@@ -18,6 +19,7 @@ from proofsearch.bench import (
     replay_trace,
     results_from_traces,
     run_suite,
+    trace_file_name,
     write_report,
     write_results_csv,
 )
@@ -234,7 +236,7 @@ class TestReport:
     def test_results_csv_exact(self, tmp_path):
         results = [
             result("alpha", True, queries=3, seconds=1.23456, stage="retrieval",
-                   category="algebra", trace_path="traces/alpha__a1.jsonl"),
+                   category="algebra"),
             result("beta", False, queries=0, seconds=0.5, attempt=2, aborted=True,
                    failure_reason="infrastructure"),
             result("gamma", False, queries=7, seconds=2.0, category=None,
@@ -603,6 +605,27 @@ class TestCli:
     def test_bad_flag_value_rejected(self, tmp_path, flags, expected):
         assert self.run_without(tmp_path, flags) == expected
 
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), "--no-ensemble"])
+        return out / "traces"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["report", "--k-grid", "0"], "--k-grid values must be >= 1"),
+        (["report", "--n-grid", "8", "0"], "--n-grid values must be >= 1"),
+        (["oracle", "--max-depth", "0"], "--max-depth must be >= 1"),
+    ], ids=["k-grid", "n-grid", "max-depth"])
+    def test_bad_verb_flag_value_rejected(self, tmp_path, traces, argv, expected):
+        verb, *flags = argv
+        out = tmp_path / "out"
+        where = (["--traces", str(traces), "--out", str(out)] if verb == "report"
+                 else ["--suite", str(SUITE_PATH)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([verb, *where, *flags])
+        assert not out.exists()
+        assert exit_info.value.code == expected  # non-zero, one line
+
     def test_replay_needs_every_attempts_trace(self, tmp_path, capsys):
         first = tmp_path / "first"
         cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(first), "--no-ensemble"])
@@ -710,5 +733,46 @@ class TestCli:
         metrics = (out / "metrics.txt").read_text(encoding="utf-8")
         assert all(f"  {r.theorem} attempt 1\n" in metrics for r in aborted)
         for r in aborted:
-            note, = EpisodeTrace.load(r.trace_path).notes
+            trace_path = out / "traces" / trace_file_name(r.theorem, r.attempt)
+            note, = EpisodeTrace.load(trace_path).notes
             assert note.startswith("infrastructure failure: token budget 40 cannot fit")
+
+
+def run_digest(out) -> str:
+    """One sha256 over a run's outputs that must not move: every trace's
+    `comparable()` JSON, in file-name order, then metrics.txt and metrics.csv."""
+    digest = hashlib.sha256()
+    for path in sorted((out / "traces").iterdir()):
+        digest.update(json.dumps(EpisodeTrace.load(path).comparable()).encode())
+    for name in ("metrics.txt", "metrics.csv"):
+        digest.update((out / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestBundledSuiteBytes:
+    """The bundled suite's traces and query metrics, pinned. At depth 2 the
+    oracle leaves 24 of 64 episodes unproved, so these runs reach every
+    stage boundary: at 16 queries the retrieval stage never starts, at 32
+    the sketch is skipped, and at 33 the sketch spends the last query."""
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--max-queries", "16"],
+         "e4003634f3dc2bfba88c0e25b51e788557052aaee83a7099e65a8e9f93dc9fb6"),
+        (["--max-queries", "32"],
+         "b513dc58f87f3e3b537f3aa40eb914aeafbc27658745aef2ef22464463da4571"),
+        (["--max-queries", "33"],
+         "b9392a5edc6458ebf99b71a075b17533187106f5f21d91a81916f774bb580ee3"),
+        (["--max-queries", "60"],
+         "49eb3e0947c253ded5ba9fef050b82bb68a058604f2e896adb5896c89de4c27b"),
+        (["--no-ensemble"],
+         "292fb7b117aab24f351b2c4338b411c9b3142da60432e323ebf635d2cdc3a68f"),
+    ], ids=["q16", "q32", "q33", "q60", "no-ensemble"])
+    def test_run_bytes_unchanged(self, tmp_path, capsys, flags, expected):
+        out = tmp_path / "out"
+        code = cli_main(["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
+                         "--out", str(out), "--oracle-depth", "2", "--attempts", "2", *flags])
+        capsys.readouterr()
+        assert code == 0
+        assert run_digest(out) == expected, (
+            "the traces or metrics of the bundled suite changed; a digest here may "
+            "change only for a deliberate change of output that CHANGES.md lists")

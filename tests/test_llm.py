@@ -28,15 +28,6 @@ def request_for(state_key="s", system="sys", text="hello"):
     )
 
 
-class TestCompletionRequest:
-    def test_temperature_default_zero(self):
-        assert request_for().temperature == 0.0
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(system="s", temperature=-0.1)
-
-
 class TestScriptedBackend:
     def test_keyed_by_state_and_ordinal(self):
         backend = ScriptedBackend(
@@ -127,14 +118,8 @@ class _MockHandler(BaseHTTPRequestHandler):
         if kind == "body":  # a 200 whose JSON body is the payload itself
             response = payload
         else:
-            max_tokens = body.get("max_tokens")
-            text = payload["text"]
-            finish = "stop"
-            if max_tokens is not None and len(text.split()) > max_tokens:
-                text = " ".join(text.split()[:max_tokens])
-                finish = "length"
             response = {
-                "choices": [{"message": {"content": text}, "finish_reason": finish}]
+                "choices": [{"message": {"content": payload["text"]}, "finish_reason": "stop"}]
             }
         data = json.dumps(response).encode()
         self.send_response(200)
@@ -187,9 +172,9 @@ class TestHttpBackend:
 
     def test_max_tokens_one_yields_length_cap(self, mock_server):
         base_url, handler = mock_server
-        handler.behaviors = [("ok", {"text": "intro h and then some"})]
-        request = CompletionRequest(system="sys", turns=[("user", "u")], max_tokens=1)
-        completion = http_backend(base_url).complete(request)
+        handler.behaviors = [("body", {"choices": [
+            {"message": {"content": "intro"}, "finish_reason": "length"}]})]
+        completion = http_backend(base_url).complete(request_for())
         assert completion.stop_reason == LENGTH_CAP
         assert completion.text == "intro"
 
