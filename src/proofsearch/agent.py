@@ -17,7 +17,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 from .bridge import BridgeFailure
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
 )
 from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
 from .prompts import (
-    FormatError,
     ParsedAction,
     PromptBudgetError,
     PromptBundle,

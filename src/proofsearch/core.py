@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -42,6 +43,12 @@ class Obligation:
     Hypotheses are stored as (name, proposition) pairs in a frozenset, so
     equality is independent of enumeration order. Goal and proposition text
     are whitespace-normalized at construction.
+
+    Three views are computed on first use and kept on the instance: the
+    hypotheses sorted by name (behind `hypothesis_map` and
+    `canonical_key`), `hypothesis_contents()` and `sort_key()`. They are
+    not dataclass fields, so `==`, `hash` and `repr` ignore them, and an
+    obligation that is never asked for them pays nothing.
     """
 
     goal: str
@@ -61,15 +68,28 @@ class Obligation:
     def make(cls, goal: str, hypotheses: Mapping[str, str] | None = None) -> "Obligation":
         return cls(goal, frozenset((hypotheses or {}).items()))
 
+    @cached_property
+    def _by_name(self) -> tuple:
+        """The (name, proposition) pairs in name order."""
+        return tuple(sorted(self.hypotheses))
+
+    @cached_property
+    def _contents(self) -> frozenset:
+        return frozenset(prop for _, prop in self.hypotheses)
+
+    @cached_property
+    def _sort_key(self) -> tuple:
+        return (self.goal, sorted((prop, name) for name, prop in self.hypotheses))
+
     def hypothesis_map(self) -> dict:
-        return dict(sorted(self.hypotheses))
+        return dict(self._by_name)
 
     def hypothesis_contents(self) -> frozenset:
         """The set of hypothesis propositions, ignoring names."""
-        return frozenset(prop for _, prop in self.hypotheses)
+        return self._contents
 
     def sort_key(self):
-        return (self.goal, sorted((prop, name) for name, prop in self.hypotheses))
+        return self._sort_key
 
 
 @dataclass(frozen=True)
@@ -123,25 +143,31 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
     if o1.is_error or o2.is_error:
         raise ErrorStateComparison("progress order is undefined on error states")
     for ob2 in o2.obligations:
-        h2 = ob2.hypothesis_contents()
-        if not any(
-            ob1.goal == ob2.goal and ob1.hypothesis_contents() <= h2
-            for ob1 in o1.obligations
-        ):
+        goal, h2 = ob2.goal, ob2._contents
+        if not any(ob1.goal == goal and ob1._contents <= h2 for ob1 in o1.obligations):
             return False
     return True
 
 
 def canonical_key(state: ProofState) -> str:
     """Stable serialization of a state, invariant under obligation and
-    hypothesis reordering. Used to key the failure table."""
-    payload = {
-        "error": state.error_message,
-        "obligations": [
-            [ob.goal, sorted(ob.hypotheses)] for ob in ordered_obligations(state)
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    hypothesis reordering. Used to key the failure table.
+
+    The key is computed on the first call and stored on the (frozen) state,
+    outside its fields, so the search and `BridgedEnvironment` share one
+    serialization per state object."""
+    key = state.__dict__.get("_key")
+    if key is None:
+        payload = {
+            "error": state.error_message,
+            "obligations": [
+                [ob.goal, ob._by_name] for ob in ordered_obligations(state)
+            ],
+        }
+        key = state.__dict__["_key"] = json.dumps(
+            payload, ensure_ascii=False, separators=(",", ":")
+        )
+    return key
 
 
 class ProofEnvironment(ABC):

@@ -4,11 +4,20 @@ Every tactic acts on the first obligation under the deterministic order of
 `core.ordered_obligations`. Failures never raise: they come back as
 absorbing error states whose message is a stable string (golden tests on
 prompt rendering rely on that).
+
+Obligations carry text, so a step parses the focused goal (and for `rw`
+a hypothesis) back into a `Term`. `apply_toy_tactic` can take a term
+table mapping such text to its `Term`: a step looks the text up before it
+parses, and records every goal or hypothesis it prints from a `Term`.
+That is exact because printed text is already whitespace-normalized and
+`parse_term(print_term(t)) == t`. The table belongs to one
+`ToyEnvironment`, which means one episode; nothing is cached at module
+level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..core import Obligation, ProofEnvironment, ProofState, ordered_obligations
@@ -60,18 +69,30 @@ def _rewrite(term: Term, old: Term, new: Term) -> tuple:
 
 
 def _step(
-    focused: Obligation, tactic: ToyTactic, lemmas: Mapping[str, Term]
+    focused: Obligation, tactic: ToyTactic, lemmas: Mapping[str, Term], terms: dict
 ) -> list | str:
     """Apply a parsed tactic to one obligation.
 
     Returns the replacement obligations on success, or an error message.
     """
-    goal = parse_term(focused.goal)
+
+    def parsed(text: str) -> Term:
+        term = terms.get(text)
+        if term is None:
+            term = terms[text] = parse_term(text)
+        return term
+
+    def printed(term: Term) -> str:
+        text = print_term(term)
+        terms[text] = term
+        return text
+
+    goal = parsed(focused.goal)
     hyps = focused.hypothesis_map()
 
     def equation_named(name: str) -> Term | None:
         if name in hyps:
-            return parse_term(hyps[name])
+            return parsed(hyps[name])
         if name in lemmas:
             return lemmas[name]
         return None
@@ -82,15 +103,15 @@ def _step(
         if tactic.name in hyps:
             return f"intro failed: hypothesis name '{tactic.name}' already in use"
         new_hyps = dict(hyps)
-        new_hyps[tactic.name] = print_term(goal.lhs)
-        return [Obligation.make(print_term(goal.rhs), new_hyps)]
+        new_hyps[tactic.name] = printed(goal.lhs)
+        return [Obligation.make(printed(goal.rhs), new_hyps)]
 
     if isinstance(tactic, Split):
         if not isinstance(goal, And):
             return "split failed: goal is not a conjunction"
         return [
-            Obligation.make(print_term(goal.lhs), hyps),
-            Obligation.make(print_term(goal.rhs), hyps),
+            Obligation.make(printed(goal.lhs), hyps),
+            Obligation.make(printed(goal.rhs), hyps),
         ]
 
     if isinstance(tactic, Assumption):
@@ -122,7 +143,7 @@ def _step(
         rewritten, count = _rewrite(goal, old, new)
         if count == 0:
             return f"rw failed: no occurrences of '{print_term(old)}' in the goal"
-        return [Obligation.make(print_term(rewritten), hyps)]
+        return [Obligation.make(printed(rewritten), hyps)]
 
     if isinstance(tactic, Apply):
         lemma = lemmas.get(tactic.name)
@@ -131,7 +152,7 @@ def _step(
         if isinstance(lemma, Implies):
             if print_term(lemma.rhs) != focused.goal:
                 return f"apply failed: conclusion of '{tactic.name}' does not match the goal"
-            return [Obligation.make(print_term(lemma.lhs), hyps)]
+            return [Obligation.make(printed(lemma.lhs), hyps)]
         if print_term(lemma) != focused.goal:
             return f"apply failed: '{tactic.name}' does not match the goal"
         return []
@@ -140,12 +161,15 @@ def _step(
 
 
 def apply_toy_tactic(
-    state: ProofState, tactic: str | ToyTactic, lemmas: Mapping[str, Term]
+    state: ProofState, tactic: str | ToyTactic, lemmas: Mapping[str, Term],
+    terms: dict | None = None,
 ) -> ProofState:
     """Pure transition function of the toy environment.
 
     Error states absorb every tactic; all failures (including tactic parse
-    errors) return an error state carrying the input obligations.
+    errors) return an error state carrying the input obligations. `terms`,
+    when given, is the caller's term table (see the module docstring); the
+    result is the same with or without it.
     """
     if state.is_error:
         return state
@@ -157,18 +181,20 @@ def apply_toy_tactic(
         except ToyTacticParseError as exc:
             return ProofState.error(state.obligations, str(exc))
     obligations = ordered_obligations(state)
-    result = _step(obligations[0], tactic, lemmas)
+    result = _step(obligations[0], tactic, lemmas, {} if terms is None else terms)
     if isinstance(result, str):
         return ProofState.error(state.obligations, result)
     return ProofState.of(result + obligations[1:])
 
 
 class ToyEnvironment(ProofEnvironment):
-    """ProofEnvironment over a single toy theorem (one episode, one env)."""
+    """ProofEnvironment over a single toy theorem (one episode, one env),
+    with the episode's term table."""
 
     def __init__(self, theorem: ToyTheorem):
         self.theorem = theorem
         self._lemmas = dict(theorem.lemmas)
+        self._terms: dict = {}  # goal or hypothesis text -> its Term
 
     def initial_state(self, theorem_id: str) -> ProofState:
         if theorem_id != self.theorem.name:
@@ -176,4 +202,4 @@ class ToyEnvironment(ProofEnvironment):
         return self.theorem.initial_state()
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
-        return apply_toy_tactic(state, tactic, self._lemmas)
+        return apply_toy_tactic(state, tactic, self._lemmas, self._terms)

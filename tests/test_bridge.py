@@ -2,12 +2,14 @@
 loopback adapter, differential equivalence with the in-process toy
 environment, and transport-failure handling."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from proofsearch import bridge_adapter
 from proofsearch.bridge import (
     BridgeConfig,
     BridgedEnvironment,
@@ -183,6 +185,33 @@ class TestSessionReuse:
                 if "state_id" in step:
                     issued.append(step["state_id"])
         assert len(set(issued)) == len(issued)
+
+    def test_term_table_starts_empty_after_reset(self, monkeypatch):
+        table_sizes = []  # (theorem, entries in its table) at each apply
+
+        class RecordingEnvironment(ToyEnvironment):
+            def apply_tactic(self, state, tactic):
+                table_sizes.append((self.theorem.name, len(self._terms)))
+                return super().apply_tactic(state, tactic)
+
+        requests = [
+            {"id": 1, "cmd": "init", "theorem": "imp_const"},
+            {"id": 2, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
+            {"id": 3, "cmd": "apply", "state_id": "s2", "tactic": "intro h1"},
+            {"id": 4, "cmd": "reset"},
+            {"id": 5, "cmd": "init", "theorem": "triple_intro"},
+            {"id": 6, "cmd": "apply", "state_id": "s4", "tactic": "intro h"},
+        ]
+        lines = "".join(json.dumps(request) + "\n" for request in requests)
+        monkeypatch.setattr(bridge_adapter, "ToyEnvironment", RecordingEnvironment)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert bridge_adapter.serve(str(SUITE_PATH)) == 0
+        statuses = [json.loads(line)["status"] for line in sys.stdout.getvalue().splitlines()]
+        assert statuses == ["ok"] * 6
+        assert table_sizes[0] == ("imp_const", 0)
+        assert table_sizes[1][1] > 0
+        assert table_sizes[2] == ("triple_intro", 0)
 
 
 class TestBridgeSession:

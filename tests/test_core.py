@@ -2,9 +2,11 @@
 and lifted transitions."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from proofsearch import core
 from proofsearch.core import (
     ErrorStateComparison,
     GlobalContext,
@@ -91,11 +93,13 @@ class TestProgressOrder:
 
 
 def brute_force_order(o1: ProofState, o2: ProofState) -> bool:
-    """Direct two-level quantifier evaluation, used as the reference."""
+    """Direct two-level quantifier evaluation, used as the reference. It
+    reads the hypothesis pairs, not the obligations' stored views."""
     for ob2 in o2.obligations:
+        contents2 = {prop for _, prop in ob2.hypotheses}
         found = False
         for ob1 in o1.obligations:
-            if ob1.goal == ob2.goal and ob1.hypothesis_contents() <= ob2.hypothesis_contents():
+            if ob1.goal == ob2.goal and {prop for _, prop in ob1.hypotheses} <= contents2:
                 found = True
         if not found:
             return False
@@ -159,6 +163,50 @@ class TestCanonicalKey:
         for s1 in states:
             for s2 in states:
                 assert (canonical_key(s1) == canonical_key(s2)) == (s1 == s2)
+
+
+def random_states(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    states = [random_state(rng) for _ in range(count)]
+    return states + [ProofState.error(s.obligations, "tactic failed") for s in states[::4]]
+
+
+class TestComputedOnce:
+    """Keys and obligation views are stored on their objects; none of it
+    may show in equality, hashing or repr, or change a value."""
+
+    def test_stored_views_change_nothing(self):
+        # the same seed builds equal states the same way, so even the
+        # frozensets' iteration order, and with it repr, must agree
+        for state, fresh in zip(random_states(11, 200), random_states(11, 200)):
+            key = canonical_key(state)
+            for ob in state.obligations:
+                assert ob.hypothesis_map() == dict(sorted(ob.hypotheses))
+                assert ob.hypothesis_contents() == frozenset(p for _, p in ob.hypotheses)
+                assert ob.sort_key() == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
+            if not state.is_error:
+                assert at_least_as_hard(state, state)
+            assert state == fresh
+            assert hash(state) == hash(fresh)
+            assert repr(state) == repr(fresh)
+            assert canonical_key(fresh) == key
+
+    def test_key_serialized_once_per_state(self, monkeypatch):
+        calls = []
+        dumps = core.json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        states = random_states(12, 50)
+        monkeypatch.setattr(core, "json", SimpleNamespace(dumps=counting_dumps))
+        first = [canonical_key(state) for state in states]
+        assert len(calls) == len(states)
+        assert [canonical_key(state) for state in states] == first
+        assert len(calls) == len(states)
+        assert [canonical_key(state) for state in random_states(12, 50)] == first
+        assert len(calls) == 2 * len(states)
 
 
 SUITE_TEXT = """

@@ -11,7 +11,6 @@ from proofsearch.retrieval import (
     LemmaRecord,
     build_index,
     bm25_score,
-    load_corpus,
     parse_corpus,
     retrieve,
     state_query,

@@ -3,7 +3,7 @@ brute-force oracle, and the suite file format."""
 
 import pytest
 
-from proofsearch.core import Obligation, ProofState, lift_transition
+from proofsearch.core import Obligation, ProofState, canonical_key, lift_transition
 from proofsearch.toy import (
     ToyEnvironment,
     ToyTacticParseError,
@@ -252,6 +252,42 @@ class TestEnvironment:
     def test_statement_renders_turnstile(self):
         assert theorem_of("Q", hyps=[("hp", "P")]).statement() == "hp : P ⊢ Q"
         assert theorem_of("P -> P").statement() == "P -> P"
+
+
+class TestTermTable:
+    """The environment's term table changes no transition, and holds each
+    text's own parse."""
+
+    def test_reachable_states_match_the_kernel_without_a_table(self, suite):
+        checked = 0
+        for theorem in suite.theorems.values():
+            env = ToyEnvironment(theorem)
+            lemmas = dict(theorem.lemmas)
+            frontier = [env.initial_state(theorem.name)]
+            seen = {canonical_key(frontier[0])}
+            for _ in range(4):
+                reached = []
+                for state in frontier:
+                    for tactic in candidate_tactics(state, lemmas):
+                        result = env.apply_tactic(state, tactic)
+                        assert result == apply_toy_tactic(state, tactic, lemmas)
+                        checked += 1
+                        if not (result.is_error or result.is_qed):
+                            key = canonical_key(result)
+                            if key not in seen:
+                                seen.add(key)
+                                reached.append(result)
+                frontier = reached
+            assert env._terms, theorem.name
+            for text, term in env._terms.items():
+                assert parse_term(text) == term
+        assert checked > 500
+
+    def test_table_is_the_environments_own(self):
+        theorem = theorem_of("P -> Q -> P")
+        first, second = ToyEnvironment(theorem), ToyEnvironment(theorem)
+        first.apply_tactic(theorem.initial_state(), "intro h")
+        assert first._terms and not second._terms
 
 
 class TestOracle:
