@@ -42,7 +42,7 @@ NO_PROGRESS_MESSAGE = (
     "already on the search stack"
 )
 
-TRACE_SCHEMA = "proofsearch-trace/1"
+TRACE_SCHEMA = "proofsearch-trace/2"
 
 STAGE_PLAIN = "plain"
 STAGE_RETRIEVAL = "retrieval"
@@ -143,6 +143,36 @@ def overwrite_text(path: str | Path, text: str):
 _HEADER_FIELDS = ("theorem", "config", "attempt", "category", "bad_reset")
 _TRAILER_FIELDS = ("queries_used", "wall_seconds", "stage", "aborted")
 
+# Event kinds whose second item is a state key; a trace file holds the key's
+# state id there instead
+_KEYED_EVENTS = frozenset(("push", "retrieve", "bad", "pop", "promptify"))
+_TRANSITIONS = frozenset(("qed", "progressed", "error", "no-progress"))
+
+# One encoder for every line: `json.dumps` with a keyword builds a new one per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+class TraceFormatError(ValueError):
+    """A trace file this version cannot read: another schema, or not a
+    trace at all. The message is one line that names the file."""
+
+
+def _derived_events(record: QueryRecord) -> list:
+    """The events that restate a query record, in the order the search
+    emits them: a sketch; or the prompt, the parse or parse error, and the
+    transition when the environment returned one. A trace file writes the
+    record in their place (docs/trace-format.md)."""
+    if record.result_class == "sketch":
+        return [("sketch",)]
+    events = [("promptify", record.state_key)]
+    if record.format_error is not None:
+        events.append(("parse-error",))
+    elif record.tactic is not None:
+        events.append(("parse", record.tactic))
+        if record.result_class in _TRANSITIONS:
+            events.append(("transition", record.result_class))
+    return events
+
 
 @dataclass
 class EpisodeTrace:
@@ -161,6 +191,9 @@ class EpisodeTrace:
     wall_seconds: float = 0.0
     stage: str = STAGE_PLAIN
     aborted: bool = False  # infrastructure failure, excluded from metrics
+    # loaded from a file without its outcome line: only the header was read,
+    # and the episode is excluded from metrics
+    incomplete: bool = False
 
     def event(self, *data):
         self.events.append(tuple(data))
@@ -185,43 +218,113 @@ class EpisodeTrace:
         }
 
     def save(self, path: str | Path):
+        """Write the trace in the format of docs/trace-format.md. Raises
+        ValueError, and writes nothing, when the file would not load back
+        equal: for an incomplete trace, or when the events do not hold each
+        record's derived events in record order."""
+        if self.incomplete:
+            raise ValueError(f"trace of {self.theorem} is incomplete; it has nothing to save")
+        lines = [_encode({"type": "header", "schema": TRACE_SCHEMA,
+                          **_field_dict(self, _HEADER_FIELDS)})]
+        append = lines.append
+        ids: dict = {}
+
+        def state_id(key) -> int:
+            n = ids.get(key)
+            if n is None:
+                n = ids[key] = len(ids)
+                append(_encode({"type": "state", "id": n, "key": key}))
+            return n
+
+        def write_event(event):
+            if event[0] in _KEYED_EVENTS:
+                event = (event[0], state_id(event[1]), *event[2:])
+            append(_encode({"type": "event", "data": event}))
+
+        events = self.events
+        i = 0
+        for record in self.records:
+            derived = _derived_events(record)
+            end = i + len(derived)
+            while events[i:end] != derived:
+                if end >= len(events):
+                    raise ValueError(f"trace of {self.theorem}: the events do not hold "
+                                     f"the derived events of query {record.ordinal}")
+                write_event(events[i])
+                i, end = i + 1, end + 1
+            item = record.to_dict()
+            item["state_key"] = state_id(record.state_key)
+            append(_encode(item))
+            i = end
+        for event in events[i:]:
+            write_event(event)
+        for note in self.notes:
+            append(_encode({"type": "note", "text": note}))
+        outcome = self.outcome or SearchOutcome(proved=False)
+        append(_encode({"type": "outcome", **outcome.to_dict(),
+                        **_field_dict(self, _TRAILER_FIELDS), "lines": len(lines)}))
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        outcome = self.outcome or SearchOutcome(proved=False)
-        lines = [{"type": "header", "schema": TRACE_SCHEMA, **_field_dict(self, _HEADER_FIELDS)}]
-        lines += [record.to_dict() for record in self.records]
-        lines += [{"type": "event", "data": list(event)} for event in self.events]
-        lines += [{"type": "note", "text": note} for note in self.notes]
-        lines.append({"type": "outcome", **outcome.to_dict(),
-                      **_field_dict(self, _TRAILER_FIELDS)})
-        overwrite_text(path, "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines))
+        overwrite_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeTrace":
-        trace = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            item = json.loads(line)
-            kind = item.pop("type")
-            if kind == "header":
-                schema = item.pop("schema", None)
-                if schema != TRACE_SCHEMA:
-                    raise ValueError(f"unsupported trace schema {schema!r}")
-                trace = cls(**item)
-            elif kind == "query":
-                trace.records.append(QueryRecord(**item))
-            elif kind == "event":
-                trace.events.append(tuple(item["data"]))
-            elif kind == "note":
-                trace.notes.append(item["text"])
-            elif kind == "outcome":
-                for name in _TRAILER_FIELDS:
-                    setattr(trace, name, item.pop(name))
-                item["proof"] = tuple(item["proof"])
-                trace.outcome = SearchOutcome(**item)
-        if trace is None:
-            raise ValueError(f"no trace header in {path}")
+        """Read a trace file. A file whose last line is not an outcome line
+        counting the lines before it loads as an incomplete trace that holds
+        only its header. Raises TraceFormatError for a file of another
+        schema, one without a header, or a complete one that does not parse."""
+        text = Path(path).read_text(encoding="utf-8")
+        first, _, rest = text.partition("\n")
+        try:
+            header = json.loads(first)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.pop("type", None) != "header":
+            raise TraceFormatError(f"{path}: not a trace file: its first line is not a "
+                                   f"{TRACE_SCHEMA} header")
+        schema = header.pop("schema", None)
+        if schema != TRACE_SCHEMA:
+            raise TraceFormatError(f"{path}: trace schema {schema!r} is not supported; "
+                                   f"this version reads {TRACE_SCHEMA!r}")
+        try:
+            trace = cls(**header)
+            body, _, last = rest[:-1].rpartition("\n")
+            try:
+                outcome = json.loads(last) if text.endswith("\n") else None
+            except ValueError:  # the file was cut inside its last line
+                outcome = None
+            if (not isinstance(outcome, dict) or outcome.pop("type", None) != "outcome"
+                    or outcome.pop("lines", None) != text.count("\n") - 1):
+                trace.incomplete = True
+                return trace
+            keys: dict = {}
+            records, events = trace.records, trace.events
+            # no line holds a raw newline, so the body is one JSON array
+            for item in json.loads("[" + body.replace("\n", ",") + "]"):
+                kind = item.pop("type")
+                if kind == "event":
+                    data = item["data"]
+                    if data[0] in _KEYED_EVENTS:
+                        data[1] = keys[data[1]]
+                    events.append(tuple(data))
+                elif kind == "query":
+                    item["state_key"] = keys[item["state_key"]]
+                    record = QueryRecord(**item)
+                    records.append(record)
+                    events += _derived_events(record)
+                elif kind == "state":
+                    keys[item["id"]] = item["key"]
+                elif kind == "note":
+                    trace.notes.append(item["text"])
+                else:
+                    raise ValueError(f"unknown line type {kind!r}")
+            for name in _TRAILER_FIELDS:
+                setattr(trace, name, outcome.pop(name))
+            outcome["proof"] = tuple(outcome["proof"])
+            trace.outcome = SearchOutcome(**outcome)
+        except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+            raise TraceFormatError(f"{path}: unreadable {TRACE_SCHEMA} trace: "
+                                   f"{type(exc).__name__}: {exc}") from None
         return trace
 
 

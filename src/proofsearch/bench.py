@@ -29,6 +29,7 @@ from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
     DEFAULT_N_GRID,
     DEFAULT_SECONDS_GRID,
+    REASON_INCOMPLETE,
     EpisodeResult,
     MetricsReport,
     build_report,
@@ -154,16 +155,16 @@ def result_from_trace(trace: EpisodeTrace) -> EpisodeResult:
     outcome = trace.outcome or SearchOutcome(proved=False)
     return EpisodeResult(
         proved=outcome.proved,
-        failure_reason=outcome.failure_reason,
+        failure_reason=REASON_INCOMPLETE if trace.incomplete else outcome.failure_reason,
         **{name: getattr(trace, name) for name in _TRACE_FIELDS},
     )
 
 
 def results_from_traces(traces_dir: str | Path) -> list:
-    results = []
-    for path in sorted(Path(traces_dir).glob("*.jsonl")):
-        results.append(result_from_trace(EpisodeTrace.load(path)))
-    return results
+    """One EpisodeResult per trace file; an incomplete trace gives one with
+    failure reason `incomplete`, which the metrics leave out and list."""
+    return [result_from_trace(EpisodeTrace.load(path))
+            for path in sorted(Path(traces_dir).glob("*.jsonl"))]
 
 
 def replay_trace(trace: EpisodeTrace, env) -> bool:
@@ -209,10 +210,12 @@ def render_metrics_text(report: MetricsReport) -> str:
         out.write("\nper-category proved\n")
         for category, proved, total in report.category_breakdown:
             out.write(f"  {category}: {proved}/{total}\n")
-    if report.aborted:
-        out.write("\ninfrastructure-aborted episodes (excluded from metrics)\n")
-        for theorem, attempt in report.aborted:
-            out.write(f"  {theorem} attempt {attempt}\n")
+    for heading, episodes in (("infrastructure-aborted episodes", report.aborted),
+                              ("incomplete traces", report.incomplete)):
+        if episodes:
+            out.write(f"\n{heading} (excluded from metrics)\n")
+            for theorem, attempt in episodes:
+                out.write(f"  {theorem} attempt {attempt}\n")
     return out.getvalue()
 
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .agent import EpisodeTrace, SearchConfig
+from .agent import EpisodeTrace, SearchConfig, TraceFormatError
 from .bench import (
     BenchmarkSuite,
     oracle_scripted_backend,
@@ -79,12 +79,17 @@ def cmd_run(args) -> int:
         raise SystemExit("--rate-limit must be > 0")
     config = _config_from(args)
     suite = load_suite(args.suite)
+    recorded = {}
     if args.backend == "replay":  # every episode's trace, before any output
         for theorem in suite.theorems.values():
             for attempt in range(1, args.attempts + 1):
                 name = trace_file_name(theorem.name, attempt)
-                if not (Path(args.replay_dir) / name).is_file():
+                path = Path(args.replay_dir) / name
+                if not path.is_file():
                     raise SystemExit(f"--replay-dir {args.replay_dir} has no trace {name}")
+                trace = recorded[name] = EpisodeTrace.load(path)
+                if trace.incomplete:
+                    raise SystemExit(f"--replay-dir {args.replay_dir} has no complete trace {name}")
     index = build_index(load_corpus(args.corpus)) if args.corpus else None
     bench = BenchmarkSuite(
         suite=suite,
@@ -103,10 +108,8 @@ def cmd_run(args) -> int:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
                 backend = SequenceBackend([])
         elif args.backend == "replay":
-            path = Path(args.replay_dir) / trace_file_name(theorem.name, attempt)
-            recorded = EpisodeTrace.load(path)
-            backend = ReplayBackend(recorded.records,
-                                    system_prompt(recorded.config["prompt_style"]))
+            trace = recorded[trace_file_name(theorem.name, attempt)]
+            backend = ReplayBackend(trace.records, system_prompt(trace.config["prompt_style"]))
         else:
             backend = HttpBackend(
                 HttpBackendConfig(
@@ -130,6 +133,9 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     trace = EpisodeTrace.load(args.trace)
+    if trace.incomplete:
+        print(f"{trace.theorem}: trace {args.trace} is incomplete; nothing to verify")
+        return 1
     suite = load_suite(args.suite)
     env = ToyEnvironment(suite.theorem(trace.theorem))
     if trace.outcome is None or not trace.outcome.proved:
@@ -224,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TraceFormatError as exc:  # one line, not a traceback
+        print(f"proofsearch {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

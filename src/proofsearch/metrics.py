@@ -1,7 +1,8 @@
 """Benchmark metrics: pass@k-with-n-queries, pass@k-seconds, and the
 aggregate query/time statistics tables.
 
-Infrastructure-aborted episodes measure the harness, not the method: they
+Infrastructure-aborted episodes measure the harness, not the method, and
+an incomplete trace (a run cut off while writing it) holds no outcome: both
 are excluded from every denominator and surfaced separately.
 """
 
@@ -10,6 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+
+# the failure reason of an episode read from an incomplete trace
+REASON_INCOMPLETE = "incomplete"
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class EpisodeResult:
 
 
 def _valid(results: Iterable[EpisodeResult]) -> list:
-    return [r for r in results if not r.aborted]
+    return [r for r in results if not r.aborted and r.failure_reason != REASON_INCOMPLETE]
 
 
 def _by_theorem(results: Iterable[EpisodeResult]) -> dict:
@@ -111,7 +116,7 @@ def aggregate_stats(results: Iterable[EpisodeResult]) -> AggregateStats:
     failed = [r for r in valid if not r.proved]
     return AggregateStats(
         episodes=len(valid),
-        aborted=len(results) - len(valid),
+        aborted=sum(1 for r in results if r.aborted),
         avg_queries_total=_mean([r.queries_used for r in valid]),
         avg_queries_on_failure=_mean([r.queries_used for r in failed]),
         avg_queries_on_pass=_mean([r.queries_used for r in passed]),
@@ -131,6 +136,7 @@ class MetricsReport:
     stats: AggregateStats = field(default_factory=AggregateStats)
     category_breakdown: list = field(default_factory=list)  # (category, proved, total)
     aborted: list = field(default_factory=list)  # (theorem, attempt)
+    incomplete: list = field(default_factory=list)  # (theorem, attempt)
 
 
 DEFAULT_N_GRID = (1, 5, 10, 20, 30, 60, 100)
@@ -159,4 +165,6 @@ def build_report(
         proved = sum(1 for attempts in grouped.values() if any(r.proved for r in attempts))
         report.category_breakdown.append((category, proved, len(grouped)))
     report.aborted = [(r.theorem, r.attempt) for r in results if r.aborted]
+    report.incomplete = [(r.theorem, r.attempt) for r in results
+                         if r.failure_reason == REASON_INCOMPLETE]
     return report

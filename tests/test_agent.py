@@ -16,6 +16,7 @@ from proofsearch.agent import (
     STAGE_INFORMAL,
     STAGE_PLAIN,
     STAGE_RETRIEVAL,
+    TraceFormatError,
     _Budget,
     ensemble_prove,
     generate_informal_sketch,
@@ -551,6 +552,13 @@ def hand_built_trace():
     ))
     trace.event("push", "k0")
     trace.event("retrieve", "k0", [["l_pq", 1.5]])
+    trace.event("promptify", "k0")  # the first record's derived events
+    trace.event("parse", "intro h")
+    trace.event("transition", "progressed")
+    trace.event("push", "k1")
+    trace.event("promptify", "k1")  # the second record's
+    trace.event("parse-error")
+    trace.event("promptify", "k1")  # a prompt whose completion raised: no record
     trace.notes.append("skipped: budget")
     trace.outcome = SearchOutcome(proved=True, proof=("intro h", "exact h"))
     trace.queries_used = 2
@@ -560,24 +568,28 @@ def hand_built_trace():
 
 
 HAND_BUILT_LINES = [
-    '{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '
+    '{"type": "header", "schema": "proofsearch-trace/2", "theorem": "pp", '
     '"config": {"max_queries": 5, "prompt_style": "lean"}, "attempt": 2, '
     '"category": "implication", "bad_reset": "per-stage"}',
-    '{"type": "query", "ordinal": 1, "stage": "plain", "state_key": "k0", '
+    '{"type": "state", "id": 0, "key": "k0"}',
+    '{"type": "event", "data": ["push", 0]}',
+    '{"type": "event", "data": ["retrieve", 0, [["l_pq", 1.5]]]}',
+    '{"type": "query", "ordinal": 1, "stage": "plain", "state_key": 0, '
     '"prompt_text": "goal P -> P", "prompt_tokens": 4, '
     '"response": "[RUN TACTIC] intro h [END]", "stop_reason": "natural-stop", '
     '"tactic": "intro h", "format_error": null, "result_class": "progressed", '
     '"latency_seconds": 0.25}',
-    '{"type": "query", "ordinal": 2, "stage": "retrieval", "state_key": "k1", '
+    '{"type": "state", "id": 1, "key": "k1"}',
+    '{"type": "event", "data": ["push", 1]}',
+    '{"type": "query", "ordinal": 2, "stage": "retrieval", "state_key": 1, '
     '"prompt_text": "goal P", "prompt_tokens": 2, "response": "noise", '
     '"stop_reason": "natural-stop", "tactic": null, "format_error": "no tactic", '
     '"result_class": "format-error", "latency_seconds": 0.1}',
-    '{"type": "event", "data": ["push", "k0"]}',
-    '{"type": "event", "data": ["retrieve", "k0", [["l_pq", 1.5]]]}',
+    '{"type": "event", "data": ["promptify", 1]}',
     '{"type": "note", "text": "skipped: budget"}',
     '{"type": "outcome", "proved": true, "proof": ["intro h", "exact h"], '
     '"failure_reason": null, "queries_used": 2, "wall_seconds": 0.7, '
-    '"stage": "retrieval", "aborted": false}',
+    '"stage": "retrieval", "aborted": false, "lines": 10}',
 ]
 
 
@@ -613,7 +625,7 @@ class TestTraceFormat:
 
     def test_header_without_attempt_or_category_loads_defaults(self, tmp_path):
         path = tmp_path / "old.jsonl"
-        lines = ['{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '
+        lines = ['{"type": "header", "schema": "proofsearch-trace/2", "theorem": "pp", '
                  '"config": {}, "bad_reset": "per-stage"}'] + HAND_BUILT_LINES[1:]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         trace = EpisodeTrace.load(path)
@@ -621,3 +633,70 @@ class TestTraceFormat:
         assert trace.category is None
         assert trace.outcome == SearchOutcome(proved=True, proof=("intro h", "exact h"))
         assert trace.stage == STAGE_RETRIEVAL
+
+    def test_loaded_trace_equals_the_saved_one(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        built = hand_built_trace()
+        built.save(path)
+        loaded = EpisodeTrace.load(path)
+        assert loaded.events == built.events
+        assert loaded.records == built.records
+        assert loaded == built
+
+    def test_save_refuses_a_record_without_its_derived_events(self, tmp_path):
+        trace = hand_built_trace()
+        del trace.events[4]  # the first record's transition
+        path = tmp_path / "pp__a2.jsonl"
+        with pytest.raises(ValueError, match="derived events of query 1"):
+            trace.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cut", [
+        lambda text: text[:-9],  # inside the outcome line
+        lambda text: text[:text.rindex('{"type": "outcome"')],  # before it
+        lambda text: text[:text.rindex('{"type": "note"')],
+        lambda text: text.replace('"lines": 10}', '"lines": 9}'),  # a wrong count
+        lambda text: text.replace('{"type": "note"', '{"type": "note", "text": "x"}\n{"type": "note"'),
+    ], ids=["inside-outcome", "before-outcome", "before-note", "wrong-count", "extra-line"])
+    def test_cut_trace_loads_incomplete(self, tmp_path, cut):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
+        trace = EpisodeTrace.load(path)
+        assert trace.incomplete
+        assert (trace.theorem, trace.attempt, trace.category) == ("pp", 2, "implication")
+        assert (trace.records, trace.events, trace.outcome) == ([], [], None)
+        with pytest.raises(ValueError, match="incomplete"):
+            trace.save(tmp_path / "again.jsonl")
+
+    def test_complete_trace_is_not_incomplete(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        assert not EpisodeTrace.load(path).incomplete
+
+    def test_version_1_trace_names_its_file_and_schema(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        path.write_text('{"type": "header", "schema": "proofsearch-trace/1", "theorem": "pp", '
+                        '"config": {}, "bad_reset": "per-stage"}\n', encoding="utf-8")
+        with pytest.raises(TraceFormatError) as error:
+            EpisodeTrace.load(path)
+        assert str(error.value) == (f"{path}: trace schema 'proofsearch-trace/1' is not "
+                                    "supported; this version reads 'proofsearch-trace/2'")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "",
+        lambda text: text[:40],  # cut inside the header
+        lambda text: "not json\n" + text,
+        lambda text: text.replace('["push", 1]', '["push", 7]'),  # an undefined state id
+        lambda text: text.replace('"ordinal": 2', '"ordinal": 2, "extra": 1'),
+        lambda text: text.replace('{"type": "note"', '{"type": "remark"'),
+    ], ids=["empty", "cut-header", "no-header", "state-id", "record-field", "line-type"])
+    def test_unreadable_trace_raises_one_line(self, tmp_path, edit):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(TraceFormatError) as error:
+            EpisodeTrace.load(path)
+        message = str(error.value)
+        assert message.startswith(f"{path}: ") and "proofsearch-trace/2" in message
+        assert "\n" not in message

@@ -776,3 +776,112 @@ class TestBundledSuiteBytes:
         assert run_digest(out) == expected, (
             "the traces or metrics of the bundled suite changed; a digest here may "
             "change only for a deliberate change of output that CHANGES.md lists")
+
+
+class TestDamagedTraces:
+    """A trace cut short is listed apart from the metrics, and a trace this
+    version cannot read stops a verb with one line that names it."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        # depth 2 leaves some episodes unproved, so dropping one moves the metrics
+        out = tmp_path_factory.mktemp("run")
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), "--no-ensemble",
+                  "--oracle-depth", "2", "--attempts", "2"])
+        return out
+
+    def copy_traces(self, run, to, skip=None):
+        to.mkdir()
+        for path in (run / "traces").iterdir():
+            if path.name != skip:
+                (to / path.name).write_bytes(path.read_bytes())
+        return to
+
+    @pytest.mark.parametrize("cut", [
+        lambda text: text[:-20],  # inside the outcome line
+        lambda text: text[:text.rindex('{"type": "outcome"')],  # before it
+    ], ids=["inside-outcome", "before-outcome"])
+    def test_cut_trace_is_left_out_of_the_metrics(self, run, tmp_path, capsys, cut):
+        name = trace_file_name("imp_self", 2)
+        damaged = self.copy_traces(run, tmp_path / "damaged")
+        (damaged / name).write_text(cut((damaged / name).read_text(encoding="utf-8")),
+                                    encoding="utf-8")
+        without = self.copy_traces(run, tmp_path / "without", skip=name)
+        for traces in (damaged, without):
+            assert cli_main(["report", "--traces", str(traces),
+                             "--out", str(tmp_path / f"{traces.name}-report")]) == 0
+        capsys.readouterr()
+        left, right = tmp_path / "damaged-report", tmp_path / "without-report"
+        for report in ("metrics.csv", "timing.txt", "timing.csv"):
+            assert (left / report).read_bytes() == (right / report).read_bytes()
+        assert (left / "metrics.txt").read_text(encoding="utf-8") == (
+            (right / "metrics.txt").read_text(encoding="utf-8")
+            + "\nincomplete traces (excluded from metrics)\n  imp_self attempt 2\n")
+
+    def version_1(self, run, tmp_path):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / trace_file_name("imp_self", 1)
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "proofsearch-trace/2", "proofsearch-trace/1", 1), encoding="utf-8")
+        return traces, path
+
+    def one_line_error(self, capsys, argv) -> str:
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message, = captured.err.splitlines()
+        return message
+
+    def test_report_on_a_version_1_trace(self, run, tmp_path, capsys):
+        traces, path = self.version_1(run, tmp_path)
+        out = tmp_path / "report"
+        message = self.one_line_error(
+            capsys, ["report", "--traces", str(traces), "--out", str(out)])
+        assert message == (f"proofsearch report: {path}: trace schema 'proofsearch-trace/1' "
+                           "is not supported; this version reads 'proofsearch-trace/2'")
+        assert not out.exists()
+
+    def test_report_on_an_unreadable_trace(self, run, tmp_path, capsys):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / trace_file_name("imp_self", 1)
+        path.write_text('{"type": "head', encoding="utf-8")
+        message = self.one_line_error(
+            capsys, ["report", "--traces", str(traces), "--out", str(tmp_path / "report")])
+        assert message == (f"proofsearch report: {path}: not a trace file: its first line "
+                           "is not a proofsearch-trace/2 header")
+
+    def test_replay_verb_on_a_version_1_trace(self, run, tmp_path, capsys):
+        _, path = self.version_1(run, tmp_path)
+        message = self.one_line_error(
+            capsys, ["replay", "--trace", str(path), "--suite", str(SUITE_PATH)])
+        assert message.startswith(f"proofsearch replay: {path}: trace schema "
+                                  "'proofsearch-trace/1'")
+
+    def test_replay_verb_on_an_incomplete_trace(self, run, tmp_path, capsys):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / trace_file_name("imp_self", 1)
+        path.write_text(path.read_text(encoding="utf-8")[:-5], encoding="utf-8")
+        assert cli_main(["replay", "--trace", str(path), "--suite", str(SUITE_PATH)]) == 1
+        assert capsys.readouterr().out == f"imp_self: trace {path} is incomplete; nothing to verify\n"
+
+    def test_replay_backend_on_a_version_1_trace(self, run, tmp_path, capsys):
+        traces, path = self.version_1(run, tmp_path)
+        out = tmp_path / "out"
+        message = self.one_line_error(
+            capsys, ["run", "--suite", str(SUITE_PATH), "--out", str(out), "--no-ensemble",
+                     "--backend", "replay", "--replay-dir", str(traces)])
+        assert message.startswith(f"proofsearch run: {path}: trace schema "
+                                  "'proofsearch-trace/1'")
+        assert not out.exists()
+
+    def test_replay_backend_on_an_incomplete_trace(self, run, tmp_path):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / trace_file_name("imp_self", 2)
+        path.write_text(path.read_text(encoding="utf-8")[:-5], encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), "--no-ensemble",
+                      "--attempts", "2", "--backend", "replay", "--replay-dir", str(traces)])
+        assert exit_info.value.code == (
+            f"--replay-dir {traces} has no complete trace imp_self__a2.jsonl")
+        assert not out.exists()
