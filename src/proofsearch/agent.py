@@ -25,6 +25,7 @@ from .core import (
     ProofState,
     at_least_as_hard,
     canonical_key,
+    ordered_obligations,
 )
 from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
 from .prompts import (
@@ -370,6 +371,10 @@ class _Frame:
     key: str
     rho: object = None
 
+    @property
+    def least_goal(self) -> str:
+        return ordered_obligations(self.state)[0].goal
+
 
 class _Searcher:
     def __init__(self, env, backend, index, gctx, config, budget, trace, stage):
@@ -382,7 +387,10 @@ class _Searcher:
         self.trace = trace
         self.stage = stage
         self.bad: dict = {}  # state key -> ordered list of bad tactics
-        self.frames: list = []
+        # the stack's frames by their least goal, each list in push order. A
+        # state is at least as hard as a frame only if it has every goal of
+        # the frame, so the progress check need look only under its own goals.
+        self.frames_by_goal: dict = {}
 
     def run(self, theorem_id: str):
         reason = self.budget.exhausted_reason()
@@ -399,7 +407,7 @@ class _Searcher:
     def _search(self, state: ProofState, depth: int, path: list):
         key = canonical_key(state)
         frame = _Frame(state, key)
-        self.frames.append(frame)
+        self.frames_by_goal.setdefault(frame.least_goal, []).append(frame)
         self.trace.event("push", key)
         if self.index is not None:
             frame.rho = retrieve(self.index, state, self.config.k_retrieve)
@@ -420,8 +428,7 @@ class _Searcher:
                 result = "qed"
             elif new_state.is_error:
                 result, last_outcome = "error", new_state.error_message
-            elif (any(at_least_as_hard(new_state, f.state) for f in self.frames)
-                  or depth + 1 >= self.config.max_depth):
+            elif self._dominated(new_state) or depth + 1 >= self.config.max_depth:
                 result, last_outcome = "no-progress", NO_PROGRESS_MESSAGE
             else:
                 result, last_outcome = "progressed", "success"
@@ -437,8 +444,17 @@ class _Searcher:
                 self.trace.event("bad", key, tactic)
         # per-state attempts exhausted: backtrack (a proof or an abort
         # unwinds past this point without emitting a pop)
-        self.frames.pop()
+        stacked = self.frames_by_goal[frame.least_goal]
+        stacked.pop()
+        if not stacked:
+            del self.frames_by_goal[frame.least_goal]
         self.trace.event("pop", key)
+
+    def _dominated(self, state: ProofState) -> bool:
+        """Whether `state` is at least as hard as a frame on the stack."""
+        goals = {ob.goal for ob in state.obligations}
+        return any(at_least_as_hard(state, f.state)
+                   for goal in goals for f in self.frames_by_goal.get(goal, ()))
 
     def _query_tactic(self, frame, bad, path, last_step, last_outcome):
         """Prompt for one tactic, spending repair queries on format errors.

@@ -41,8 +41,12 @@ class Obligation:
     """One (goal, hypotheses) pair the prover must discharge.
 
     Hypotheses are stored as (name, proposition) pairs in a frozenset, so
-    equality is independent of enumeration order. Goal and proposition text
-    are whitespace-normalized at construction.
+    equality is independent of enumeration order. `Obligation(...)` and
+    `Obligation.make` whitespace-normalize goal and proposition text and
+    reject duplicate names. `Obligation.trusted` does neither: it is for a
+    kernel that builds a child from text it already holds normalized (its
+    printed goal, its parent's hypotheses), and the child is then `==`,
+    hashes and keys the same as one built through `make`.
 
     Three views are computed on first use and kept on the instance: the
     hypotheses sorted by name (behind `hypothesis_map` and
@@ -67,6 +71,14 @@ class Obligation:
     @classmethod
     def make(cls, goal: str, hypotheses: Mapping[str, str] | None = None) -> "Obligation":
         return cls(goal, frozenset((hypotheses or {}).items()))
+
+    @classmethod
+    def trusted(cls, goal: str, hypotheses: frozenset) -> "Obligation":
+        """An obligation from normalized goal text and distinctly named,
+        normalized (name, proposition) pairs, taken as they are."""
+        ob = object.__new__(cls)
+        ob.__dict__.update(goal=goal, hypotheses=hypotheses)
+        return ob
 
     @cached_property
     def _by_name(self) -> tuple:
@@ -127,9 +139,20 @@ class ProofState:
         return not self.is_error and not self.obligations
 
 
-def ordered_obligations(state: ProofState) -> list:
-    """Deterministic obligation order: by goal text, then by hypothesis list."""
-    return sorted(state.obligations, key=Obligation.sort_key)
+def ordered_obligations(state: ProofState) -> tuple:
+    """Deterministic obligation order: by goal text, then by hypothesis list.
+
+    The tuple is computed on the first call and stored on the (frozen)
+    state, outside its fields, as `canonical_key` stores the key; a state
+    with one obligation is not sorted at all."""
+    order = state.__dict__.get("_order")
+    if order is None:
+        obligations = state.obligations
+        order = state.__dict__["_order"] = (
+            tuple(obligations) if len(obligations) < 2
+            else tuple(sorted(obligations, key=Obligation.sort_key))
+        )
+    return order
 
 
 def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:

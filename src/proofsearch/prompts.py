@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .core import GlobalContext, ProofState, ordered_obligations
+from .core import GlobalContext, Obligation, ProofState, ordered_obligations
 
 NATURAL_STOP = "natural-stop"
 LENGTH_CAP = "length-cap"
@@ -98,16 +98,26 @@ def sketch_prompt() -> str:
     )
 
 
+def _hypothesis_lines(obligation: Obligation) -> str:
+    """The obligation's `[HYPOTHESIS] name : prop` lines in name order,
+    rendered on the first call and stored on the (frozen) obligation,
+    outside its fields, as `canonical_key` stores a state's key."""
+    text = obligation.__dict__.get("_hypothesis_lines")
+    if text is None:
+        text = obligation.__dict__["_hypothesis_lines"] = "\n".join(
+            f"[HYPOTHESIS] {name} : {prop}" for name, prop in obligation.hypothesis_map().items()
+        )
+    return text
+
+
 def _render_goals(state: ProofState, retrieved: list | None) -> str:
     lines = ["[GOALS]"]
     for i, obligation in enumerate(ordered_obligations(state), start=1):
         lines.append(f"[GOAL] {i}")
         lines.append(obligation.goal)
-        hyps = obligation.hypothesis_map()
-        if hyps:
+        if obligation.hypotheses:
             lines.append(f"[HYPOTHESES] {i}")
-            for name, prop in hyps.items():
-                lines.append(f"[HYPOTHESIS] {name} : {prop}")
+            lines.append(_hypothesis_lines(obligation))
         if i == 1 and retrieved:
             definitions = [r for r, _ in retrieved if r.kind == "definition"]
             theorems = [r for r, _ in retrieved if r.kind == "lemma"]

@@ -7,12 +7,17 @@ prompt rendering rely on that).
 
 Obligations carry text, so a step parses the focused goal (and for `rw`
 a hypothesis) back into a `Term`. `apply_toy_tactic` can take a term
-table mapping such text to its `Term`: a step looks the text up before it
-parses, and records every goal or hypothesis it prints from a `Term`.
-That is exact because printed text is already whitespace-normalized and
-`parse_term(print_term(t)) == t`. The table belongs to one
+table that maps both ways. Text to `Term`: a step looks the text up
+before it parses, and records every goal or hypothesis it prints from a
+`Term`. `Term` to text, keyed by the term's `id` and holding the term so
+the id is not reused: `print_term` consults it at every node, so the
+subterms an `intro` chain keeps printing are printed once. That is exact
+because printed text is already whitespace-normalized and
+`parse_term(print_term(t)) == t`. Children are built with
+`Obligation.trusted` from that printed text and the focused obligation's
+own hypotheses, which are normalized already. The table belongs to one
 `ToyEnvironment`, which means one episode; nothing is cached at module
-level.
+level or stored on a `Term`.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ def _rewrite(term: Term, old: Term, new: Term) -> tuple:
 
 
 def _step(
-    focused: Obligation, tactic: ToyTactic, lemmas: Mapping[str, Term], terms: dict
+    focused: Obligation, tactic: ToyTactic, lemmas: Mapping[str, Term], terms: dict,
+    texts: dict,
 ) -> list | str:
     """Apply a parsed tactic to one obligation.
 
@@ -83,9 +89,12 @@ def _step(
         return term
 
     def printed(term: Term) -> str:
-        text = print_term(term)
+        text = print_term(term, texts)
         terms[text] = term
         return text
+
+    def child(term: Term, hypotheses: frozenset = focused.hypotheses) -> Obligation:
+        return Obligation.trusted(printed(term), hypotheses)
 
     goal = parsed(focused.goal)
     hyps = focused.hypothesis_map()
@@ -102,17 +111,13 @@ def _step(
             return "intro failed: goal is not an implication"
         if tactic.name in hyps:
             return f"intro failed: hypothesis name '{tactic.name}' already in use"
-        new_hyps = dict(hyps)
-        new_hyps[tactic.name] = printed(goal.lhs)
-        return [Obligation.make(printed(goal.rhs), new_hyps)]
+        new_hyp = (tactic.name, printed(goal.lhs))
+        return [child(goal.rhs, focused.hypotheses | {new_hyp})]
 
     if isinstance(tactic, Split):
         if not isinstance(goal, And):
             return "split failed: goal is not a conjunction"
-        return [
-            Obligation.make(printed(goal.lhs), hyps),
-            Obligation.make(printed(goal.rhs), hyps),
-        ]
+        return [child(goal.lhs), child(goal.rhs)]
 
     if isinstance(tactic, Assumption):
         if focused.goal in focused.hypothesis_contents():
@@ -142,18 +147,18 @@ def _step(
         old, new = (equation.rhs, equation.lhs) if tactic.reverse else (equation.lhs, equation.rhs)
         rewritten, count = _rewrite(goal, old, new)
         if count == 0:
-            return f"rw failed: no occurrences of '{print_term(old)}' in the goal"
-        return [Obligation.make(printed(rewritten), hyps)]
+            return f"rw failed: no occurrences of '{print_term(old, texts)}' in the goal"
+        return [child(rewritten)]
 
     if isinstance(tactic, Apply):
         lemma = lemmas.get(tactic.name)
         if lemma is None:
             return f"apply failed: no lemma named '{tactic.name}'"
         if isinstance(lemma, Implies):
-            if print_term(lemma.rhs) != focused.goal:
+            if print_term(lemma.rhs, texts) != focused.goal:
                 return f"apply failed: conclusion of '{tactic.name}' does not match the goal"
-            return [Obligation.make(printed(lemma.lhs), hyps)]
-        if print_term(lemma) != focused.goal:
+            return [child(lemma.lhs)]
+        if print_term(lemma, texts) != focused.goal:
             return f"apply failed: '{tactic.name}' does not match the goal"
         return []
 
@@ -162,14 +167,15 @@ def _step(
 
 def apply_toy_tactic(
     state: ProofState, tactic: str | ToyTactic, lemmas: Mapping[str, Term],
-    terms: dict | None = None,
+    terms: dict | None = None, texts: dict | None = None,
 ) -> ProofState:
     """Pure transition function of the toy environment.
 
     Error states absorb every tactic; all failures (including tactic parse
-    errors) return an error state carrying the input obligations. `terms`,
-    when given, is the caller's term table (see the module docstring); the
-    result is the same with or without it.
+    errors) return an error state carrying the input obligations. `terms`
+    (text -> `Term`) and `texts` (`id(term)` -> (`Term`, text)), when
+    given, are the caller's term table in its two directions (see the
+    module docstring); the result is the same with or without them.
     """
     if state.is_error:
         return state
@@ -180,11 +186,12 @@ def apply_toy_tactic(
             tactic = parse_toy_tactic(tactic)
         except ToyTacticParseError as exc:
             return ProofState.error(state.obligations, str(exc))
-    obligations = ordered_obligations(state)
-    result = _step(obligations[0], tactic, lemmas, {} if terms is None else terms)
+    focused, *rest = ordered_obligations(state)
+    result = _step(focused, tactic, lemmas, {} if terms is None else terms,
+                   {} if texts is None else texts)
     if isinstance(result, str):
         return ProofState.error(state.obligations, result)
-    return ProofState.of(result + obligations[1:])
+    return ProofState.of(result + rest)
 
 
 class ToyEnvironment(ProofEnvironment):
@@ -195,6 +202,7 @@ class ToyEnvironment(ProofEnvironment):
         self.theorem = theorem
         self._lemmas = dict(theorem.lemmas)
         self._terms: dict = {}  # goal or hypothesis text -> its Term
+        self._texts: dict = {}  # id(term) -> (term, its printed text)
 
     def initial_state(self, theorem_id: str) -> ProofState:
         if theorem_id != self.theorem.name:
@@ -202,4 +210,4 @@ class ToyEnvironment(ProofEnvironment):
         return self.theorem.initial_state()
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
-        return apply_toy_tactic(state, tactic, self._lemmas, self._terms)
+        return apply_toy_tactic(state, tactic, self._lemmas, self._terms, self._texts)

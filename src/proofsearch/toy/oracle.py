@@ -48,14 +48,15 @@ def brute_force_prove(theorem: ToyTheorem, max_depth: int):
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     lemmas = dict(theorem.lemmas)
-    terms: dict = {}  # this call's term table
+    terms: dict = {}  # this call's term table, both ways
+    texts: dict = {}
     initial = theorem.initial_state()
 
     def search(state: ProofState, remaining: int, path_keys: set):
         if remaining == 0:
             return None
         for tactic in candidate_tactics(state, lemmas):
-            result = apply_toy_tactic(state, tactic, lemmas, terms)
+            result = apply_toy_tactic(state, tactic, lemmas, terms, texts)
             if result.is_error:
                 continue
             if result.is_qed:

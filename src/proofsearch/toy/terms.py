@@ -66,22 +66,38 @@ def _prec(term: Term) -> int:
     return _PREC_ATOM
 
 
-def print_term(term: Term) -> str:
-    """Canonical text form; parse_term(print_term(t)) == t."""
+def print_term(term: Term, memo: dict | None = None) -> str:
+    """Canonical text form; parse_term(print_term(t)) == t.
+
+    `memo`, when given, maps `id(t)` to `(t, text)` for compound terms
+    already printed; it is read and filled at every node, so a subterm
+    object is printed once however many terms share it. The caller owns it
+    (the toy kernel keeps one per episode), and the text is the same with
+    or without it."""
     if isinstance(term, Atom):
         return term.name
+    if memo is not None:
+        hit = memo.get(id(term))
+        if hit is not None:
+            return hit[1]
     if isinstance(term, Implies):
         # right associative: a left child that is itself an implication needs parens
-        return f"{_wrap(term.lhs, _PREC_AND)} -> {_wrap(term.rhs, _PREC_IMPLIES)}"
-    if isinstance(term, And):
-        return f"{_wrap(term.lhs, _PREC_AND)} /\\ {_wrap(term.rhs, _PREC_AND + 1)}"
-    if isinstance(term, Eq):
-        return f"{_wrap(term.lhs, _PREC_EQ + 1)} = {_wrap(term.rhs, _PREC_EQ + 1)}"
-    raise TypeError(f"not a term: {term!r}")
+        text = f"{_wrap(term.lhs, _PREC_AND, memo)} -> {_wrap(term.rhs, _PREC_IMPLIES, memo)}"
+    elif isinstance(term, And):
+        text = (f"{_wrap(term.lhs, _PREC_AND, memo)} /\\ "
+                f"{_wrap(term.rhs, _PREC_AND + 1, memo)}")
+    elif isinstance(term, Eq):
+        text = (f"{_wrap(term.lhs, _PREC_EQ + 1, memo)} = "
+                f"{_wrap(term.rhs, _PREC_EQ + 1, memo)}")
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    if memo is not None:
+        memo[id(term)] = (term, text)
+    return text
 
 
-def _wrap(term: Term, min_prec: int) -> str:
-    text = print_term(term)
+def _wrap(term: Term, min_prec: int, memo: dict | None) -> str:
+    text = print_term(term, memo)
     if _prec(term) < min_prec:
         return f"({text})"
     return text

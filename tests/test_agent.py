@@ -22,7 +22,13 @@ from proofsearch.agent import (
     generate_informal_sketch,
     prove,
 )
-from proofsearch.core import GlobalContext, canonical_key, lift_transition
+from proofsearch.core import (
+    GlobalContext,
+    at_least_as_hard,
+    canonical_key,
+    lift_transition,
+    ordered_obligations,
+)
 from proofsearch.llm import (
     Completion,
     GuidanceBackend,
@@ -181,6 +187,25 @@ class TestProgressGuard:
         _, trace = run_plain(scenarios, "loopy", backend)
         pushes = [event for event in trace.events if event[0] == "push"]
         assert len(pushes) == 1  # the looping rewrite never creates a frame
+
+    def test_dominated_frame_found_under_a_goal_other_than_the_first(self):
+        # split pushes {b, c}; rw h makes b into a /\ b; split again gives
+        # {a, b, c}, which holds both obligations of the frame {b, c} but
+        # whose first goal, a, is not the frame's least goal, b
+        theorem = parse_suite("theorem two\n  goal b /\\ c\n  hyp h : b = (a /\\ b)\nend\n"
+                              ).theorem("two")
+        env = ToyEnvironment(theorem)
+        frame = env.apply_tactic(env.initial_state("two"), "split")
+        new = lift_transition(env, frame, ["rw h", "split"])
+        assert [ob.goal for ob in ordered_obligations(frame)] == ["b", "c"]
+        assert [ob.goal for ob in ordered_obligations(new)] == ["a", "b", "c"]
+        assert at_least_as_hard(new, frame)
+
+        backend = SequenceBackend([wrap("split"), wrap("rw h"), wrap("split")])
+        _, trace = prove("two", ToyEnvironment(theorem), backend, None,
+                         GlobalContext(theorem.statement()), config(per_state_budget=1))
+        assert [r.result_class for r in trace.records] == [
+            "progressed", "progressed", "no-progress"]
 
 
 class TestBacktracking:

@@ -271,4 +271,4 @@ def test_ordered_obligations_sorted_by_goal_then_hypotheses():
     a = Obligation.make("B")
     b = Obligation.make("A", {"h": "P"})
     c = Obligation.make("A")
-    assert ordered_obligations(ProofState.of([a, b, c])) == [c, b, a]
+    assert ordered_obligations(ProofState.of([a, b, c])) == (c, b, a)

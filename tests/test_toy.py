@@ -1,9 +1,21 @@
 """Toy prover: term grammar, tactic surface syntax, kernel semantics, the
 brute-force oracle, and the suite file format."""
 
+from dataclasses import replace
+
 import pytest
 
-from proofsearch.core import Obligation, ProofState, canonical_key, lift_transition
+import proofsearch.core
+import proofsearch.toy.kernel
+import proofsearch.toy.oracle
+import proofsearch.toy.terms
+from proofsearch.core import (
+    Obligation,
+    ProofState,
+    canonical_key,
+    lift_transition,
+    normalize_text,
+)
 from proofsearch.toy import (
     ToyEnvironment,
     ToyTacticParseError,
@@ -23,6 +35,7 @@ from proofsearch.toy.terms import (
     Atom,
     Eq,
     Implies,
+    Term,
     TermParseError,
     parse_term,
     print_term,
@@ -254,34 +267,116 @@ class TestEnvironment:
         assert theorem_of("P -> P").statement() == "P -> P"
 
 
+def walk(env, lemmas, depth=4):
+    """Every (state, tactic, result) of a breadth-first walk over the
+    candidate tactics, `depth` steps deep, each reached state expanded once."""
+    frontier = [env.initial_state(env.theorem.name)]
+    seen = {canonical_key(frontier[0])}
+    for _ in range(depth):
+        reached = []
+        for state in frontier:
+            for tactic in candidate_tactics(state, lemmas):
+                result = env.apply_tactic(state, tactic)
+                yield state, tactic, result
+                if not (result.is_error or result.is_qed):
+                    key = canonical_key(result)
+                    if key not in seen:
+                        seen.add(key)
+                        reached.append(result)
+        frontier = reached
+
+
+def term_nodes(term):
+    yield term
+    for child in vars(term).values():
+        if isinstance(child, Term):
+            yield from term_nodes(child)
+
+
 class TestTermTable:
-    """The environment's term table changes no transition, and holds each
-    text's own parse."""
+    """The environment's term table changes no transition, holds each
+    text's own parse and each term's own print, and the obligations the
+    kernel builds from it are those public construction would build."""
 
     def test_reachable_states_match_the_kernel_without_a_table(self, suite):
         checked = 0
         for theorem in suite.theorems.values():
             env = ToyEnvironment(theorem)
             lemmas = dict(theorem.lemmas)
-            frontier = [env.initial_state(theorem.name)]
-            seen = {canonical_key(frontier[0])}
-            for _ in range(4):
-                reached = []
-                for state in frontier:
-                    for tactic in candidate_tactics(state, lemmas):
-                        result = env.apply_tactic(state, tactic)
-                        assert result == apply_toy_tactic(state, tactic, lemmas)
-                        checked += 1
-                        if not (result.is_error or result.is_qed):
-                            key = canonical_key(result)
-                            if key not in seen:
-                                seen.add(key)
-                                reached.append(result)
-                frontier = reached
+            for state, tactic, result in walk(env, lemmas):
+                assert result == apply_toy_tactic(state, tactic, lemmas)
+                checked += 1
             assert env._terms, theorem.name
             for text, term in env._terms.items():
                 assert parse_term(text) == term
         assert checked > 500
+
+    def test_kernel_obligations_equal_their_public_construction(self, suite):
+        checked = memoized = 0
+        for theorem in suite.theorems.values():
+            env = ToyEnvironment(theorem)
+            for _, _, result in walk(env, dict(theorem.lemmas)):
+                if result.is_error:
+                    continue
+                made = []
+                for ob in result.obligations:
+                    public = Obligation.make(ob.goal, ob.hypothesis_map())
+                    assert ob == public and hash(ob) == hash(public)
+                    assert (canonical_key(ProofState.of([ob]))
+                            == canonical_key(ProofState.of([public])))
+                    assert normalize_text(ob.goal) == ob.goal
+                    for _, prop in ob.hypotheses:
+                        assert normalize_text(prop) == prop
+                    made.append(public)
+                    checked += 1
+                assert canonical_key(result) == canonical_key(ProofState.of(made))
+
+            # the table's reverse direction prints as plain `print_term` does
+            for term in env._terms.values():
+                assert print_term(term, env._texts) == print_term(term)
+            for term, text in env._texts.values():
+                assert text == print_term(term)
+            memoized += len(env._texts)
+        assert checked > 100 and memoized > 50
+
+    def test_an_episode_stores_nothing_on_suite_terms_or_modules(self, suite):
+        # the bundled suite with every atom renamed: terms no other test has
+        # printed, and texts no other test has made
+        def renamed(term):
+            if isinstance(term, Atom):
+                return Atom(f"unseen_{term.name}")
+            return type(term)(renamed(term.lhs), renamed(term.rhs))
+
+        theorems = [
+            replace(theorem, goal=renamed(theorem.goal),
+                    hypotheses=tuple((name, renamed(t)) for name, t in theorem.hypotheses),
+                    lemmas=tuple((name, renamed(t)) for name, t in theorem.lemmas))
+            for theorem in suite.theorems.values()
+        ]
+
+        def suite_term_state():
+            return [(node, dict(vars(node)))
+                    for theorem in theorems
+                    for _, term in (("goal", theorem.goal), *theorem.hypotheses, *theorem.lemmas)
+                    for node in term_nodes(term)]
+
+        modules = (proofsearch.core, proofsearch.toy.kernel, proofsearch.toy.oracle,
+                   proofsearch.toy.terms)
+
+        def module_state():
+            return {(module.__name__, name): len(value)
+                    for module in modules for name, value in vars(module).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+        terms_before, modules_before = suite_term_state(), module_state()
+        for theorem in theorems:
+            env = ToyEnvironment(theorem)
+            for _ in walk(env, dict(theorem.lemmas)):
+                pass
+            proof = brute_force_prove(theorem, 4)
+            assert lift_transition(env, theorem.initial_state(), proof).is_qed
+        assert suite_term_state() == terms_before
+        assert module_state() == modules_before
 
     def test_table_is_the_environments_own(self):
         theorem = theorem_of("P -> Q -> P")
