@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ NO_PROGRESS_MESSAGE = (
     "already on the search stack"
 )
 
-TRACE_SCHEMA = "proofsearch-trace/2"
+TRACE_SCHEMA = "proofsearch-trace/3"
 
 STAGE_PLAIN = "plain"
 STAGE_RETRIEVAL = "retrieval"
@@ -118,8 +119,9 @@ def _field_dict(obj, names: tuple) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def overwrite_text(path: str | Path, text: str):
-    """Write `text` to `path` as UTF-8, replacing what the file held.
+def overwrite_text(path: str | Path, text: str | bytes):
+    """Write `text` to `path`, a str as UTF-8 and bytes as they are,
+    replacing what the file held.
 
     An existing file is cut to the new length and overwritten in place,
     not truncated to zero first: on ext4 with `auto_da_alloc` (the
@@ -128,7 +130,7 @@ def overwrite_text(path: str | Path, text: str):
     directory waited on the disk at every trace (0.25 ms a 13 KB file,
     at times past 1 ms, against 0.03 ms in place, on an ext4 virtual
     disk)."""
-    data = text.encode("utf-8")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         os.ftruncate(fd, len(data))
@@ -154,8 +156,14 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class TraceFormatError(ValueError):
-    """A trace file this version cannot read: another schema, or not a
-    trace at all. The message is one line that names the file."""
+    """A trace file this version cannot read: another schema, not a trace
+    at all, or one whose lines do not match their crc32. The message is one
+    line that names the file."""
+
+
+def _unreadable(path, exc: Exception) -> TraceFormatError:
+    return TraceFormatError(f"{path}: unreadable {TRACE_SCHEMA} trace: "
+                            f"{type(exc).__name__}: {exc}")
 
 
 def _derived_events(record: QueryRecord) -> list:
@@ -195,13 +203,22 @@ class EpisodeTrace:
     # loaded from a file without its outcome line: only the header was read,
     # and the episode is excluded from metrics
     incomplete: bool = False
+    # read by `load_head`: the header and outcome line only, with no
+    # records, events or notes, so it can be neither saved nor compared
+    head_only: bool = False
 
     def event(self, *data):
         self.events.append(tuple(data))
 
+    def _require_body(self, use: str):
+        if self.head_only:
+            raise ValueError(f"trace of {self.theorem} was read without its body; "
+                             f"`load` it to {use} it")
+
     def comparable(self) -> dict:
         """Trace content with wall-clock fields stripped, for determinism
         comparisons."""
+        self._require_body("compare")
         records = []
         for record in self.records:
             item = record.to_dict()
@@ -221,10 +238,11 @@ class EpisodeTrace:
     def save(self, path: str | Path):
         """Write the trace in the format of docs/trace-format.md. Raises
         ValueError, and writes nothing, when the file would not load back
-        equal: for an incomplete trace, or when the events do not hold each
-        record's derived events in record order."""
+        equal: for an incomplete trace, one read by `load_head`, or when the
+        events do not hold each record's derived events in record order."""
         if self.incomplete:
             raise ValueError(f"trace of {self.theorem} is incomplete; it has nothing to save")
+        self._require_body("save")
         lines = [_encode({"type": "header", "schema": TRACE_SCHEMA,
                           **_field_dict(self, _HEADER_FIELDS)})]
         append = lines.append
@@ -261,23 +279,26 @@ class EpisodeTrace:
             write_event(event)
         for note in self.notes:
             append(_encode({"type": "note", "text": note}))
+        data = ("\n".join(lines) + "\n").encode("utf-8")
         outcome = self.outcome or SearchOutcome(proved=False)
-        append(_encode({"type": "outcome", **outcome.to_dict(),
-                        **_field_dict(self, _TRAILER_FIELDS), "lines": len(lines)}))
+        last = _encode({"type": "outcome", **outcome.to_dict(),
+                        **_field_dict(self, _TRAILER_FIELDS),
+                        "crc32": zlib.crc32(data), "lines": len(lines)})
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        overwrite_text(path, "\n".join(lines) + "\n")
+        overwrite_text(path, data + last.encode("utf-8") + b"\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "EpisodeTrace":
-        """Read a trace file. A file whose last line is not an outcome line
-        counting the lines before it loads as an incomplete trace that holds
-        only its header. Raises TraceFormatError for a file of another
-        schema, one without a header, or a complete one that does not parse."""
-        text = Path(path).read_text(encoding="utf-8")
-        first, _, rest = text.partition("\n")
+    def _read_head(cls, path: str | Path) -> tuple:
+        """The head step of `load`: the trace from the file's header and
+        outcome line alone, and the bytes of the lines between them (None
+        for an incomplete trace). Raises TraceFormatError for a file of
+        another schema, one without a header, or a complete one whose
+        bytes do not match the outcome line's crc32."""
+        data = Path(path).read_bytes()
+        end = data.find(b"\n")
         try:
-            header = json.loads(first)
+            header = json.loads(data if end < 0 else data[:end])
         except ValueError:
             header = None
         if not isinstance(header, dict) or header.pop("type", None) != "header":
@@ -289,19 +310,55 @@ class EpisodeTrace:
                                    f"this version reads {TRACE_SCHEMA!r}")
         try:
             trace = cls(**header)
-            body, _, last = rest[:-1].rpartition("\n")
+            start = data.rfind(b"\n", 0, -1) + 1  # of the last line
             try:
-                outcome = json.loads(last) if text.endswith("\n") else None
+                outcome = json.loads(data[start:-1]) if data.endswith(b"\n") else None
             except ValueError:  # the file was cut inside its last line
                 outcome = None
             if (not isinstance(outcome, dict) or outcome.pop("type", None) != "outcome"
-                    or outcome.pop("lines", None) != text.count("\n") - 1):
+                    or outcome.pop("lines", None) != data.count(b"\n") - 1):
                 trace.incomplete = True
-                return trace
+                return trace, None
+            crc = outcome.pop("crc32", None)
+            for name in _TRAILER_FIELDS:
+                setattr(trace, name, outcome.pop(name))
+            outcome["proof"] = tuple(outcome["proof"])
+            trace.outcome = SearchOutcome(**outcome)
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise _unreadable(path, exc) from None
+        if crc != zlib.crc32(memoryview(data)[:start]):
+            raise TraceFormatError(f"{path}: damaged {TRACE_SCHEMA} trace: its lines do not "
+                                   f"match the crc32 on its outcome line")
+        return trace, data[end + 1:start - 1]
+
+    @classmethod
+    def load_head(cls, path: str | Path) -> "EpisodeTrace":
+        """Read a trace file's header and outcome line, and check the rest
+        against the outcome line's crc32 without parsing it. The trace has
+        every header and outcome field, `incomplete` as `load` would set
+        it, and `head_only` set: it holds no records, events or notes, and
+        `save` and `comparable()` refuse it. Raises TraceFormatError as
+        `load` does, except for a body that matches its crc32 but does not
+        parse."""
+        trace, _ = cls._read_head(path)
+        trace.head_only = True
+        return trace
+
+    @classmethod
+    def load(cls, path: str | Path) -> "EpisodeTrace":
+        """Read a trace file. A file whose last line is not an outcome line
+        counting the lines before it loads as an incomplete trace that holds
+        only its header. Raises TraceFormatError for a file of another
+        schema, one without a header, or a complete one that does not match
+        its crc32 or does not parse."""
+        trace, body = cls._read_head(path)
+        if body is None:
+            return trace
+        try:
             keys: dict = {}
             records, events = trace.records, trace.events
             # no line holds a raw newline, so the body is one JSON array
-            for item in json.loads("[" + body.replace("\n", ",") + "]"):
+            for item in json.loads(b"[" + body.replace(b"\n", b",") + b"]"):
                 kind = item.pop("type")
                 if kind == "event":
                     data = item["data"]
@@ -319,13 +376,8 @@ class EpisodeTrace:
                     trace.notes.append(item["text"])
                 else:
                     raise ValueError(f"unknown line type {kind!r}")
-            for name in _TRAILER_FIELDS:
-                setattr(trace, name, outcome.pop(name))
-            outcome["proof"] = tuple(outcome["proof"])
-            trace.outcome = SearchOutcome(**outcome)
         except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
-            raise TraceFormatError(f"{path}: unreadable {TRACE_SCHEMA} trace: "
-                                   f"{type(exc).__name__}: {exc}") from None
+            raise _unreadable(path, exc) from None
         return trace
 
 

@@ -73,6 +73,11 @@ def trace_file_name(theorem: str, attempt: int) -> str:
     return f"{theorem}__a{attempt}.jsonl"
 
 
+class ResumeError(ValueError):
+    """A complete trace that a resumed run would keep was recorded with
+    another search config. The message is one line that names the file."""
+
+
 def run_suite(
     bench: BenchmarkSuite,
     config: SearchConfig,
@@ -80,29 +85,56 @@ def run_suite(
     backend_factory: Callable[[ToyTheorem, int], GuidanceBackend],
     attempts: int = 1,
     ensemble: bool = True,
+    resume: bool = False,
 ) -> list:
-    """Run every theorem in the suite; returns EpisodeResults and writes
-    one trace file per episode under out_dir/traces/."""
+    """Run every theorem in the suite; returns EpisodeResults in suite
+    order and writes one trace file per episode under out_dir/traces/.
+
+    With `resume`, an episode whose trace file is already complete is not
+    run again: its result is read from the trace's head. Missing and
+    incomplete traces are run. Raises ResumeError, before any episode
+    runs, when a complete trace holds another search config."""
     out_dir = Path(out_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
+    episodes = [(theorem, attempt, traces_dir / trace_file_name(theorem.name, attempt))
+                for theorem in bench.suite.theorems.values()
+                for attempt in range(1, attempts + 1)]
+    done = _completed([path for _, _, path in episodes], config) if resume else {}
     results = []
     search = ensemble_prove if ensemble else prove
     with _Environments(bench) as environments:
-        for theorem in bench.suite.theorems.values():
-            for attempt in range(1, attempts + 1):
-                env = environments.open(theorem)
-                backend = backend_factory(theorem, attempt)
-                gctx = GlobalContext(theorem_statement=theorem.statement())
-                _, trace = search(theorem.name, env, backend, bench.index, gctx, config)
-                if trace.aborted:
-                    environments.close()
-                trace.attempt = attempt
-                trace.category = theorem.category
-                trace.save(traces_dir / trace_file_name(theorem.name, attempt))
-                results.append(result_from_trace(trace))
+        for theorem, attempt, path in episodes:
+            if path in done:
+                results.append(done[path])
+                continue
+            env = environments.open(theorem)
+            backend = backend_factory(theorem, attempt)
+            gctx = GlobalContext(theorem_statement=theorem.statement())
+            _, trace = search(theorem.name, env, backend, bench.index, gctx, config)
+            if trace.aborted:
+                environments.close()
+            trace.attempt = attempt
+            trace.category = theorem.category
+            trace.save(path)
+            results.append(result_from_trace(trace))
     write_results_csv(results, out_dir / "results.csv")
     return results
+
+
+def _completed(paths: list, config: SearchConfig) -> dict:
+    """The result of each episode whose trace file is complete, by path."""
+    done = {}
+    for path in paths:
+        if path.is_file():
+            head = EpisodeTrace.load_head(path)
+            if head.incomplete:
+                continue
+            if head.config != config.to_dict():
+                raise ResumeError(f"{path}: recorded with another search config; "
+                                  "resume with the flags of the run that wrote it")
+            done[path] = result_from_trace(head)
+    return done
 
 
 class _Environments:
@@ -161,9 +193,10 @@ def result_from_trace(trace: EpisodeTrace) -> EpisodeResult:
 
 
 def results_from_traces(traces_dir: str | Path) -> list:
-    """One EpisodeResult per trace file; an incomplete trace gives one with
+    """One EpisodeResult per trace file, read from its header and outcome
+    line (`EpisodeTrace.load_head`); an incomplete trace gives one with
     failure reason `incomplete`, which the metrics leave out and list."""
-    return [result_from_trace(EpisodeTrace.load(path))
+    return [result_from_trace(EpisodeTrace.load_head(path))
             for path in sorted(Path(traces_dir).glob("*.jsonl"))]
 
 

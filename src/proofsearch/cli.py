@@ -18,6 +18,7 @@ from pathlib import Path
 from .agent import EpisodeTrace, SearchConfig, TraceFormatError
 from .bench import (
     BenchmarkSuite,
+    ResumeError,
     oracle_scripted_backend,
     replay_trace,
     results_from_traces,
@@ -123,7 +124,7 @@ def cmd_run(args) -> int:
 
     results = run_suite(
         bench, config, out_dir, backend_factory,
-        attempts=args.attempts, ensemble=not args.no_ensemble,
+        attempts=args.attempts, ensemble=not args.no_ensemble, resume=args.resume,
     )
     write_report(results, out_dir)
     proved = sum(1 for r in results if r.proved)
@@ -205,6 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", help="model id (http backend)")
     run.add_argument("--api-key-env", default="PROOFSEARCH_API_KEY")
     run.add_argument("--rate-limit", type=float, help="max requests per second")
+    run.add_argument("--resume", action="store_true",
+                     help="keep each episode whose trace under --out is complete and run "
+                          "only the missing or incomplete ones")
     _add_config_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -232,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TraceFormatError as exc:  # one line, not a traceback
+    except (TraceFormatError, ResumeError) as exc:  # one line, not a traceback
         print(f"proofsearch {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -48,11 +49,12 @@ class Obligation:
     printed goal, its parent's hypotheses), and the child is then `==`,
     hashes and keys the same as one built through `make`.
 
-    Three views are computed on first use and kept on the instance: the
+    Four views are computed on first use and kept on the instance: the
     hypotheses sorted by name (behind `hypothesis_map` and
-    `canonical_key`), `hypothesis_contents()` and `sort_key()`. They are
-    not dataclass fields, so `==`, `hash` and `repr` ignore them, and an
-    obligation that is never asked for them pays nothing.
+    `canonical_key`), `hypotheses_by_name`, `hypothesis_contents()` and
+    `sort_key()`. They are not dataclass fields, so `==`, `hash` and
+    `repr` ignore them, and an obligation that is never asked for them
+    pays nothing.
     """
 
     goal: str
@@ -84,6 +86,12 @@ class Obligation:
     def _by_name(self) -> tuple:
         """The (name, proposition) pairs in name order."""
         return tuple(sorted(self.hypotheses))
+
+    @cached_property
+    def hypotheses_by_name(self) -> Mapping:
+        """Each hypothesis's proposition under its name: a read-only view
+        for lookups (`hypothesis_map` gives a fresh dict)."""
+        return MappingProxyType(dict(self.hypotheses))
 
     @cached_property
     def _contents(self) -> frozenset:
@@ -172,6 +180,10 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
     return True
 
 
+# One encoder for every key: `json.dumps` with a keyword builds a new one per call
+_encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def canonical_key(state: ProofState) -> str:
     """Stable serialization of a state, invariant under obligation and
     hypothesis reordering. Used to key the failure table.
@@ -187,9 +199,7 @@ def canonical_key(state: ProofState) -> str:
                 [ob.goal, ob._by_name] for ob in ordered_obligations(state)
             ],
         }
-        key = state.__dict__["_key"] = json.dumps(
-            payload, ensure_ascii=False, separators=(",", ":")
-        )
+        key = state.__dict__["_key"] = _encode_key(payload)
     return key
 
 

@@ -97,7 +97,7 @@ def _step(
         return Obligation.trusted(printed(term), hypotheses)
 
     goal = parsed(focused.goal)
-    hyps = focused.hypothesis_map()
+    hyps = focused.hypotheses_by_name
 
     def equation_named(name: str) -> Term | None:
         if name in hyps:

@@ -1,6 +1,9 @@
 """The search engine: pseudocode fidelity, failure memory, progress guard,
 budgets, format repair, the informal-sketch call, and the staged ensemble."""
 
+import json
+import zlib
+
 import pytest
 
 from proofsearch.agent import (
@@ -22,6 +25,7 @@ from proofsearch.agent import (
     generate_informal_sketch,
     prove,
 )
+from proofsearch.bench import results_from_traces
 from proofsearch.core import (
     GlobalContext,
     at_least_as_hard,
@@ -593,7 +597,7 @@ def hand_built_trace():
 
 
 HAND_BUILT_LINES = [
-    '{"type": "header", "schema": "proofsearch-trace/2", "theorem": "pp", '
+    '{"type": "header", "schema": "proofsearch-trace/3", "theorem": "pp", '
     '"config": {"max_queries": 5, "prompt_style": "lean"}, "attempt": 2, '
     '"category": "implication", "bad_reset": "per-stage"}',
     '{"type": "state", "id": 0, "key": "k0"}',
@@ -614,8 +618,17 @@ HAND_BUILT_LINES = [
     '{"type": "note", "text": "skipped: budget"}',
     '{"type": "outcome", "proved": true, "proof": ["intro h", "exact h"], '
     '"failure_reason": null, "queries_used": 2, "wall_seconds": 0.7, '
-    '"stage": "retrieval", "aborted": false, "lines": 10}',
+    '"stage": "retrieval", "aborted": false, "crc32": 1387229639, "lines": 10}',
 ]
+
+
+def with_crc32(text: str) -> str:
+    """A trace file's text with its outcome line's crc32 set to match the
+    lines before it, as `save` would write it after a hand edit."""
+    body, _, last = text[:-1].rpartition("\n")
+    outcome = json.loads(last)
+    outcome["crc32"] = zlib.crc32((body + "\n").encode("utf-8"))
+    return body + "\n" + json.dumps(outcome, ensure_ascii=False) + "\n"
 
 
 class TestTraceFormat:
@@ -650,9 +663,9 @@ class TestTraceFormat:
 
     def test_header_without_attempt_or_category_loads_defaults(self, tmp_path):
         path = tmp_path / "old.jsonl"
-        lines = ['{"type": "header", "schema": "proofsearch-trace/2", "theorem": "pp", '
+        lines = ['{"type": "header", "schema": "proofsearch-trace/3", "theorem": "pp", '
                  '"config": {}, "bad_reset": "per-stage"}'] + HAND_BUILT_LINES[1:]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(with_crc32("\n".join(lines) + "\n"), encoding="utf-8")
         trace = EpisodeTrace.load(path)
         assert trace.attempt == 1
         assert trace.category is None
@@ -687,12 +700,13 @@ class TestTraceFormat:
         path = tmp_path / "pp__a2.jsonl"
         hand_built_trace().save(path)
         path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
-        trace = EpisodeTrace.load(path)
-        assert trace.incomplete
-        assert (trace.theorem, trace.attempt, trace.category) == ("pp", 2, "implication")
-        assert (trace.records, trace.events, trace.outcome) == ([], [], None)
-        with pytest.raises(ValueError, match="incomplete"):
-            trace.save(tmp_path / "again.jsonl")
+        for read in (EpisodeTrace.load, EpisodeTrace.load_head):
+            trace = read(path)
+            assert trace.incomplete
+            assert (trace.theorem, trace.attempt, trace.category) == ("pp", 2, "implication")
+            assert (trace.records, trace.events, trace.outcome) == ([], [], None)
+            with pytest.raises(ValueError, match="incomplete"):
+                trace.save(tmp_path / "again.jsonl")
 
     def test_complete_trace_is_not_incomplete(self, tmp_path):
         path = tmp_path / "pp__a2.jsonl"
@@ -706,7 +720,7 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError) as error:
             EpisodeTrace.load(path)
         assert str(error.value) == (f"{path}: trace schema 'proofsearch-trace/1' is not "
-                                    "supported; this version reads 'proofsearch-trace/2'")
+                                    "supported; this version reads 'proofsearch-trace/3'")
 
     @pytest.mark.parametrize("edit", [
         lambda text: "",
@@ -723,5 +737,66 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError) as error:
             EpisodeTrace.load(path)
         message = str(error.value)
-        assert message.startswith(f"{path}: ") and "proofsearch-trace/2" in message
+        assert message.startswith(f"{path}: ") and "proofsearch-trace/3" in message
         assert "\n" not in message
+        with pytest.raises(TraceFormatError) as from_results:
+            results_from_traces(tmp_path)
+        assert str(from_results.value) == message
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace('["push", 1]', '["push", 7]'),  # an undefined state id
+        lambda text: text.replace('"ordinal": 2', '"ordinal": 2, "extra": 1'),
+        lambda text: text.replace('{"type": "note"', '{"type": "remark"'),
+    ], ids=["state-id", "record-field", "line-type"])
+    def test_body_that_matches_its_crc32_but_does_not_parse(self, tmp_path, edit):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        path.write_text(with_crc32(edit(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        with pytest.raises(TraceFormatError) as error:
+            EpisodeTrace.load(path)
+        assert str(error.value).startswith(f"{path}: unreadable proofsearch-trace/3 trace: ")
+        assert "\n" not in str(error.value)
+        assert EpisodeTrace.load_head(path).outcome.proved  # the head step reads no body
+
+    def test_same_length_body_edit_that_parses_raises(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        text = path.read_text(encoding="utf-8")
+        edited = text.replace('"prompt_text": "goal P -> P"', '"prompt_text": "goal Q -> P"')
+        assert edited != text and len(edited) == len(text)  # one character, still JSON
+        path.write_text(edited, encoding="utf-8")
+        expected = (f"{path}: damaged proofsearch-trace/3 trace: its lines do not match "
+                    "the crc32 on its outcome line")
+        for read in (EpisodeTrace.load, EpisodeTrace.load_head):
+            with pytest.raises(TraceFormatError) as error:
+                read(path)
+            assert str(error.value) == expected
+
+    def test_version_2_trace_names_its_file_and_schema(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        lines = [HAND_BUILT_LINES[0].replace("proofsearch-trace/3", "proofsearch-trace/2"),
+                 *HAND_BUILT_LINES[1:-1],
+                 HAND_BUILT_LINES[-1].replace('"crc32": 1387229639, ', "")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for read in (EpisodeTrace.load, EpisodeTrace.load_head):
+            with pytest.raises(TraceFormatError) as error:
+                read(path)
+            assert str(error.value) == (f"{path}: trace schema 'proofsearch-trace/2' is not "
+                                        "supported; this version reads 'proofsearch-trace/3'")
+
+    def test_head_holds_the_header_and_outcome_only(self, tmp_path):
+        path = tmp_path / "pp__a2.jsonl"
+        built = hand_built_trace()
+        built.save(path)
+        head = EpisodeTrace.load_head(path)
+        assert head.head_only and not head.incomplete
+        assert (head.records, head.events, head.notes) == ([], [], [])
+        for name in ("theorem", "config", "attempt", "category", "bad_reset", "outcome",
+                     "queries_used", "wall_seconds", "stage", "aborted"):
+            assert getattr(head, name) == getattr(built, name), name
+        assert head != EpisodeTrace.load(path)
+        with pytest.raises(ValueError, match="without its body"):
+            head.save(tmp_path / "again.jsonl")
+        with pytest.raises(ValueError, match="without its body"):
+            head.comparable()
+        assert not (tmp_path / "again.jsonl").exists()

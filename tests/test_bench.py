@@ -7,6 +7,7 @@ import json
 import random
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,12 +18,14 @@ from proofsearch.bench import (
     render_metrics_text,
     render_timing_text,
     replay_trace,
+    result_from_trace,
     results_from_traces,
     run_suite,
     trace_file_name,
     write_report,
     write_results_csv,
 )
+import proofsearch.agent
 import proofsearch.bridge
 import proofsearch.cli
 from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
@@ -818,11 +821,11 @@ class TestDamagedTraces:
             (right / "metrics.txt").read_text(encoding="utf-8")
             + "\nincomplete traces (excluded from metrics)\n  imp_self attempt 2\n")
 
-    def version_1(self, run, tmp_path):
+    def older_schema(self, run, tmp_path, version="1"):
         traces = self.copy_traces(run, tmp_path / "traces")
         path = traces / trace_file_name("imp_self", 1)
         path.write_text(path.read_text(encoding="utf-8").replace(
-            "proofsearch-trace/2", "proofsearch-trace/1", 1), encoding="utf-8")
+            "proofsearch-trace/3", f"proofsearch-trace/{version}", 1), encoding="utf-8")
         return traces, path
 
     def one_line_error(self, capsys, argv) -> str:
@@ -833,12 +836,36 @@ class TestDamagedTraces:
         return message
 
     def test_report_on_a_version_1_trace(self, run, tmp_path, capsys):
-        traces, path = self.version_1(run, tmp_path)
+        traces, path = self.older_schema(run, tmp_path)
         out = tmp_path / "report"
         message = self.one_line_error(
             capsys, ["report", "--traces", str(traces), "--out", str(out)])
         assert message == (f"proofsearch report: {path}: trace schema 'proofsearch-trace/1' "
-                           "is not supported; this version reads 'proofsearch-trace/2'")
+                           "is not supported; this version reads 'proofsearch-trace/3'")
+        assert not out.exists()
+
+    def test_report_on_a_version_2_trace(self, run, tmp_path, capsys):
+        traces, path = self.older_schema(run, tmp_path, version="2")
+        out = tmp_path / "report"
+        message = self.one_line_error(
+            capsys, ["report", "--traces", str(traces), "--out", str(out)])
+        assert message == (f"proofsearch report: {path}: trace schema 'proofsearch-trace/2' "
+                           "is not supported; this version reads 'proofsearch-trace/3'")
+        assert not out.exists()
+
+    def test_report_on_a_same_length_body_edit(self, run, tmp_path, capsys):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / trace_file_name("imp_self", 1)
+        text = path.read_text(encoding="utf-8")
+        at = text.index('"prompt_text": "') + len('"prompt_text": "')
+        edited = text[:at] + ("x" if text[at] != "x" else "y") + text[at + 1:]
+        path.write_text(edited, encoding="utf-8")
+        assert edited != text and all(json.loads(line) for line in edited.splitlines())
+        out = tmp_path / "report"
+        message = self.one_line_error(
+            capsys, ["report", "--traces", str(traces), "--out", str(out)])
+        assert message == (f"proofsearch report: {path}: damaged proofsearch-trace/3 trace: "
+                           "its lines do not match the crc32 on its outcome line")
         assert not out.exists()
 
     def test_report_on_an_unreadable_trace(self, run, tmp_path, capsys):
@@ -848,10 +875,10 @@ class TestDamagedTraces:
         message = self.one_line_error(
             capsys, ["report", "--traces", str(traces), "--out", str(tmp_path / "report")])
         assert message == (f"proofsearch report: {path}: not a trace file: its first line "
-                           "is not a proofsearch-trace/2 header")
+                           "is not a proofsearch-trace/3 header")
 
     def test_replay_verb_on_a_version_1_trace(self, run, tmp_path, capsys):
-        _, path = self.version_1(run, tmp_path)
+        _, path = self.older_schema(run, tmp_path)
         message = self.one_line_error(
             capsys, ["replay", "--trace", str(path), "--suite", str(SUITE_PATH)])
         assert message.startswith(f"proofsearch replay: {path}: trace schema "
@@ -865,7 +892,7 @@ class TestDamagedTraces:
         assert capsys.readouterr().out == f"imp_self: trace {path} is incomplete; nothing to verify\n"
 
     def test_replay_backend_on_a_version_1_trace(self, run, tmp_path, capsys):
-        traces, path = self.version_1(run, tmp_path)
+        traces, path = self.older_schema(run, tmp_path)
         out = tmp_path / "out"
         message = self.one_line_error(
             capsys, ["run", "--suite", str(SUITE_PATH), "--out", str(out), "--no-ensemble",
@@ -885,3 +912,108 @@ class TestDamagedTraces:
         assert exit_info.value.code == (
             f"--replay-dir {traces} has no complete trace imp_self__a2.jsonl")
         assert not out.exists()
+
+    def test_results_from_heads_equal_results_from_loads(self, run, tmp_path, capsys):
+        """`results_from_traces` reads only each trace's two ends; the
+        results are those of fully loaded traces, cut and aborted ones too."""
+        aborted = tmp_path / "aborted"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
+                  "--out", str(aborted), "--oracle-depth", "2", "--token-budget", "40"])
+        capsys.readouterr()
+        cut = self.copy_traces(run, tmp_path / "cut")
+        for attempt, at in ((1, -20), (2, -400)):
+            path = cut / trace_file_name("imp_self", attempt)
+            path.write_bytes(path.read_bytes()[:at])
+        for traces in (run / "traces", aborted / "traces", cut):
+            expected = [result_from_trace(EpisodeTrace.load(path))
+                        for path in sorted(traces.glob("*.jsonl"))]
+            assert results_from_traces(traces) == expected
+        assert any(r.aborted for r in results_from_traces(aborted / "traces"))
+        assert sum(r.failure_reason == "incomplete" for r in results_from_traces(cut)) == 2
+
+    def test_report_parses_two_lines_per_trace(self, run, monkeypatch):
+        """A guard against parsing whole bodies again to build a report."""
+        parsed = []
+        loads = proofsearch.agent.json.loads
+
+        def counting_loads(text):
+            parsed.append(text)
+            return loads(text)
+
+        monkeypatch.setattr(proofsearch.agent, "json", SimpleNamespace(loads=counting_loads))
+        results = results_from_traces(run / "traces")
+        assert len(results) == 64 and not any(r.failure_reason == "incomplete" for r in results)
+        assert len(parsed) == 2 * len(results)
+
+
+class FailingBackend:
+    """A guidance backend that fails the way a bug would, not as an
+    infrastructure failure, so the run stops."""
+
+    def complete(self, request):
+        raise RuntimeError("backend bug")
+
+
+class TestResume:
+    """`run --resume` keeps the complete traces of an interrupted run and
+    runs only the episodes it lacks."""
+
+    FLAGS = ["--corpus", str(CORPUS_PATH), "--oracle-depth", "2", "--attempts", "2"]
+
+    def run(self, out, monkeypatch, *flags, fail_at=None):
+        """A CLI run; returns the theorem of each episode it queried, in
+        order. With `fail_at`, that episode's backend raises."""
+        queried = []
+
+        def backend(theorem, max_depth):
+            queried.append(theorem.name)
+            if len(queried) == fail_at:
+                return FailingBackend()
+            return oracle_scripted_backend(theorem, max_depth=max_depth)
+
+        monkeypatch.setattr(proofsearch.cli, "oracle_scripted_backend", backend)
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), *self.FLAGS, *flags])
+        return queried
+
+    def test_resumed_run_matches_an_uninterrupted_one(self, tmp_path, monkeypatch, capsys):
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        episodes = self.run(whole, monkeypatch)
+        assert len(episodes) == 64
+        with pytest.raises(RuntimeError, match="backend bug"):
+            self.run(resumed, monkeypatch, fail_at=30)
+        assert not (resumed / "results.csv").exists()
+        cut = resumed / "traces" / trace_file_name(episodes[4], 1)  # episode 5 is cut short
+        cut.write_bytes(cut.read_bytes()[:-30])
+        assert self.run(resumed, monkeypatch, "--resume") == [episodes[4], *episodes[29:]]
+        capsys.readouterr()
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes(), name
+        assert run_digest(resumed) == run_digest(whole)
+
+        def rows(out):  # results.csv without its wall-clock column
+            lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+            column = lines[0].split(",").index("wall_seconds")
+            return [line.split(",")[:column] + line.split(",")[column + 1:] for line in lines]
+
+        assert rows(resumed) == rows(whole)
+
+    def test_resume_of_a_complete_run_queries_nothing(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        self.run(out, monkeypatch)
+        metrics = (out / "metrics.txt").read_bytes()
+        assert self.run(out, monkeypatch, "--resume") == []
+        assert capsys.readouterr().out.endswith(f"40/64 episodes proved; reports written to {out}\n")
+        assert (out / "metrics.txt").read_bytes() == metrics
+
+    def test_resume_with_other_flags_stops_before_any_episode(self, tmp_path, monkeypatch,
+                                                              capsys):
+        out = tmp_path / "out"
+        self.run(out, monkeypatch)
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in (out / "traces").iterdir()}
+        assert self.run(out, monkeypatch, "--resume", "--max-queries", "16") == []
+        captured = capsys.readouterr()
+        first = out / "traces" / trace_file_name("imp_self", 1)
+        assert captured.err == (f"proofsearch run: {first}: recorded with another search "
+                                "config; resume with the flags of the run that wrote it\n")
+        assert {p.name: p.read_bytes() for p in (out / "traces").iterdir()} == before

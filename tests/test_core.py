@@ -1,8 +1,8 @@
 """Core state model: obligations, QED, the progress order, canonical keys,
 and lifted transitions."""
 
+import json
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -182,6 +182,7 @@ class TestComputedOnce:
             key = canonical_key(state)
             for ob in state.obligations:
                 assert ob.hypothesis_map() == dict(sorted(ob.hypotheses))
+                assert ob.hypotheses_by_name == ob.hypothesis_map()
                 assert ob.hypothesis_contents() == frozenset(p for _, p in ob.hypotheses)
                 assert ob.sort_key() == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
             if not state.is_error:
@@ -191,16 +192,33 @@ class TestComputedOnce:
             assert repr(state) == repr(fresh)
             assert canonical_key(fresh) == key
 
+    def test_key_is_compact_json_of_the_ordered_obligations(self):
+        for state in random_states(13, 50):
+            payload = {"error": state.error_message,
+                       "obligations": [[ob.goal, sorted(ob.hypotheses)]
+                                       for ob in ordered_obligations(state)]}
+            assert canonical_key(state) == json.dumps(payload, ensure_ascii=False,
+                                                      separators=(",", ":"))
+
+    def test_name_view_is_read_only_and_kept(self):
+        ob = Obligation.make("P", {"h": "a = b", "g": "Q"})
+        assert ob.hypotheses_by_name is ob.hypotheses_by_name
+        with pytest.raises(TypeError):
+            ob.hypotheses_by_name["h"] = "R"
+        fresh = ob.hypothesis_map()
+        fresh["h"] = "R"
+        assert ob.hypothesis_map() == {"g": "Q", "h": "a = b"}
+
     def test_key_serialized_once_per_state(self, monkeypatch):
         calls = []
-        dumps = core.json.dumps
+        encode = core._encode_key
 
-        def counting_dumps(*args, **kwargs):
+        def counting_encode(*args, **kwargs):
             calls.append(args)
-            return dumps(*args, **kwargs)
+            return encode(*args, **kwargs)
 
         states = random_states(12, 50)
-        monkeypatch.setattr(core, "json", SimpleNamespace(dumps=counting_dumps))
+        monkeypatch.setattr(core, "_encode_key", counting_encode)
         first = [canonical_key(state) for state in states]
         assert len(calls) == len(states)
         assert [canonical_key(state) for state in states] == first

@@ -311,6 +311,21 @@ class TestTermTable:
                 assert parse_term(text) == term
         assert checked > 500
 
+    def test_steps_build_no_hypothesis_dict(self, suite, monkeypatch):
+        """A step looks names up in the obligation's kept view, not in a
+        fresh `hypothesis_map()` per tactic."""
+        steps = [(theorem, list(walk(ToyEnvironment(theorem), dict(theorem.lemmas))))
+                 for theorem in suite.theorems.values()]
+
+        def refused(self):
+            raise AssertionError("hypothesis_map called by a step")
+
+        monkeypatch.setattr(Obligation, "hypothesis_map", refused)
+        for theorem, walked in steps:
+            env = ToyEnvironment(theorem)
+            for state, tactic, result in walked:
+                assert env.apply_tactic(state, tactic) == result
+
     def test_kernel_obligations_equal_their_public_construction(self, suite):
         checked = memoized = 0
         for theorem in suite.theorems.values():
