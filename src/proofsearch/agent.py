@@ -167,10 +167,9 @@ def _unreadable(path, exc: Exception) -> TraceFormatError:
 
 
 def _derived_events(record: QueryRecord) -> list:
-    """The events that restate a query record, in the order the search
-    emits them: a sketch; or the prompt, the parse or parse error, and the
-    transition when the environment returned one. A trace file writes the
-    record in their place (docs/trace-format.md)."""
+    """The events a query record stands for in `EpisodeTrace.events`: a
+    sketch; or the prompt, the parse or parse error, and the transition
+    when the environment returned one (docs/trace-format.md)."""
     if record.result_class == "sketch":
         return [("sketch",)]
     events = [("promptify", record.state_key)]
@@ -192,8 +191,9 @@ class EpisodeTrace:
     attempt: int = 1
     category: str | None = None
     bad_reset: str = "per-stage"
-    records: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    # search events (tuples) and QueryRecords in the order they happened, as
+    # the trace file holds them; a record stands for its `_derived_events`
+    log: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     outcome: SearchOutcome | None = None
     queries_used: int = 0
@@ -203,12 +203,27 @@ class EpisodeTrace:
     # loaded from a file without its outcome line: only the header was read,
     # and the episode is excluded from metrics
     incomplete: bool = False
-    # read by `load_head`: the header and outcome line only, with no
-    # records, events or notes, so it can be neither saved nor compared
+    # read by `load_head`: the header and outcome line only, with an empty
+    # log and no notes, so it can be neither saved nor compared
     head_only: bool = False
 
     def event(self, *data):
-        self.events.append(tuple(data))
+        self.log.append(data)
+
+    @property
+    def records(self) -> tuple:
+        return tuple(item for item in self.log if isinstance(item, QueryRecord))
+
+    @property
+    def events(self) -> tuple:
+        """Every search event, each record expanded into its derived events."""
+        events = []
+        for item in self.log:
+            if isinstance(item, QueryRecord):
+                events += _derived_events(item)
+            else:
+                events.append(item)
+        return tuple(events)
 
     def _require_body(self, use: str):
         if self.head_only:
@@ -237,9 +252,8 @@ class EpisodeTrace:
 
     def save(self, path: str | Path):
         """Write the trace in the format of docs/trace-format.md. Raises
-        ValueError, and writes nothing, when the file would not load back
-        equal: for an incomplete trace, one read by `load_head`, or when the
-        events do not hold each record's derived events in record order."""
+        ValueError, and writes nothing, for an incomplete trace or one read
+        by `load_head`."""
         if self.incomplete:
             raise ValueError(f"trace of {self.theorem} is incomplete; it has nothing to save")
         self._require_body("save")
@@ -255,28 +269,15 @@ class EpisodeTrace:
                 append(_encode({"type": "state", "id": n, "key": key}))
             return n
 
-        def write_event(event):
-            if event[0] in _KEYED_EVENTS:
-                event = (event[0], state_id(event[1]), *event[2:])
-            append(_encode({"type": "event", "data": event}))
-
-        events = self.events
-        i = 0
-        for record in self.records:
-            derived = _derived_events(record)
-            end = i + len(derived)
-            while events[i:end] != derived:
-                if end >= len(events):
-                    raise ValueError(f"trace of {self.theorem}: the events do not hold "
-                                     f"the derived events of query {record.ordinal}")
-                write_event(events[i])
-                i, end = i + 1, end + 1
-            item = record.to_dict()
-            item["state_key"] = state_id(record.state_key)
-            append(_encode(item))
-            i = end
-        for event in events[i:]:
-            write_event(event)
+        for item in self.log:
+            if isinstance(item, QueryRecord):
+                line = item.to_dict()
+                line["state_key"] = state_id(item.state_key)
+            else:
+                if item[0] in _KEYED_EVENTS:
+                    item = (item[0], state_id(item[1]), *item[2:])
+                line = {"type": "event", "data": item}
+            append(_encode(line))
         for note in self.notes:
             append(_encode({"type": "note", "text": note}))
         data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -356,7 +357,6 @@ class EpisodeTrace:
             return trace
         try:
             keys: dict = {}
-            records, events = trace.records, trace.events
             # no line holds a raw newline, so the body is one JSON array
             for item in json.loads(b"[" + body.replace(b"\n", b",") + b"]"):
                 kind = item.pop("type")
@@ -364,12 +364,10 @@ class EpisodeTrace:
                     data = item["data"]
                     if data[0] in _KEYED_EVENTS:
                         data[1] = keys[data[1]]
-                    events.append(tuple(data))
+                    trace.log.append(tuple(data))
                 elif kind == "query":
                     item["state_key"] = keys[item["state_key"]]
-                    record = QueryRecord(**item)
-                    records.append(record)
-                    events += _derived_events(record)
+                    trace.log.append(QueryRecord(**item))
                 elif kind == "state":
                     keys[item["id"]] = item["key"]
                 elif kind == "note":
@@ -485,7 +483,6 @@ class _Searcher:
             else:
                 result, last_outcome = "progressed", "success"
             record.result_class = result
-            self.trace.event("transition", result)
             last_step = tactic
             if result == "qed":
                 raise _Proved(path + [tactic])
@@ -530,6 +527,7 @@ class _Searcher:
                 format_error_notice=notice,
             )
             prompt = promptify(bundle, self.config.token_budget, self.config.prompt_style)
+            # kept bare if the backend raises; its record replaces it otherwise
             self.trace.event("promptify", frame.key)
             request = CompletionRequest(
                 system=prompt.system,
@@ -549,14 +547,12 @@ class _Searcher:
                 stop_reason=completion.stop_reason,
                 latency_seconds=completion.latency_seconds,
             )
-            self.trace.records.append(record)
+            self.trace.log[-1] = record
             if isinstance(parsed, ParsedAction):
                 record.tactic = parsed.tactic
-                self.trace.event("parse", parsed.tactic)
                 return parsed.tactic, record
             record.format_error = parsed.reason
             record.result_class = "format-error"
-            self.trace.event("parse-error")
             notice = parsed.repair_message
         return None
 
@@ -630,7 +626,7 @@ def generate_informal_sketch(
         trace.notes.append(f"skipped: infrastructure failure: {exc}")
         return None
     ordinal = budget.consume()
-    trace.records.append(
+    trace.log.append(
         QueryRecord(
             ordinal=ordinal,
             stage=STAGE_INFORMAL,
@@ -643,7 +639,6 @@ def generate_informal_sketch(
             latency_seconds=completion.latency_seconds,
         )
     )
-    trace.event("sketch")
     return completion.text
 
 

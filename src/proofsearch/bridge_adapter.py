@@ -49,7 +49,7 @@ def serve(suite_path: str):
             request = json.loads(line)
             request_id = request.get("id")
             cmd = request.get("cmd")
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, AttributeError):  # not JSON, or not a JSON object
             _respond({"id": None, "status": "error", "message": "malformed request line"})
             continue
         if cmd == "shutdown":

@@ -67,6 +67,14 @@ def _config_from(args) -> SearchConfig:
         raise SystemExit(f"{_flag(name)} {rule}") from None
 
 
+def _read(flag: str, path: str, load):
+    """`load(path)`, or a one-line exit naming the flag and its unreadable file."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{flag} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def cmd_run(args) -> int:
     for flag, value, dest in [("backend", "replay", "replay_dir"), ("backend", "http", "base_url"),
                               ("backend", "http", "model"), ("env", "bridge", "bridge_cmd")]:
@@ -79,7 +87,7 @@ def cmd_run(args) -> int:
     if args.rate_limit is not None and args.rate_limit <= 0:
         raise SystemExit("--rate-limit must be > 0")
     config = _config_from(args)
-    suite = load_suite(args.suite)
+    suite = _read("--suite", args.suite, load_suite)
     recorded = {}
     if args.backend == "replay":  # every episode's trace, before any output
         for theorem in suite.theorems.values():
@@ -91,7 +99,7 @@ def cmd_run(args) -> int:
                 trace = recorded[name] = EpisodeTrace.load(path)
                 if trace.incomplete:
                     raise SystemExit(f"--replay-dir {args.replay_dir} has no complete trace {name}")
-    index = build_index(load_corpus(args.corpus)) if args.corpus else None
+    index = build_index(_read("--corpus", args.corpus, load_corpus)) if args.corpus else None
     bench = BenchmarkSuite(
         suite=suite,
         name=Path(args.suite).stem,
@@ -137,7 +145,10 @@ def cmd_replay(args) -> int:
     if trace.incomplete:
         print(f"{trace.theorem}: trace {args.trace} is incomplete; nothing to verify")
         return 1
-    suite = load_suite(args.suite)
+    suite = _read("--suite", args.suite, load_suite)
+    if trace.theorem not in suite.theorems:
+        raise SystemExit(f"--suite {args.suite} has no theorem {trace.theorem}, "
+                         f"the theorem of --trace {args.trace}")
     env = ToyEnvironment(suite.theorem(trace.theorem))
     if trace.outcome is None or not trace.outcome.proved:
         print(f"{trace.theorem}: trace reports no proof; nothing to verify")
@@ -168,7 +179,7 @@ def cmd_report(args) -> int:
 def cmd_oracle(args) -> int:
     if args.max_depth < 1:
         raise SystemExit("--max-depth must be >= 1")
-    suite = load_suite(args.suite)
+    suite = _read("--suite", args.suite, load_suite)
     found = 0
     for theorem in suite.theorems.values():
         proof = brute_force_prove(theorem, args.max_depth)

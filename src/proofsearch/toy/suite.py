@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .kernel import ToyTheorem
-from .terms import parse_term, print_term
+from .terms import TermParseError, parse_term, print_term
 
 
-class SuiteFormatError(Exception):
+class SuiteFormatError(ValueError):
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
@@ -37,6 +37,13 @@ class ToySuite:
         return self.theorems[name]
 
 
+def _term(text: str, line_number: int):
+    try:
+        return parse_term(text)
+    except TermParseError as exc:
+        raise SuiteFormatError(str(exc), line_number) from None
+
+
 def _split_named_term(body: str, line_number: int):
     name, sep, term_text = body.partition(":")
     if not sep:
@@ -44,7 +51,7 @@ def _split_named_term(body: str, line_number: int):
     name = name.strip()
     if not name:
         raise SuiteFormatError("missing name before ':'", line_number)
-    return name, parse_term(term_text)
+    return name, _term(term_text, line_number)
 
 
 def parse_suite(text: str) -> ToySuite:
@@ -68,14 +75,15 @@ def parse_suite(text: str) -> ToySuite:
                     raise SuiteFormatError("theorem needs a name", line_number)
                 if body in theorems:
                     raise SuiteFormatError(f"duplicate theorem {body!r}", line_number)
-                current = {"name": body, "goal": None, "hyps": [], "use": [], "category": None}
+                current = {"name": body, "line": line_number, "goal": None, "hyps": [],
+                           "use": [], "category": None}
             else:
                 raise SuiteFormatError(f"unexpected keyword {keyword!r}", line_number)
             continue
         if keyword == "goal":
             if current["goal"] is not None:
                 raise SuiteFormatError("theorem already has a goal", line_number)
-            current["goal"] = parse_term(body)
+            current["goal"] = _term(body, line_number)
         elif keyword == "hyp":
             name, term = _split_named_term(body, line_number)
             if any(name == existing for existing, _ in current["hyps"]):
@@ -102,7 +110,7 @@ def parse_suite(text: str) -> ToySuite:
         else:
             raise SuiteFormatError(f"unexpected keyword {keyword!r} inside theorem", line_number)
     if current is not None:
-        raise SuiteFormatError(f"theorem {current['name']!r} is missing 'end'", 0)
+        raise SuiteFormatError(f"theorem {current['name']!r} is missing 'end'", current["line"])
     return ToySuite(lemmas=lemmas, theorems=theorems)
 
 

@@ -198,7 +198,7 @@ def test_criterion_01_pseudocode_fidelity():
             backend = SequenceBackend([wrap(t) for t in responses])
             outcome, trace = run_plain(suite.theorem(name), backend)
             assert outcome.proved, name
-            assert trace.events == expected_events, name
+            assert list(trace.events) == expected_events, name
         assert time.perf_counter() - started < 1.0
 
 

@@ -528,7 +528,7 @@ class TestEnsemble:
         )
         assert outcome.failure_reason == REASON_TIMEOUT
         assert (env.initial_states, env.tactics) == (0, 0)
-        assert trace.events == []
+        assert trace.events == ()
 
 
 class TestDeterminismAndTrace:
@@ -569,24 +569,19 @@ def hand_built_trace():
         theorem="pp", config={"max_queries": 5, "prompt_style": "lean"},
         attempt=2, category="implication",
     )
-    trace.records.append(QueryRecord(
+    trace.event("push", "k0")
+    trace.event("retrieve", "k0", [["l_pq", 1.5]])
+    trace.log.append(QueryRecord(
         ordinal=1, stage=STAGE_PLAIN, state_key="k0", prompt_text="goal P -> P",
         prompt_tokens=4, response=wrap("intro h"), stop_reason=NATURAL_STOP,
         tactic="intro h", result_class="progressed", latency_seconds=0.25,
     ))
-    trace.records.append(QueryRecord(
+    trace.event("push", "k1")
+    trace.log.append(QueryRecord(
         ordinal=2, stage=STAGE_RETRIEVAL, state_key="k1", prompt_text="goal P",
         prompt_tokens=2, response="noise", stop_reason=NATURAL_STOP,
         format_error="no tactic", result_class="format-error", latency_seconds=0.1,
     ))
-    trace.event("push", "k0")
-    trace.event("retrieve", "k0", [["l_pq", 1.5]])
-    trace.event("promptify", "k0")  # the first record's derived events
-    trace.event("parse", "intro h")
-    trace.event("transition", "progressed")
-    trace.event("push", "k1")
-    trace.event("promptify", "k1")  # the second record's
-    trace.event("parse-error")
     trace.event("promptify", "k1")  # a prompt whose completion raised: no record
     trace.notes.append("skipped: budget")
     trace.outcome = SearchOutcome(proved=True, proof=("intro h", "exact h"))
@@ -654,7 +649,7 @@ class TestTraceFormat:
         hand_built_trace().save(path)
         assert path.read_text(encoding="utf-8").splitlines() == HAND_BUILT_LINES
         shorter = hand_built_trace()
-        shorter.records.pop()
+        shorter.log.remove(shorter.records[-1])
         shorter.save(path)
         fresh = tmp_path / "fresh.jsonl"
         shorter.save(fresh)
@@ -681,14 +676,6 @@ class TestTraceFormat:
         assert loaded.records == built.records
         assert loaded == built
 
-    def test_save_refuses_a_record_without_its_derived_events(self, tmp_path):
-        trace = hand_built_trace()
-        del trace.events[4]  # the first record's transition
-        path = tmp_path / "pp__a2.jsonl"
-        with pytest.raises(ValueError, match="derived events of query 1"):
-            trace.save(path)
-        assert not path.exists()
-
     @pytest.mark.parametrize("cut", [
         lambda text: text[:-9],  # inside the outcome line
         lambda text: text[:text.rindex('{"type": "outcome"')],  # before it
@@ -704,7 +691,7 @@ class TestTraceFormat:
             trace = read(path)
             assert trace.incomplete
             assert (trace.theorem, trace.attempt, trace.category) == ("pp", 2, "implication")
-            assert (trace.records, trace.events, trace.outcome) == ([], [], None)
+            assert (trace.records, trace.events, trace.outcome) == ((), (), None)
             with pytest.raises(ValueError, match="incomplete"):
                 trace.save(tmp_path / "again.jsonl")
 
@@ -790,7 +777,7 @@ class TestTraceFormat:
         built.save(path)
         head = EpisodeTrace.load_head(path)
         assert head.head_only and not head.incomplete
-        assert (head.records, head.events, head.notes) == ([], [], [])
+        assert (head.records, head.events, head.notes) == ((), (), [])
         for name in ("theorem", "config", "attempt", "category", "bad_reset", "outcome",
                      "queries_used", "wall_seconds", "stage", "aborted"):
             assert getattr(head, name) == getattr(built, name), name

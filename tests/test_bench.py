@@ -509,6 +509,27 @@ class TestOracleScriptedBackend:
         assert oracle_scripted_backend(theorem, max_depth=3) is None
 
 
+# files for the CLI's bad-input cases, written under each case's tmp_path
+BAD_INPUT_FILES = {
+    "garbage.toysuite": "garbage line\n",
+    "bad-term.toysuite": "theorem t\n  goal P ->\nend\n",
+    "other.toysuite": "theorem other\n  goal P -> P\nend\n",
+    "bad.tsv": "l_pq\tlemma\n",
+}
+
+
+def with_bad_inputs(tmp_path, argv, expected, **dirs):
+    """`argv` and `expected` with `{tmp}` and each of `dirs` filled in, once
+    BAD_INPUT_FILES are written under tmp_path."""
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+    def fill(text):
+        return text.format(tmp=tmp_path, **dirs)
+
+    return [fill(arg) for arg in argv], fill(expected)
+
+
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -603,9 +624,21 @@ class TestCli:
         (["--format-retry-cap", "-1"], "--format-retry-cap must be >= 0"),
         (["--backend", "replay", "--replay-dir", "no-such-run/traces"],
          "--replay-dir no-such-run/traces has no trace imp_self__a1.jsonl"),
+        (["--suite", "{tmp}/none.toysuite"],
+         "--suite {tmp}/none.toysuite: No such file or directory"),
+        (["--suite", "{tmp}/garbage.toysuite"],
+         "--suite {tmp}/garbage.toysuite: line 1: unexpected keyword 'garbage'"),
+        (["--suite", "{tmp}/bad-term.toysuite"],
+         "--suite {tmp}/bad-term.toysuite: line 2: unexpected end of input; "
+         "expected a term at position 4"),
+        (["--corpus", "{tmp}/bad.tsv"],
+         "--corpus {tmp}/bad.tsv: line 1: expected 'name<TAB>kind<TAB>statement'"),
+        (["--corpus", "{tmp}/none.tsv"], "--corpus {tmp}/none.tsv: No such file or directory"),
     ], ids=["attempts", "oracle-depth", "rate-limit", "max-queries", "timeout",
-            "format-retry-cap", "replay-dir"])
+            "format-retry-cap", "replay-dir", "suite-missing", "suite-malformed",
+            "suite-term", "corpus-malformed", "corpus-missing"])
     def test_bad_flag_value_rejected(self, tmp_path, flags, expected):
+        flags, expected = with_bad_inputs(tmp_path, flags, expected)
         assert self.run_without(tmp_path, flags) == expected
 
     @pytest.fixture(scope="class")
@@ -618,8 +651,17 @@ class TestCli:
         (["report", "--k-grid", "0"], "--k-grid values must be >= 1"),
         (["report", "--n-grid", "8", "0"], "--n-grid values must be >= 1"),
         (["oracle", "--max-depth", "0"], "--max-depth must be >= 1"),
-    ], ids=["k-grid", "n-grid", "max-depth"])
+        (["oracle", "--suite", "{tmp}/garbage.toysuite"],
+         "--suite {tmp}/garbage.toysuite: line 1: unexpected keyword 'garbage'"),
+        (["replay", "--trace", "{traces}/imp_self__a1.jsonl", "--suite", "{tmp}/none.toysuite"],
+         "--suite {tmp}/none.toysuite: No such file or directory"),
+        (["replay", "--trace", "{traces}/imp_self__a1.jsonl", "--suite", "{tmp}/other.toysuite"],
+         "--suite {tmp}/other.toysuite has no theorem imp_self, "
+         "the theorem of --trace {traces}/imp_self__a1.jsonl"),
+    ], ids=["k-grid", "n-grid", "max-depth", "oracle-suite-malformed", "replay-suite-missing",
+            "replay-suite-lacks-theorem"])
     def test_bad_verb_flag_value_rejected(self, tmp_path, traces, argv, expected):
+        argv, expected = with_bad_inputs(tmp_path, argv, expected, traces=traces)
         verb, *flags = argv
         out = tmp_path / "out"
         where = (["--traces", str(traces), "--out", str(out)] if verb == "report"

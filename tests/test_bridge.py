@@ -140,6 +140,17 @@ class TestConformance:
         assert responses[1]["status"] == "ok"
         assert proc.returncode == 0
 
+    def test_request_that_is_not_an_object_answered_not_fatal(self):
+        not_objects = [[1], 3, "reset", True, None]
+        responses, code = self.raw(
+            not_objects + [{"id": 1, "cmd": "reset"}, {"id": 2, "cmd": "shutdown"}]
+        )
+        malformed = {"id": None, "status": "error", "message": "malformed request line"}
+        assert responses[:len(not_objects)] == [malformed] * len(not_objects)
+        assert responses[len(not_objects):] == [{"id": 1, "status": "ok"},
+                                                {"id": 2, "status": "ok"}]
+        assert code == 0
+
     def test_unknown_command(self):
         responses, _ = self.raw(
             [{"id": 1, "cmd": "frobnicate"}, {"id": 2, "cmd": "shutdown"}]

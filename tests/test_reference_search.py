@@ -9,12 +9,15 @@ building their sets on the spot instead of reading an obligation's stored
 contents, and applies tactics through `apply_toy_tactic` with no term
 table. The backends are adversarial: malformed and cut-off responses,
 identity rewrites, tactics that error, and infrastructure failures at a
-random query.
+random query; for some seeds the environment also fails at a random
+tactic. The reference records every event itself, those a query
+record restates included, so the comparison also checks the events an
+`EpisodeTrace` derives from its records.
 """
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -26,7 +29,6 @@ from proofsearch.agent import (
     STAGE_INFORMAL,
     STAGE_PLAIN,
     STAGE_RETRIEVAL,
-    EpisodeTrace,
     QueryRecord,
     SearchConfig,
     SearchOutcome,
@@ -80,6 +82,23 @@ def reference_order(harder, easier) -> bool:
     )
 
 
+@dataclass
+class ReferenceTrace:
+    """What the reference records of an episode: every event as it happens,
+    the ones a query record restates included, and the records apart."""
+
+    events: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    outcome: SearchOutcome | None = None
+    queries_used: int = 0
+    stage: str = STAGE_PLAIN
+    aborted: bool = False
+
+    def event(self, *data):
+        self.events.append(tuple(data))
+
+
 class _Stop(Exception):
     def __init__(self, outcome):
         super().__init__(outcome)
@@ -90,13 +109,15 @@ class ReferenceSearch:
     """One episode: the stages share the query count, each stage gets a
     fresh failure table."""
 
-    def __init__(self, theorem, backend, config):
+    def __init__(self, theorem, backend, config, fail_at=None):
         self.theorem = theorem
         self.lemmas = dict(theorem.lemmas)
         self.backend = backend
         self.config = config
-        self.trace = EpisodeTrace(theorem=theorem.name, config=config.to_dict())
+        self.fail_at = fail_at  # the tactic at which the environment fails
+        self.trace = ReferenceTrace()
         self.queries = 0
+        self.tactics = 0
 
     def run_stage(self, stage, index, gctx):
         self.trace.stage = stage
@@ -131,6 +152,9 @@ class ReferenceSearch:
                                       last_outcome, stage)
             if tactic is None:
                 continue
+            self.tactics += 1
+            if self.tactics == self.fail_at:
+                raise BridgeFailure(f"environment failure at tactic {self.tactics}")
             new_state = apply_toy_tactic(state, tactic, self.lemmas)
             if new_state.is_qed:
                 result = "qed"
@@ -207,14 +231,14 @@ class ReferenceSearch:
         return completion.text
 
 
-def reference_prove(theorem, backend, index, gctx, config):
-    search = ReferenceSearch(theorem, backend, config)
+def reference_prove(theorem, backend, index, gctx, config, fail_at=None):
+    search = ReferenceSearch(theorem, backend, config, fail_at)
     outcome = search.run_stage(STAGE_PLAIN, index, gctx)
     return outcome, search.trace
 
 
-def reference_ensemble(theorem, backend, index, gctx, config):
-    search = ReferenceSearch(theorem, backend, config)
+def reference_ensemble(theorem, backend, index, gctx, config, fail_at=None):
+    search = ReferenceSearch(theorem, backend, config, fail_at)
     stages = [(STAGE_PLAIN, None)]
     if index is not None:
         stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
@@ -340,6 +364,32 @@ class ChaosBackend:
         return Completion(f"[RUN TACTIC] {tactic} [END]", NATURAL_STOP, 0.0)
 
 
+class FailingEnvironment(ToyEnvironment):
+    """The toy environment, raising a bridge failure at one tactic."""
+
+    def __init__(self, theorem, fail_at):
+        super().__init__(theorem)
+        self.fail_at = fail_at
+        self.tactics = 0
+
+    def apply_tactic(self, state, tactic):
+        self.tactics += 1
+        if self.tactics == self.fail_at:
+            raise BridgeFailure(f"environment failure at tactic {self.tactics}")
+        return super().apply_tactic(state, tactic)
+
+
+def environment_failure(seed):
+    """The tactic at which the environment fails for this seed, or None."""
+    rng = random.Random(f"environment {seed}")
+    return rng.randint(1, 12) if rng.random() < 0.2 else None
+
+
+def environment(seed, theorem):
+    fail_at = environment_failure(seed)
+    return ToyEnvironment(theorem) if fail_at is None else FailingEnvironment(theorem, fail_at)
+
+
 def random_config(rng):
     return SearchConfig(
         max_queries=rng.randint(1, 40),
@@ -368,9 +418,10 @@ def case(seed):
 
 def assert_same(actual, expected):
     (outcome, trace), (ref_outcome, ref_trace) = actual, expected
-    assert trace.events == ref_trace.events
-    assert trace.records == ref_trace.records
-    assert trace.comparable() == ref_trace.comparable()
+    assert list(trace.events) == ref_trace.events
+    assert list(trace.records) == ref_trace.records
+    for name in ("notes", "outcome", "queries_used", "stage", "aborted"):
+        assert getattr(trace, name) == getattr(ref_trace, name), name
     assert outcome == ref_outcome
 
 
@@ -382,25 +433,32 @@ class TestReferenceSearch:
     def test_prove_matches_reference(self, chunk):
         for seed in SEEDS[chunk::4]:
             theorem, config, index, gctx, backend = case(seed)
-            actual = prove(theorem.name, ToyEnvironment(theorem), backend(), index, gctx, config)
-            assert_same(actual, reference_prove(theorem, backend(), index, gctx, config))
+            actual = prove(theorem.name, environment(seed, theorem), backend(), index, gctx,
+                           config)
+            assert_same(actual, reference_prove(theorem, backend(), index, gctx, config,
+                                                environment_failure(seed)))
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_ensemble_matches_reference(self, chunk):
         for seed in SEEDS[chunk::4]:
             theorem, config, index, gctx, backend = case(seed)
-            actual = ensemble_prove(theorem.name, ToyEnvironment(theorem), backend(), index,
+            actual = ensemble_prove(theorem.name, environment(seed, theorem), backend(), index,
                                     gctx, config)
-            assert_same(actual, reference_ensemble(theorem, backend(), index, gctx, config))
+            assert_same(actual, reference_ensemble(theorem, backend(), index, gctx, config,
+                                                   environment_failure(seed)))
 
     def test_cases_reach_every_ending(self):
         """The seeds cover what the comparison must see: proofs, every
         failure reason, backtracks, rejected tactics, format repairs, the
-        depth cap, and more than one stage."""
+        depth cap, more than one stage, and an environment that raised
+        after a tactic parsed."""
         seen = set()
         for seed in SEEDS:
             theorem, config, index, gctx, backend = case(seed)
-            outcome, trace = reference_ensemble(theorem, backend(), index, gctx, config)
+            outcome, trace = reference_ensemble(theorem, backend(), index, gctx, config,
+                                                environment_failure(seed))
+            if any(r.tactic is not None and r.result_class is None for r in trace.records):
+                seen.add("environment raised")
             seen.add("proved" if outcome.proved else outcome.failure_reason)
             seen.update(event[0] for event in trace.events)
             seen.update(record.stage for record in trace.records)
@@ -410,5 +468,5 @@ class TestReferenceSearch:
             "proved", REASON_BUDGET, REASON_EXHAUSTED, REASON_INFRASTRUCTURE,
             "pop", "bad", "parse-error", "retrieve", "sketch",
             STAGE_RETRIEVAL, STAGE_INFORMAL, "no-progress", "error", "format-error",
-            "skipped",
+            "skipped", "environment raised",
         } <= seen

@@ -476,6 +476,10 @@ class TestSuiteFormat:
             ("theorem t\n  goal P\nend\ntheorem t\n  goal Q\nend\n", "duplicate theorem"),
             ("garbage line\n", "unexpected keyword"),
             ("theorem t\n  goal P\n  hyp h : P\n  hyp h : Q\nend\n", "duplicate hypothesis"),
+            ("lemma l : P\n\ntheorem t\n  goal P\n", "line 3: theorem 't' is missing 'end'"),
+            ("lemma l : P Q\n", "line 1: unexpected token 'Q'"),
+            ("theorem t\n  goal P ->\nend\n", "line 2: unexpected end of input"),
+            ("theorem t\n  goal P\n  hyp h : (P\nend\n", "line 3: expected ')'"),
         ],
     )
     def test_format_errors(self, text, fragment):

@@ -4,41 +4,13 @@ loads back equal to the one in memory and saves again to the same bytes.
 
 The cases reach every ending: proofs, each failure reason, a backend that
 raises after its prompt, a skipped sketch and one whose completion raised.
-An environment that raises after a tactic parsed is added here by wrapping
-the toy environment for some seeds.
+For some seeds the environment also raises after a tactic parsed (the
+reference test's `environment`).
 """
 
-import random
-
-import pytest
-
 from proofsearch.agent import EpisodeTrace, ensemble_prove, prove
-from proofsearch.bridge import BridgeFailure
-from proofsearch.toy import ToyEnvironment
 
-from test_reference_search import SEEDS, case
-
-
-class FailingEnvironment(ToyEnvironment):
-    """The toy environment, raising a bridge failure at one tactic."""
-
-    def __init__(self, theorem, fail_at):
-        super().__init__(theorem)
-        self.fail_at = fail_at
-        self.tactics = 0
-
-    def apply_tactic(self, state, tactic):
-        self.tactics += 1
-        if self.tactics == self.fail_at:
-            raise BridgeFailure(f"environment failure at tactic {self.tactics}")
-        return super().apply_tactic(state, tactic)
-
-
-def environment(seed, theorem):
-    rng = random.Random(f"environment {seed}")
-    if rng.random() < 0.2:
-        return FailingEnvironment(theorem, rng.randint(1, 12))
-    return ToyEnvironment(theorem)
+from test_reference_search import SEEDS, case, environment
 
 
 def traces():
@@ -82,17 +54,3 @@ def test_every_trace_round_trips(tmp_path):
         "backend raised after promptify", "environment raised after parse", "sketch",
         "skipped", "proved", "budget", "search exhausted", "infrastructure",
     } <= seen
-
-
-@pytest.mark.parametrize("kind", ["promptify", "parse", "parse-error", "transition", "sketch"])
-def test_save_refuses_a_trace_missing_a_derived_event(tmp_path, kind):
-    """Each kind of derived event, taken out of the first trace that has
-    one, makes `save` raise instead of writing a file that loads back
-    different."""
-    seed, trace = next((seed, trace) for seed, trace in traces() if trace.records
-                       and any(event[0] == kind for event in trace.events))
-    del trace.events[next(i for i, event in enumerate(trace.events) if event[0] == kind)]
-    path = tmp_path / "trace.jsonl"
-    with pytest.raises(ValueError, match="derived events of query"):
-        trace.save(path)
-    assert not path.exists(), seed
