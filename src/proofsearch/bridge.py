@@ -20,13 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    Obligation,
-    ProofEnvironment,
-    ProofState,
-    canonical_key,
-    ordered_obligations,
-)
+from .core import Obligation, ProofEnvironment, ProofState, canonical_key
 
 
 class BridgeFailure(Exception):
@@ -41,18 +35,6 @@ class BridgeConfig:
     def __post_init__(self):
         if self.timeout_seconds <= 0:
             raise ValueError("timeout must be > 0")
-
-
-def obligations_to_wire(state: ProofState) -> list:
-    return [
-        {
-            "goal": ob.goal,
-            "hypotheses": [
-                {"name": name, "prop": prop} for name, prop in sorted(ob.hypotheses)
-            ],
-        }
-        for ob in ordered_obligations(state)
-    ]
 
 
 def obligations_from_wire(payload: list) -> frozenset:

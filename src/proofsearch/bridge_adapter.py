@@ -2,7 +2,8 @@
 wire protocol. Run as `python -m proofsearch.bridge_adapter SUITE_FILE`.
 
 Used by the integration tests as the reference adapter, and as a template
-for adapters that wrap real provers.
+for adapters that wrap real provers. It imports only `core` and `toy`:
+every spawn pays for what it imports.
 """
 
 from __future__ import annotations
@@ -10,9 +11,20 @@ from __future__ import annotations
 import json
 import sys
 
-from .bridge import obligations_to_wire
-from .core import ProofState
+from .core import ProofState, ordered_obligations
 from .toy import ToyEnvironment, load_suite
+
+
+def obligations_to_wire(state: ProofState) -> list:
+    return [
+        {
+            "goal": ob.goal,
+            "hypotheses": [
+                {"name": name, "prop": prop} for name, prop in sorted(ob.hypotheses)
+            ],
+        }
+        for ob in ordered_obligations(state)
+    ]
 
 
 def _respond(payload: dict):

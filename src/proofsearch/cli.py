@@ -31,7 +31,7 @@ from .llm import (
     HttpBackendConfig,
     RateLimiter,
     ReplayBackend,
-    SequenceBackend,
+    ScriptedBackend,
 )
 from .prompts import system_prompt
 from .retrieval import build_index, load_corpus
@@ -115,7 +115,7 @@ def cmd_run(args) -> int:
             backend = oracle_scripted_backend(theorem, max_depth=args.oracle_depth)
             if backend is None:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
-                backend = SequenceBackend([])
+                backend = ScriptedBackend({})
         elif args.backend == "replay":
             trace = recorded[trace_file_name(theorem.name, attempt)]
             backend = ReplayBackend(trace.records, system_prompt(trace.config["prompt_style"]))
@@ -141,7 +141,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace = EpisodeTrace.load(args.trace)
+    try:
+        trace = EpisodeTrace.load(args.trace)
+    except OSError as exc:  # not `_read`: a TraceFormatError goes on to `main`
+        raise SystemExit(f"--trace {args.trace}: {exc.strerror or exc}") from None
     if trace.incomplete:
         print(f"{trace.theorem}: trace {args.trace} is incomplete; nothing to verify")
         return 1

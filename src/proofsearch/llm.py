@@ -1,9 +1,10 @@
 """Guidance-model backends.
 
-Three families: a remote chat-completions HTTP client, deterministic
-scripted backends for tests, and a replay of an earlier run's trace. All
-of them enforce the inference discipline of the search: temperature 0 and
-exactly one completion per call.
+Three families: a remote chat-completions HTTP client, a deterministic
+scripted backend (the oracle's proofs, keyed by state), and a replay of an
+earlier run's trace. All of them enforce the inference discipline of the
+search: temperature 0 and exactly one completion per call. Tests also use
+`SequenceBackend` from tests/conftest.py, which replies in a fixed order.
 """
 
 from __future__ import annotations
@@ -58,23 +59,6 @@ class ScriptedBackend(GuidanceBackend):
         ordinal = self._ordinals.get(state_key, 0) + 1
         self._ordinals[state_key] = ordinal
         text = self.program.get((state_key, ordinal), self.default)
-        return Completion(text, NATURAL_STOP, 0.0)
-
-
-class SequenceBackend(GuidanceBackend):
-    """Replies with a fixed response sequence, then with the default."""
-
-    def __init__(self, responses: Sequence[str], default: str = ""):
-        self.responses = list(responses)
-        self.default = default
-        self._cursor = 0
-
-    def complete(self, request: CompletionRequest) -> Completion:
-        if self._cursor < len(self.responses):
-            text = self.responses[self._cursor]
-            self._cursor += 1
-        else:
-            text = self.default
         return Completion(text, NATURAL_STOP, 0.0)
 
 

@@ -3,16 +3,15 @@ keyword-structured agent prompt, and parsing model responses back into
 tactics.
 
 The agent-prompt grammar and the response grammar are documented in
-docs/prompt-grammar.md; `check_agent_grammar` is the reference checker for
-the former. System prompts are fixed per environment style and shipped as
-assets.
+docs/prompt-grammar.md; `check_agent_grammar` in tests/test_prompts.py is
+the reference checker for the former. System prompts are fixed per
+environment style and shipped as assets.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -234,79 +233,3 @@ def parse_tactic(response: str, stop_reason: str = NATURAL_STOP):
         return fail("empty tactic between [RUN TACTIC] and [END]")
     return ParsedAction(tactic)
 
-
-# --- reference checker for the agent-prompt grammar ---
-
-_KEYWORD_LINE = re.compile(
-    r"\[(GOALS|GOAL|HYPOTHESES|HYPOTHESIS|DEFINITIONS|DEFINITION|THEOREMS|THEOREM|"
-    r"INFORMAL-PROOF|STEPS|INCORRECT STEPS|LAST STEP|SUCCESS|ERROR MESSAGE|ERROR|END)\]"
-)
-
-
-class GrammarViolation(Exception):
-    pass
-
-
-def _expect(condition: bool, message: str):
-    if not condition:
-        raise GrammarViolation(message)
-
-
-def check_agent_grammar(text: str) -> bool:
-    """Validate an agent prompt against the grammar; raises on violation."""
-    lines = text.split("\n")
-    _expect(bool(lines) and lines[0] == "[GOALS]", "prompt must open with [GOALS]")
-    _expect(lines[-1].endswith("[END]"), "prompt must close with [END]")
-    i = 1
-    goal_index = 0
-    # goal blocks
-    while i < len(lines) and lines[i].startswith("[GOAL] "):
-        goal_index += 1
-        _expect(lines[i] == f"[GOAL] {goal_index}", f"goal numbering broken at {lines[i]!r}")
-        i += 1
-        _expect(i < len(lines) and not _KEYWORD_LINE.match(lines[i]),
-                f"[GOAL] {goal_index} has no goal text")
-        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
-            i += 1
-        for header, entry in (
-            (f"[HYPOTHESES] {goal_index}", "[HYPOTHESIS] "),
-            (f"[DEFINITIONS] {goal_index}", "[DEFINITION] "),
-            (f"[THEOREMS] {goal_index}", "[THEOREM] "),
-        ):
-            if i < len(lines) and lines[i] == header:
-                i += 1
-                _expect(i < len(lines) and lines[i].startswith(entry),
-                        f"{header} section is empty")
-                while i < len(lines) and lines[i].startswith(entry):
-                    i += 1
-    _expect(goal_index >= 1, "at least one [GOAL] block required")
-
-    if i < len(lines) and lines[i] == "[INFORMAL-PROOF]":
-        i += 1
-        _expect(i < len(lines) and not _KEYWORD_LINE.match(lines[i]),
-                "[INFORMAL-PROOF] section is empty")
-        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
-            i += 1
-    if i < len(lines) and lines[i].startswith("[STEPS]"):
-        _expect(lines[i].startswith("[STEPS][STEP]"), "[STEPS] must list [STEP] entries")
-        i += 1
-    if i < len(lines) and lines[i].startswith("[INCORRECT STEPS]"):
-        _expect(lines[i].startswith("[INCORRECT STEPS][STEP]"),
-                "[INCORRECT STEPS] must list [STEP] entries")
-        i += 1
-    if i < len(lines) and lines[i].startswith("[LAST STEP]"):
-        _expect(lines[i] != "[LAST STEP]", "[LAST STEP] must carry the step text")
-        i += 1
-        _expect(i < len(lines) and (lines[i] == "[SUCCESS]" or lines[i].startswith("[ERROR MESSAGE]")),
-                "[LAST STEP] must be followed by [SUCCESS] or [ERROR MESSAGE]")
-        i += 1
-        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
-            i += 1
-    if i < len(lines) and lines[i] == "[ERROR]":
-        # repair notice: free text ending with [END]
-        i = len(lines) - 1
-        _expect(lines[i].endswith("[END]"), "repair notice must end with [END]")
-        return True
-    _expect(i == len(lines) - 1 and lines[i] == "[END]",
-            f"unexpected content near line {i + 1}: {lines[min(i, len(lines) - 1)]!r}")
-    return True

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import ProofState, ordered_obligations
 
@@ -99,16 +99,6 @@ def _weight(index: RetrievalIndex, idf: float, tf: int, length: int) -> float:
     )
 
 
-def bm25_score(index: RetrievalIndex, query_tokens: Sequence[str], doc_index: int) -> float:
-    length = index.doc_lengths[doc_index]
-    score = 0.0
-    for term in query_tokens:
-        tf = index.postings.get(term, []).count(doc_index)
-        if tf:
-            score += _weight(index, _idf(index, term), tf, length)
-    return score
-
-
 def state_query(state: ProofState) -> str:
     parts = []
     for obligation in ordered_obligations(state):
@@ -122,9 +112,10 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> list:
     non-increasing; ties broken by name ascending.
 
     Each query token, duplicates included, adds its weight to the records
-    in its postings, in query order, so every score is the same sum as
-    `bm25_score` gives. Fewer than k_retrieve scored records are followed
-    by zero-score records in name order."""
+    in its postings, in query order, so every score is the same sum as the
+    record-by-record `bm25_score` in tests/test_retrieval.py gives. Fewer
+    than k_retrieve scored records are followed by zero-score records in
+    name order."""
     if state.is_error:
         raise ValueError("retrieval query requires a non-error state")
     if not index.records or k_retrieve <= 0:
@@ -166,13 +157,12 @@ def parse_corpus(text: str) -> list:
         if name in seen:
             raise ValueError(f"line {line_number}: duplicate record name {name!r}")
         seen.add(name)
-        records.append(LemmaRecord(name=name, statement=statement, kind=kind))
+        try:
+            records.append(LemmaRecord(name=name, statement=statement, kind=kind))
+        except ValueError as exc:  # an unknown kind
+            raise ValueError(f"line {line_number}: {exc}") from None
     return records
 
 
 def load_corpus(path: str | Path) -> list:
     return parse_corpus(Path(path).read_text(encoding="utf-8"))
-
-
-def write_corpus(records: Iterable[LemmaRecord]) -> str:
-    return "".join(f"{r.name}\t{r.kind}\t{r.statement}\n" for r in records)

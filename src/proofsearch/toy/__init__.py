@@ -3,8 +3,8 @@ oracle, and the theorem-suite file format."""
 
 from .kernel import ToyEnvironment, ToyTheorem, apply_toy_tactic
 from .oracle import brute_force_prove, candidate_tactics
-from .suite import ToySuite, load_suite, parse_suite, write_suite
-from .tactics import ToyTactic, ToyTacticParseError, parse_toy_tactic, print_toy_tactic
+from .suite import ToySuite, load_suite, parse_suite
+from .tactics import ToyTactic, ToyTacticParseError, parse_toy_tactic
 from .terms import And, Atom, Eq, Implies, Term, TermParseError, parse_term, print_term
 
 __all__ = [
@@ -27,6 +27,4 @@ __all__ = [
     "parse_term",
     "parse_toy_tactic",
     "print_term",
-    "print_toy_tactic",
-    "write_suite",
 ]

@@ -9,8 +9,8 @@
       category TAG               optional free-form label
     end                          closes the record
 
-`write_suite` emits this canonical layout; round-tripping a suite through
-write + parse yields an equal suite.
+`write_suite` in tests/test_toy.py emits this canonical layout;
+round-tripping a suite through write + parse yields an equal suite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .kernel import ToyTheorem
-from .terms import TermParseError, parse_term, print_term
+from .terms import TermParseError, parse_term
 
 
 class SuiteFormatError(ValueError):
@@ -112,26 +112,6 @@ def parse_suite(text: str) -> ToySuite:
     if current is not None:
         raise SuiteFormatError(f"theorem {current['name']!r} is missing 'end'", current["line"])
     return ToySuite(lemmas=lemmas, theorems=theorems)
-
-
-def write_suite(suite: ToySuite) -> str:
-    lines = []
-    for name, term in suite.lemmas.items():
-        lines.append(f"lemma {name} : {print_term(term)}")
-    if suite.lemmas:
-        lines.append("")
-    for theorem in suite.theorems.values():
-        lines.append(f"theorem {theorem.name}")
-        lines.append(f"  goal {print_term(theorem.goal)}")
-        for hyp_name, term in theorem.hypotheses:
-            lines.append(f"  hyp {hyp_name} : {print_term(term)}")
-        for lemma_name, _ in theorem.lemmas:
-            lines.append(f"  use {lemma_name}")
-        if theorem.category:
-            lines.append(f"  category {theorem.category}")
-        lines.append("end")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
 
 
 def load_suite(path: str | Path) -> ToySuite:

@@ -119,20 +119,3 @@ def parse_toy_tactic(text: str) -> ToyTactic:
         )
     return Rw(args[0], reverse=False)
 
-
-def print_toy_tactic(tactic: ToyTactic) -> str:
-    if isinstance(tactic, Intro):
-        return f"intro {tactic.name}"
-    if isinstance(tactic, Split):
-        return "split"
-    if isinstance(tactic, Assumption):
-        return "assumption"
-    if isinstance(tactic, Exact):
-        return f"exact {tactic.name}"
-    if isinstance(tactic, Refl):
-        return "refl"
-    if isinstance(tactic, Rw):
-        return f"rw ← {tactic.name}" if tactic.reverse else f"rw {tactic.name}"
-    if isinstance(tactic, Apply):
-        return f"apply {tactic.name}"
-    raise TypeError(f"not a toy tactic: {tactic!r}")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from proofsearch.llm import Completion, GuidanceBackend
+from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import build_index, load_corpus
 from proofsearch.toy import load_suite
 
@@ -33,6 +35,23 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_index(corpus):
     return build_index(corpus)
+
+
+class SequenceBackend(GuidanceBackend):
+    """Replies with a fixed response sequence, then with the default."""
+
+    def __init__(self, responses, default=""):
+        self.responses = list(responses)
+        self.default = default
+        self._cursor = 0
+
+    def complete(self, request):
+        if self._cursor < len(self.responses):
+            text = self.responses[self._cursor]
+            self._cursor += 1
+        else:
+            text = self.default
+        return Completion(text, NATURAL_STOP, 0.0)
 
 
 def wrap(tactic: str) -> str:

@@ -34,7 +34,6 @@ from proofsearch.llm import (
     Completion,
     ReplayBackend,
     ScriptedBackend,
-    SequenceBackend,
 )
 from proofsearch.metrics import (
     EpisodeResult,
@@ -46,17 +45,17 @@ from proofsearch.prompts import (
     LENGTH_CAP,
     NATURAL_STOP,
     ParsedAction,
-    check_agent_grammar,
     parse_tactic,
     promptify,
 )
-from proofsearch.retrieval import LemmaRecord, bm25_score, build_index, tokenize
+from proofsearch.retrieval import LemmaRecord, build_index, tokenize
 from proofsearch.toy import ToyEnvironment, brute_force_prove, parse_suite
 
-from conftest import fuzz_bundle, fuzz_tactic, wrap
+from conftest import SequenceBackend, fuzz_bundle, fuzz_tactic, wrap
 from test_bridge import LOOPBACK, differential_pairs
 from test_core import brute_force_order, random_state
-from test_retrieval import naive_bm25
+from test_prompts import check_agent_grammar
+from test_retrieval import bm25_score, naive_bm25
 
 
 @contextmanager

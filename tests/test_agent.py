@@ -38,13 +38,12 @@ from proofsearch.llm import (
     GuidanceBackend,
     InfrastructureFailure,
     ScriptedBackend,
-    SequenceBackend,
 )
 from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import build_index
 from proofsearch.toy import ToyEnvironment, parse_suite
 
-from conftest import wrap
+from conftest import SequenceBackend, wrap
 
 
 SCENARIOS = """

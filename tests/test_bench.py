@@ -30,7 +30,6 @@ import proofsearch.bridge
 import proofsearch.cli
 from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
 from proofsearch.cli import main as cli_main
-from proofsearch.llm import SequenceBackend
 from proofsearch.metrics import (
     EpisodeResult,
     aggregate_stats,
@@ -40,7 +39,7 @@ from proofsearch.metrics import (
 )
 from proofsearch.toy import ToyEnvironment, brute_force_prove, parse_suite
 
-from conftest import CORPUS_PATH, SUITE_PATH
+from conftest import CORPUS_PATH, SUITE_PATH, SequenceBackend
 
 
 def result(theorem, proved, queries=10, seconds=5.0, attempt=1, **kwargs):
@@ -515,6 +514,7 @@ BAD_INPUT_FILES = {
     "bad-term.toysuite": "theorem t\n  goal P ->\nend\n",
     "other.toysuite": "theorem other\n  goal P -> P\nend\n",
     "bad.tsv": "l_pq\tlemma\n",
+    "bad-kind.tsv": "# kinds are lemma and definition\nl_pq\ttheorem\tP -> Q\n",
 }
 
 
@@ -570,6 +570,20 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "imp_self\tproved\tintro h; exact h" in out
+
+    def test_oracle_backend_without_a_proof_replies_empty(self, tmp_path, capsys):
+        suite = tmp_path / "two-steps.toysuite"
+        suite.write_text("theorem t\n  goal P -> P\nend\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli_main(["run", "--suite", str(suite), "--out", str(out), "--no-ensemble",
+                         "--oracle-depth", "1", "--max-queries", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "warning: oracle found no proof for t" in captured.err
+        assert "0/1 episodes proved" in captured.out
+        records = EpisodeTrace.load(out / "traces" / trace_file_name("t", 1)).records
+        assert records and {(r.response, r.stop_reason) for r in records} == {
+            ("", "natural-stop")}
 
     def test_rate_limit_builds_one_shared_limiter(self, tmp_path, monkeypatch, capsys):
         built = []
@@ -634,9 +648,11 @@ class TestCli:
         (["--corpus", "{tmp}/bad.tsv"],
          "--corpus {tmp}/bad.tsv: line 1: expected 'name<TAB>kind<TAB>statement'"),
         (["--corpus", "{tmp}/none.tsv"], "--corpus {tmp}/none.tsv: No such file or directory"),
+        (["--corpus", "{tmp}/bad-kind.tsv"],
+         "--corpus {tmp}/bad-kind.tsv: line 2: unknown record kind 'theorem'"),
     ], ids=["attempts", "oracle-depth", "rate-limit", "max-queries", "timeout",
             "format-retry-cap", "replay-dir", "suite-missing", "suite-malformed",
-            "suite-term", "corpus-malformed", "corpus-missing"])
+            "suite-term", "corpus-malformed", "corpus-missing", "corpus-kind"])
     def test_bad_flag_value_rejected(self, tmp_path, flags, expected):
         flags, expected = with_bad_inputs(tmp_path, flags, expected)
         assert self.run_without(tmp_path, flags) == expected
@@ -658,8 +674,10 @@ class TestCli:
         (["replay", "--trace", "{traces}/imp_self__a1.jsonl", "--suite", "{tmp}/other.toysuite"],
          "--suite {tmp}/other.toysuite has no theorem imp_self, "
          "the theorem of --trace {traces}/imp_self__a1.jsonl"),
+        (["replay", "--trace", "{tmp}/none.jsonl"],
+         "--trace {tmp}/none.jsonl: No such file or directory"),
     ], ids=["k-grid", "n-grid", "max-depth", "oracle-suite-malformed", "replay-suite-missing",
-            "replay-suite-lacks-theorem"])
+            "replay-suite-lacks-theorem", "replay-trace-missing"])
     def test_bad_verb_flag_value_rejected(self, tmp_path, traces, argv, expected):
         argv, expected = with_bad_inputs(tmp_path, argv, expected, traces=traces)
         verb, *flags = argv

@@ -16,8 +16,8 @@ from proofsearch.bridge import (
     BridgeFailure,
     BridgeSession,
     obligations_from_wire,
-    obligations_to_wire,
 )
+from proofsearch.bridge_adapter import obligations_to_wire
 from proofsearch.core import Obligation, ProofState, canonical_key
 from proofsearch.toy import ToyEnvironment, brute_force_prove, candidate_tactics
 
@@ -173,6 +173,18 @@ class TestConformance:
     def test_shutdown_exits_zero(self):
         _, code = self.raw([{"id": 1, "cmd": "shutdown"}])
         assert code == 0
+
+    def test_adapter_imports_only_the_prover_it_serves(self):
+        """Every spawn pays for what the adapter imports: `core` and `toy`,
+        not the search, the prompts, the model clients, retrieval or the
+        bridge client with its subprocess and queue."""
+        code = "import sys, proofsearch.bridge_adapter; print(' '.join(sys.modules))"
+        loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, check=True).stdout.split())
+        assert {"proofsearch.core", "proofsearch.toy"} <= loaded
+        unused = {"proofsearch.agent", "proofsearch.prompts", "proofsearch.llm",
+                  "proofsearch.retrieval", "proofsearch.bridge", "subprocess", "queue"}
+        assert sorted(loaded & unused) == []
 
 
 class TestSessionReuse:

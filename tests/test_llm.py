@@ -17,9 +17,10 @@ from proofsearch.llm import (
     RateLimiter,
     ReplayBackend,
     ScriptedBackend,
-    SequenceBackend,
 )
 from proofsearch.prompts import LENGTH_CAP, NATURAL_STOP
+
+from conftest import SequenceBackend
 
 
 def request_for(state_key="s", system="sys", text="hello"):

