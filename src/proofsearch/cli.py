@@ -76,16 +76,20 @@ def _read(flag: str, path: str, load):
 
 
 def cmd_run(args) -> int:
-    for flag, value, dest in [("backend", "replay", "replay_dir"), ("backend", "http", "base_url"),
-                              ("backend", "http", "model"), ("env", "bridge", "bridge_cmd")]:
-        if getattr(args, flag) == value and not getattr(args, dest):  # before any output
-            raise SystemExit(f"--{dest.replace('_', '-')} is required for --{flag} {value}")
-    if args.attempts < 1:
+    if args.attempts < 1:  # these checks come before any output
         raise SystemExit("--attempts must be >= 1")
     if args.oracle_depth < 1:
         raise SystemExit("--oracle-depth must be >= 1")
     if args.rate_limit is not None and args.rate_limit <= 0:
         raise SystemExit("--rate-limit must be > 0")
+    # each backend's flags: whether it needs them, and that no other backend is given them
+    for backend, dest, required in [("replay", "replay_dir", True), ("http", "base_url", True),
+                                    ("http", "model", True), ("http", "rate_limit", False)]:
+        flag = "--" + dest.replace("_", "-")
+        if args.backend == backend and required and not getattr(args, dest):
+            raise SystemExit(f"{flag} is required for --backend {backend}")
+        if args.backend != backend and getattr(args, dest) is not None:
+            raise SystemExit(f"{flag} needs --backend {backend}")
     config = _config_from(args)
     suite = _read("--suite", args.suite, load_suite)
     recorded = {}
@@ -103,7 +107,7 @@ def cmd_run(args) -> int:
     bench = BenchmarkSuite(
         suite=suite,
         name=Path(args.suite).stem,
-        environment=args.env,
+        environment="bridge" if args.bridge_cmd else "toy",
         bridge_command=shlex.split(args.bridge_cmd) if args.bridge_cmd else None,
         index=index,
     )
@@ -214,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-ensemble", action="store_true",
                      help="one stage, labelled plain, instead of the staged ensemble; "
                           "it retrieves when --corpus is given")
-    run.add_argument("--env", choices=["toy", "bridge"], default="toy")
-    run.add_argument("--bridge-cmd", help="adapter command line for --env bridge")
+    run.add_argument("--bridge-cmd",
+                     help="adapter command line; the run then steps tactics through it")
     run.add_argument("--base-url", help="chat-completions base URL (http backend)")
     run.add_argument("--model", help="model id (http backend)")
     run.add_argument("--api-key-env", default="PROOFSEARCH_API_KEY")

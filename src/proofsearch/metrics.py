@@ -8,7 +8,6 @@ are excluded from every denominator and surfaced separately.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -51,12 +50,11 @@ def pass_at_k_with_n_queries(
     results: Iterable[EpisodeResult], k: int, n: int
 ) -> float:
     """Fraction of theorems proved by one of the first k attempts using at
-    most n guidance queries."""
+    most n guidance queries; 0.0 when there is no theorem."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     grouped = _by_theorem(_valid(results))
     if not grouped:
-        warnings.warn("pass@k-with-n-queries over an empty result set", stacklevel=2)
         return 0.0
     passed = sum(
         1
@@ -152,11 +150,9 @@ def build_report(
     results = list(results)
     report = MetricsReport(stats=aggregate_stats(results))
     valid = _valid(results)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in attempts_grid:
-            for n in n_grid:
-                report.pass_grid.append((k, n, pass_at_k_with_n_queries(valid, k, n)))
+    for k in attempts_grid:
+        for n in n_grid:
+            report.pass_grid.append((k, n, pass_at_k_with_n_queries(valid, k, n)))
     for k in seconds_grid:
         report.seconds_curve.append((k, pass_at_k_seconds(valid, k)))
     categories = sorted({r.category for r in valid if r.category})

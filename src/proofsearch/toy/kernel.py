@@ -18,6 +18,20 @@ because printed text is already whitespace-normalized and
 own hypotheses, which are normalized already. The table belongs to one
 `ToyEnvironment`, which means one episode; nothing is cached at module
 level or stored on a `Term`.
+
+A step reads the tactic's text itself. Accepted forms:
+
+    intro NAME
+    split
+    assumption
+    exact NAME
+    refl
+    rw NAME          rewrite left-to-right with equation NAME
+    rw <- NAME       rewrite right-to-left ("←" is accepted too)
+    apply NAME
+
+A single trailing comma is tolerated (Lean habit). Anything else is a
+parse error whose message doubles as environment feedback.
 """
 
 from __future__ import annotations
@@ -26,19 +40,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..core import Obligation, ProofEnvironment, ProofState, ordered_obligations
-from .tactics import (
-    Apply,
-    Assumption,
-    Exact,
-    Intro,
-    Refl,
-    Rw,
-    Split,
-    ToyTactic,
-    ToyTacticParseError,
-    parse_toy_tactic,
-)
 from .terms import And, Eq, Implies, Term, parse_term, print_term
+
+KNOWN_TACTICS = ("apply", "assumption", "exact", "intro", "refl", "rw", "split")
+_EXPECTED = "expected one of: " + ", ".join(KNOWN_TACTICS)
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,38 @@ def _rewrite(term: Term, old: Term, new: Term) -> tuple:
     return term, 0
 
 
+def _read_tactic(text: str) -> tuple | str:
+    """`(head, name, reverse)` of a tactic's text, or the parse-error
+    message. `name` is None for a tactic that takes none; `reverse` is
+    True only for `rw <-` and `rw ←`."""
+    raw = text.strip()
+    if raw.endswith(","):
+        raw = raw[:-1].rstrip()
+    if not raw:
+        return f"empty tactic at position 0; {_EXPECTED}"
+    head, *args = raw.split()
+    if head not in KNOWN_TACTICS:
+        return f"unknown tactic {head!r} at position 0; {_EXPECTED}"
+    at = f"at position {len(head) + 1}"
+    if head in ("split", "assumption", "refl"):
+        return f"{head!r} takes no argument {at}" if args else (head, None, False)
+    if head != "rw":
+        if len(args) != 1:
+            return f"expected exactly one name after {head!r} {at}"
+        return head, args[0], False
+    written = "rw"
+    if args and args[0] in ("<-", "←"):
+        written = f"rw {args.pop(0)}"
+    if len(args) != 1:
+        return f"expected an equation name after '{written}' {at}"
+    return head, args[0], written != "rw"
+
+
 def _step(
-    focused: Obligation, tactic: ToyTactic, lemmas: Mapping[str, Term], terms: dict,
-    texts: dict,
+    focused: Obligation, head: str, name: str | None, reverse: bool,
+    lemmas: Mapping[str, Term], terms: dict, texts: dict,
 ) -> list | str:
-    """Apply a parsed tactic to one obligation.
+    """Apply a read tactic to one obligation.
 
     Returns the replacement obligations on success, or an error message.
     """
@@ -99,74 +131,65 @@ def _step(
     goal = parsed(focused.goal)
     hyps = focused.hypotheses_by_name
 
-    def equation_named(name: str) -> Term | None:
-        if name in hyps:
-            return parsed(hyps[name])
-        if name in lemmas:
-            return lemmas[name]
-        return None
-
-    if isinstance(tactic, Intro):
+    if head == "intro":
         if not isinstance(goal, Implies):
             return "intro failed: goal is not an implication"
-        if tactic.name in hyps:
-            return f"intro failed: hypothesis name '{tactic.name}' already in use"
-        new_hyp = (tactic.name, printed(goal.lhs))
+        if name in hyps:
+            return f"intro failed: hypothesis name '{name}' already in use"
+        new_hyp = (name, printed(goal.lhs))
         return [child(goal.rhs, focused.hypotheses | {new_hyp})]
 
-    if isinstance(tactic, Split):
+    if head == "split":
         if not isinstance(goal, And):
             return "split failed: goal is not a conjunction"
         return [child(goal.lhs), child(goal.rhs)]
 
-    if isinstance(tactic, Assumption):
+    if head == "assumption":
         if focused.goal in focused.hypothesis_contents():
             return []
         return "assumption failed: no hypothesis matches the goal"
 
-    if isinstance(tactic, Exact):
-        if tactic.name not in hyps:
-            return f"exact failed: no hypothesis named '{tactic.name}'"
-        if hyps[tactic.name] != focused.goal:
-            return f"exact failed: hypothesis '{tactic.name}' does not match the goal"
+    if head == "exact":
+        if name not in hyps:
+            return f"exact failed: no hypothesis named '{name}'"
+        if hyps[name] != focused.goal:
+            return f"exact failed: hypothesis '{name}' does not match the goal"
         return []
 
-    if isinstance(tactic, Refl):
+    if head == "refl":
         if not isinstance(goal, Eq):
             return "refl failed: goal is not an equality"
         if goal.lhs != goal.rhs:
             return "refl failed: sides of the equality are not syntactically equal"
         return []
 
-    if isinstance(tactic, Rw):
-        equation = equation_named(tactic.name)
+    if head == "rw":
+        equation = parsed(hyps[name]) if name in hyps else lemmas.get(name)
         if equation is None:
-            return f"rw failed: no equation named '{tactic.name}'"
+            return f"rw failed: no equation named '{name}'"
         if not isinstance(equation, Eq):
-            return f"rw failed: '{tactic.name}' is not an equation"
-        old, new = (equation.rhs, equation.lhs) if tactic.reverse else (equation.lhs, equation.rhs)
+            return f"rw failed: '{name}' is not an equation"
+        old, new = (equation.rhs, equation.lhs) if reverse else (equation.lhs, equation.rhs)
         rewritten, count = _rewrite(goal, old, new)
         if count == 0:
             return f"rw failed: no occurrences of '{print_term(old, texts)}' in the goal"
         return [child(rewritten)]
 
-    if isinstance(tactic, Apply):
-        lemma = lemmas.get(tactic.name)
-        if lemma is None:
-            return f"apply failed: no lemma named '{tactic.name}'"
-        if isinstance(lemma, Implies):
-            if print_term(lemma.rhs, texts) != focused.goal:
-                return f"apply failed: conclusion of '{tactic.name}' does not match the goal"
-            return [child(lemma.lhs)]
-        if print_term(lemma, texts) != focused.goal:
-            return f"apply failed: '{tactic.name}' does not match the goal"
-        return []
-
-    raise TypeError(f"not a toy tactic: {tactic!r}")
+    # apply NAME
+    lemma = lemmas.get(name)
+    if lemma is None:
+        return f"apply failed: no lemma named '{name}'"
+    if isinstance(lemma, Implies):
+        if print_term(lemma.rhs, texts) != focused.goal:
+            return f"apply failed: conclusion of '{name}' does not match the goal"
+        return [child(lemma.lhs)]
+    if print_term(lemma, texts) != focused.goal:
+        return f"apply failed: '{name}' does not match the goal"
+    return []
 
 
 def apply_toy_tactic(
-    state: ProofState, tactic: str | ToyTactic, lemmas: Mapping[str, Term],
+    state: ProofState, tactic: str, lemmas: Mapping[str, Term],
     terms: dict | None = None, texts: dict | None = None,
 ) -> ProofState:
     """Pure transition function of the toy environment.
@@ -181,13 +204,11 @@ def apply_toy_tactic(
         return state
     if state.is_qed:
         return ProofState.error(state.obligations, "no goals: the proof is already complete")
-    if isinstance(tactic, str):
-        try:
-            tactic = parse_toy_tactic(tactic)
-        except ToyTacticParseError as exc:
-            return ProofState.error(state.obligations, str(exc))
+    read = _read_tactic(tactic)
+    if isinstance(read, str):
+        return ProofState.error(state.obligations, read)
     focused, *rest = ordered_obligations(state)
-    result = _step(focused, tactic, lemmas, {} if terms is None else terms,
+    result = _step(focused, *read, lemmas, {} if terms is None else terms,
                    {} if texts is None else texts)
     if isinstance(result, str):
         return ProofState.error(state.obligations, result)

@@ -3,9 +3,9 @@
 Iterative-deepening search over the full tactic alphabet instantiated with
 the names in scope. Returns a shortest proof; among shortest proofs the
 one least under the canonical tactic order wins, because candidates are
-explored in that order. The canonical order is by tactic class — intro,
-split, exact, assumption, refl, rw, apply — with names ascending inside a
-class (and the forward direction before the reverse one for rw).
+explored in that order. The canonical order is by tactic — intro, split,
+exact, assumption, refl, rw, apply — with names ascending inside a tactic
+(and the forward direction before the reverse one for rw).
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ from proofsearch.prompts import (
     promptify,
 )
 from proofsearch.retrieval import LemmaRecord, build_index, tokenize
-from proofsearch.toy import ToyEnvironment, brute_force_prove, parse_suite
+from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy.suite import parse_suite
 
 from conftest import SequenceBackend, fuzz_bundle, fuzz_tactic, wrap
 from test_bridge import LOOPBACK, differential_pairs

@@ -41,7 +41,8 @@ from proofsearch.llm import (
 )
 from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import build_index
-from proofsearch.toy import ToyEnvironment, parse_suite
+from proofsearch.toy import ToyEnvironment
+from proofsearch.toy.suite import parse_suite
 
 from conftest import SequenceBackend, wrap
 

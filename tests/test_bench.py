@@ -37,7 +37,8 @@ from proofsearch.metrics import (
     pass_at_k_seconds,
     pass_at_k_with_n_queries,
 )
-from proofsearch.toy import ToyEnvironment, brute_force_prove, parse_suite
+from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy.suite import parse_suite
 
 from conftest import CORPUS_PATH, SUITE_PATH, SequenceBackend
 
@@ -72,9 +73,8 @@ class TestPassAtKQueries:
         ]
         assert pass_at_k_with_n_queries(results, k=1, n=60) == pytest.approx(1 / 3)
 
-    def test_empty_returns_zero_with_warning(self):
-        with pytest.warns(UserWarning):
-            assert pass_at_k_with_n_queries([], 1, 60) == 0.0
+    def test_empty_returns_zero(self):
+        assert pass_at_k_with_n_queries([], 1, 60) == 0.0
 
     def test_first_k_attempts_only(self):
         results = [
@@ -502,8 +502,6 @@ class TestBridgedRunSuite:
 
 class TestOracleScriptedBackend:
     def test_unprovable_theorem_gives_none(self):
-        from proofsearch.toy import parse_suite
-
         theorem = parse_suite("theorem q\n  goal Q\nend\n").theorem("q")
         assert oracle_scripted_backend(theorem, max_depth=3) is None
 
@@ -621,13 +619,23 @@ class TestCli:
         message = self.run_without(tmp_path, ["--backend", "replay"])
         assert message == "--replay-dir is required for --backend replay"
 
-    def test_bridge_env_needs_bridge_cmd(self, tmp_path):
-        message = self.run_without(tmp_path, ["--env", "bridge"])
-        assert message == "--bridge-cmd is required for --env bridge"
-
     def test_http_backend_needs_base_url_and_model(self, tmp_path):
         message = self.run_without(tmp_path, ["--backend", "http", "--base-url", "http://x"])
         assert message == "--model is required for --backend http"
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--replay-dir", "no-such-run/traces"], "--replay-dir needs --backend replay"),
+        (["--backend", "http", "--base-url", "http://localhost:1", "--model", "m",
+          "--replay-dir", "no-such-run/traces"], "--replay-dir needs --backend replay"),
+        (["--base-url", "http://localhost:1"], "--base-url needs --backend http"),
+        (["--model", "m"], "--model needs --backend http"),
+        (["--rate-limit", "0.001"], "--rate-limit needs --backend http"),
+        (["--backend", "replay", "--replay-dir", "no-such-run/traces", "--model", "m"],
+         "--model needs --backend http"),
+    ], ids=["replay-dir", "replay-dir-with-http", "base-url", "model", "rate-limit",
+            "model-with-replay"])
+    def test_flag_without_its_backend_rejected(self, tmp_path, flags, expected):
+        assert self.run_without(tmp_path, flags) == expected
 
     @pytest.mark.parametrize("flags, expected", [
         (["--attempts", "0"], "--attempts must be >= 1"),
@@ -763,7 +771,7 @@ class TestCli:
         cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(toy), *flags])
         code = cli_main(
             ["run", "--suite", str(SUITE_PATH), "--out", str(bridged), *flags,
-             "--env", "bridge", "--bridge-cmd",
+             "--bridge-cmd",
              f"{sys.executable} -m proofsearch.bridge_adapter {SUITE_PATH}"]
         )
         assert code == 0

@@ -19,7 +19,8 @@ from proofsearch.bridge import (
 )
 from proofsearch.bridge_adapter import obligations_to_wire
 from proofsearch.core import Obligation, ProofState, canonical_key
-from proofsearch.toy import ToyEnvironment, brute_force_prove, candidate_tactics
+from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy.oracle import candidate_tactics
 
 from conftest import SUITE_PATH
 

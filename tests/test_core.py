@@ -18,7 +18,8 @@ from proofsearch.core import (
     normalize_text,
     ordered_obligations,
 )
-from proofsearch.toy import ToyEnvironment, parse_suite
+from proofsearch.toy import ToyEnvironment
+from proofsearch.toy.suite import parse_suite
 
 
 def state_of(*pairs):

@@ -49,8 +49,9 @@ from proofsearch.prompts import (
     sketch_prompt,
 )
 from proofsearch.retrieval import LemmaRecord, build_index, retrieve
-from proofsearch.toy import ToyEnvironment, ToyTheorem, apply_toy_tactic, print_term
-from proofsearch.toy.terms import And, Atom, Eq, Implies
+from proofsearch.toy import ToyEnvironment, ToyTheorem
+from proofsearch.toy.kernel import apply_toy_tactic
+from proofsearch.toy.terms import And, Atom, Eq, Implies, print_term
 
 # --- the reference ------------------------------------------------------------
 

@@ -16,18 +16,10 @@ from proofsearch.core import (
     lift_transition,
     normalize_text,
 )
-from proofsearch.toy import (
-    ToyEnvironment,
-    ToyTacticParseError,
-    brute_force_prove,
-    candidate_tactics,
-    load_suite,
-    parse_suite,
-    parse_toy_tactic,
-)
+from proofsearch.toy import ToyEnvironment, brute_force_prove, load_suite
 from proofsearch.toy.kernel import ToyTheorem, apply_toy_tactic
-from proofsearch.toy.suite import SuiteFormatError
-from proofsearch.toy.tactics import Apply, Assumption, Exact, Intro, Refl, Rw, Split
+from proofsearch.toy.oracle import candidate_tactics
+from proofsearch.toy.suite import SuiteFormatError, parse_suite
 from proofsearch.toy.terms import (
     And,
     Atom,
@@ -92,58 +84,69 @@ class TestTerms:
             parse_term("P + Q")
 
 
-def print_toy_tactic(tactic):
-    if isinstance(tactic, Intro):
-        return f"intro {tactic.name}"
-    if isinstance(tactic, Split):
-        return "split"
-    if isinstance(tactic, Assumption):
-        return "assumption"
-    if isinstance(tactic, Exact):
-        return f"exact {tactic.name}"
-    if isinstance(tactic, Refl):
-        return "refl"
-    if isinstance(tactic, Rw):
-        return f"rw ← {tactic.name}" if tactic.reverse else f"rw {tactic.name}"
-    if isinstance(tactic, Apply):
-        return f"apply {tactic.name}"
-    raise TypeError(f"not a toy tactic: {tactic!r}")
-
-
 class TestTacticSyntax:
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("intro h", Intro("h")),
-            ("split", Split()),
-            ("assumption", Assumption()),
-            ("exact hp", Exact("hp")),
-            ("refl", Refl()),
-            ("rw h1", Rw("h1")),
-            ("rw <- h1", Rw("h1", reverse=True)),
-            ("rw ← h1", Rw("h1", reverse=True)),
-            ("apply lem", Apply("lem")),
-            ("  intro h ,", Intro("h")),
-        ],
-    )
+    """Tactic text reaches the kernel through `apply_toy_tactic`. Each
+    accepted form steps it, a variant steps like its canonical form, and
+    malformed text gives an error state whose message reaches prompts and
+    traces byte for byte."""
+
+    KNOWN = "expected one of: apply, assumption, exact, intro, refl, rw, split"
+    MALFORMED = {
+        "": f"empty tactic at position 0; {KNOWN}",
+        "  ,": f"empty tactic at position 0; {KNOWN}",
+        "linarith": f"unknown tactic 'linarith' at position 0; {KNOWN}",
+        "intro": "expected exactly one name after 'intro' at position 6",
+        "  intro": "expected exactly one name after 'intro' at position 6",
+        "intro a b": "expected exactly one name after 'intro' at position 6",
+        "split now": "'split' takes no argument at position 6",
+        "refl x": "'refl' takes no argument at position 5",
+        "rw": "expected an equation name after 'rw' at position 3",
+        "rw <-": "expected an equation name after 'rw <-' at position 3",
+        "rw ← a b": "expected an equation name after 'rw ←' at position 3",
+        "exact": "expected exactly one name after 'exact' at position 6",
+        "apply a b": "expected exactly one name after 'apply' at position 6",
+    }
+
+    # each accepted form, with a goal it applies to and the goals it leaves
+    @pytest.mark.parametrize("text, expected", [
+        ("intro h", ("P -> Q", ["Q"])),
+        ("split", ("P /\\ Q", ["P", "Q"])),
+        ("assumption", ("P", [])),
+        ("exact hp", ("P", [])),
+        ("refl", ("a = a", [])),
+        ("rw h1", ("a = c", ["b = c"])),
+        ("rw <- h1", ("b = c", ["a = c"])),
+        ("rw ← h1", ("b = c", ["a = c"])),
+        ("apply lem", ("Q", ["P"])),
+        ("  intro h ,", ("P -> Q", ["Q"])),
+    ])
     def test_parse(self, text, expected):
-        assert parse_toy_tactic(text) == expected
+        goal, left = expected
+        theorem = theorem_of(goal, hyps=[("hp", "P"), ("h1", "a = b")], lemmas=[("lem", "P -> Q")])
+        state = run(theorem, text)
+        assert not state.is_error
+        assert sorted(obligation.goal for obligation in state.obligations) == left
+
+    @pytest.mark.parametrize("variant, canonical, goal, hyps", [
+        ("rw <- h1", "rw ← h1", "b = b", [("h1", "a = b")]),
+        ("  intro h ,", "intro h", "P -> Q", []),
+    ], ids=["rw-arrow", "whitespace-and-comma"])
+    def test_variant_steps_like_canonical_form(self, variant, canonical, goal, hyps):
+        theorem = theorem_of(goal, hyps=hyps)
+        expected = run(theorem, canonical)
+        assert not expected.is_error
+        assert run(theorem, variant) == expected
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
+    def test_malformed_rejected(self, text):
+        theorem = theorem_of("P -> P")
+        state = run(theorem, text)
+        assert state == ProofState.error(theorem.initial_state().obligations,
+                                         self.MALFORMED[text])
 
     def test_unknown_tactic_message(self):
-        with pytest.raises(ToyTacticParseError) as info:
-            parse_toy_tactic("linarith")
-        assert "unknown tactic 'linarith'" in str(info.value)
-        assert "expected one of" in str(info.value)
-
-    @pytest.mark.parametrize("text", ["", "intro", "intro a b", "split now", "rw", "rw <-"])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ToyTacticParseError):
-            parse_toy_tactic(text)
-
-    def test_print_round_trip(self):
-        for tactic in (Intro("h"), Split(), Assumption(), Exact("hp"), Refl(),
-                       Rw("e"), Rw("e", reverse=True), Apply("l")):
-            assert parse_toy_tactic(print_toy_tactic(tactic)) == tactic
+        state = run(theorem_of("P"), "  nlinarith h1 h2,")
+        assert state.error_message == f"unknown tactic 'nlinarith' at position 0; {self.KNOWN}"
 
 
 def theorem_of(goal, hyps=(), lemmas=(), name="t"):
