@@ -26,6 +26,7 @@ from .core import (
     ProofState,
     at_least_as_hard,
     canonical_key,
+    encode_json,
     ordered_obligations,
 )
 from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
@@ -151,9 +152,6 @@ _TRAILER_FIELDS = ("queries_used", "wall_seconds", "stage", "aborted")
 _KEYED_EVENTS = frozenset(("push", "retrieve", "bad", "pop", "promptify"))
 _TRANSITIONS = frozenset(("qed", "progressed", "error", "no-progress"))
 
-# One encoder for every line: `json.dumps` with a keyword builds a new one per call
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
 
 class TraceFormatError(ValueError):
     """A trace file this version cannot read: another schema, not a trace
@@ -257,8 +255,8 @@ class EpisodeTrace:
         if self.incomplete:
             raise ValueError(f"trace of {self.theorem} is incomplete; it has nothing to save")
         self._require_body("save")
-        lines = [_encode({"type": "header", "schema": TRACE_SCHEMA,
-                          **_field_dict(self, _HEADER_FIELDS)})]
+        lines = [encode_json({"type": "header", "schema": TRACE_SCHEMA,
+                               **_field_dict(self, _HEADER_FIELDS)})]
         append = lines.append
         ids: dict = {}
 
@@ -266,7 +264,7 @@ class EpisodeTrace:
             n = ids.get(key)
             if n is None:
                 n = ids[key] = len(ids)
-                append(_encode({"type": "state", "id": n, "key": key}))
+                append(encode_json({"type": "state", "id": n, "key": key}))
             return n
 
         for item in self.log:
@@ -277,14 +275,14 @@ class EpisodeTrace:
                 if item[0] in _KEYED_EVENTS:
                     item = (item[0], state_id(item[1]), *item[2:])
                 line = {"type": "event", "data": item}
-            append(_encode(line))
+            append(encode_json(line))
         for note in self.notes:
-            append(_encode({"type": "note", "text": note}))
+            append(encode_json({"type": "note", "text": note}))
         data = ("\n".join(lines) + "\n").encode("utf-8")
         outcome = self.outcome or SearchOutcome(proved=False)
-        last = _encode({"type": "outcome", **outcome.to_dict(),
-                        **_field_dict(self, _TRAILER_FIELDS),
-                        "crc32": zlib.crc32(data), "lines": len(lines)})
+        last = encode_json({"type": "outcome", **outcome.to_dict(),
+                             **_field_dict(self, _TRAILER_FIELDS),
+                             "crc32": zlib.crc32(data), "lines": len(lines)})
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         overwrite_text(path, data + last.encode("utf-8") + b"\n")

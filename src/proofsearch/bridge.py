@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Obligation, ProofEnvironment, ProofState, canonical_key
+from .core import Obligation, ProofEnvironment, ProofState, canonical_key, encode_json
 
 
 class BridgeFailure(Exception):
@@ -75,7 +75,7 @@ class BridgeSession:
         self._next_id += 1
         request = {"id": self._next_id, "cmd": cmd, **fields}
         try:
-            self._proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
+            self._proc.stdin.write(encode_json(request) + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise BridgeFailure(f"adapter pipe broken: {exc}") from exc

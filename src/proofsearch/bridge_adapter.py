@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .core import ProofState, ordered_obligations
+from .core import ProofState, encode_json, ordered_obligations
 from .toy import ToyEnvironment, load_suite
 
 
@@ -28,7 +28,7 @@ def obligations_to_wire(state: ProofState) -> list:
 
 
 def _respond(payload: dict):
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
+    sys.stdout.write(encode_json(payload) + "\n")
     sys.stdout.flush()
 
 

@@ -141,6 +141,10 @@ def cmd_run(args) -> int:
     write_report(results, out_dir)
     proved = sum(1 for r in results if r.proved)
     print(f"{proved}/{len(results)} episodes proved; reports written to {out_dir}")
+    if results and all(r.aborted for r in results):
+        print(f"all {len(results)} episodes aborted; see {out_dir / 'results.csv'}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -182,6 +182,8 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
 
 # One encoder for every key: `json.dumps` with a keyword builds a new one per call
 _encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# One encoder for every trace line and wire message, for the same reason
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def canonical_key(state: ProofState) -> str:

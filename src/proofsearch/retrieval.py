@@ -35,7 +35,7 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaRecord:
     name: str
     statement: str
@@ -153,12 +153,13 @@ def parse_corpus(text: str) -> list:
             raise ValueError(
                 f"line {line_number}: expected 'name<TAB>kind<TAB>statement'"
             )
-        name, kind, statement = (f.strip() for f in fields)
+        name, kind, statement = fields
+        name, kind, statement = name.strip(), kind.strip(), statement.strip()
         if name in seen:
             raise ValueError(f"line {line_number}: duplicate record name {name!r}")
         seen.add(name)
         try:
-            records.append(LemmaRecord(name=name, statement=statement, kind=kind))
+            records.append(LemmaRecord(name, statement, kind))
         except ValueError as exc:  # an unknown kind
             raise ValueError(f"line {line_number}: {exc}") from None
     return records

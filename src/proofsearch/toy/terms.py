@@ -112,8 +112,10 @@ def _tokenize(text: str):
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            if text[pos:].strip():
-                raise TermParseError(f"unexpected character {text.lstrip()[0]!r}", pos)
+            rest = text[pos:]
+            if rest.strip():
+                bad = pos + len(rest) - len(rest.lstrip())  # past the whitespace at `pos`
+                raise TermParseError(f"unexpected character {text[bad]!r}", bad)
             break
         tokens.append((match.group(1), match.start(1)))
         pos = match.end()

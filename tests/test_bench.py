@@ -706,16 +706,16 @@ class TestCli:
                        "--attempts", "2"])
         assert message == f"--replay-dir {first / 'traces'} has no trace imp_self__a2.jsonl"
 
-    def run_twice(self, tmp_path, flags, replay_flags=()):
-        """A run, then a replay of it from its traces; returns both output
-        directories."""
+    def run_twice(self, tmp_path, flags, replay_flags=(), replay_code=0):
+        """A run, then a replay of it from its traces that must exit with
+        `replay_code`; returns both output directories."""
         out1, out2 = tmp_path / "first", tmp_path / "second"
         cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out1), *flags])
         code = cli_main(
             ["run", "--suite", str(SUITE_PATH), "--out", str(out2), *flags,
              "--backend", "replay", "--replay-dir", str(out1 / "traces"), *replay_flags]
         )
-        assert code == 0
+        assert code == replay_code
         return out1, out2
 
     def test_record_then_replay_backend(self, tmp_path, capsys):
@@ -738,7 +738,7 @@ class TestCli:
 
     def test_replay_of_a_different_question_aborts(self, tmp_path, capsys):
         out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--no-ensemble"],
-                                    ["--k-retrieve", "1"])
+                                    ["--k-retrieve", "1"], replay_code=1)
         assert "0/32 episodes proved" in capsys.readouterr().out
         for path in sorted((out2 / "traces").iterdir()):
             trace = EpisodeTrace.load(path)
@@ -789,6 +789,17 @@ class TestCli:
         assert session.commands.count("reset") == 63  # once per episode after the first
         assert session.commands.count("init") == 40 + 3 * 24
         assert_all_closed(recorded_sessions)
+
+    def test_run_where_every_episode_aborts_exits_non_zero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out),
+                         "--bridge-cmd", f"{sys.executable} -c pass"])  # exits at once
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.endswith(f"0/32 episodes proved; reports written to {out}\n")
+        assert captured.err == f"all 32 episodes aborted; see {out / 'results.csv'}\n"
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 32 and all(row.endswith(",1,infrastructure") for row in rows)
 
     def test_token_budget_too_small_aborts_only_its_episode(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,8 +1,10 @@
 """BM25 retrieval: index construction, scoring against a naive reference,
 ranking determinism, and the corpus file format."""
 
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -302,6 +304,94 @@ class TestRankingMatchesFullScan:
             self.assert_matches(empty, state, k)
 
 
+def reference_index(records):
+    """The index fields `build_index` must give, from a plain loop: each
+    record's lower-cased name and statement split on non-alphanumerics."""
+    docs = [re.findall(r"[a-z0-9]+", f"{r.name} {r.statement}".lower()) for r in records]
+    postings = {}
+    for i, doc in enumerate(docs):
+        for term in doc:
+            postings.setdefault(term, []).append(i)
+    lengths = [len(doc) for doc in docs]
+    return {
+        "records": tuple(records),
+        "postings": postings,
+        "doc_lengths": tuple(lengths),
+        "avg_doc_length": sum(lengths) / len(records) if records else 0.0,
+        "doc_freq": {term: len(set(posting)) for term, posting in postings.items()},
+        "by_name": tuple(sorted(range(len(records)), key=lambda i: records[i].name)),
+    }
+
+
+NAME_PARTS = ["Nat", "gcd", "Comm", "LIST", "app", "x1", "Mul"]
+STATEMENT_WORDS = ["a", "B", "gcd", "Gcd", "(x", "y)", "->", "=", "/\\", "x*Y", "f(a,b)", "0"]
+
+
+def corpus_text(rng):
+    """A generated corpus file and the records it holds. Names join parts
+    with punctuation (so one name gives several terms), statements mix case
+    and punctuation and may repeat a word, fields may carry padding, and
+    comment and blank lines fall between records."""
+    records, lines, features = [], [], set()
+    for serial in range(rng.randint(0, 30)):
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "# a comment", "  # gcd\tlemma\ta"]))
+            features.add("comment or blank line")
+        parts = rng.sample(NAME_PARTS, rng.randint(1, 3))
+        name = rng.choice([".", "_", "'"]).join(parts) + f"_{serial}"
+        words = rng.choices(STATEMENT_WORDS, k=rng.randint(1, 8))
+        if rng.random() < 0.3:
+            words.append(rng.choice(words))
+        statement = " ".join(words)
+        kind = rng.choice(["lemma", "definition"])
+        pad = rng.choice(["", " ", "  "])
+        lines.append(f"{name}{pad}\t{pad}{kind}\t{pad}{statement}")
+        records.append(LemmaRecord(name, statement, kind))
+        terms = re.findall(r"[a-z0-9]+", f"{name} {statement}".lower())
+        features.update(
+            feature for feature, seen in [
+                ("name of several terms", len(re.findall(r"[a-z0-9]+", name.lower())) > 1),
+                ("mixed case", statement != statement.lower()),
+                ("punctuation", bool(re.search(r"[^a-zA-Z0-9 ]", statement))),
+                ("term repeated in a record", len(set(terms)) < len(terms)),
+            ] if seen
+        )
+    return "\n".join(lines) + "\n", records, features
+
+
+class TestIndexMatchesReference:
+    def test_generated_corpora(self):
+        rng = random.Random(18)
+        seen = set()
+        for _ in range(200):
+            text, records, features = corpus_text(rng)
+            seen |= features
+            index = build_index(parse_corpus(text))
+            expected = reference_index(records)
+            for field, value in expected.items():
+                assert getattr(index, field) == value, field
+            assert list(index.postings) == list(expected["postings"])  # first-seen order
+        assert seen == {"comment or blank line", "name of several terms", "mixed case",
+                        "punctuation", "term repeated in a record"}
+
+
+class TestLemmaRecord:
+    def test_frozen_hashable_and_without_instance_dict(self):
+        record = LemmaRecord("Nat.gcd_comm", "gcd a b = gcd b a", "definition")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.name = "other"
+        same = LemmaRecord("Nat.gcd_comm", "gcd a b = gcd b a", "definition")
+        assert record == same and hash(record) == hash(same) and len({record, same}) == 1
+        assert record != LemmaRecord("Nat.gcd_comm", "gcd a b = gcd b a")
+        assert not hasattr(record, "__dict__")
+        assert (record.name, record.statement, record.kind) == (
+            "Nat.gcd_comm", "gcd a b = gcd b a", "definition")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown record kind 'axiom'$"):
+            LemmaRecord("l", "a", "axiom")
+
+
 class TestCorpusFormat:
     def test_bundled_corpus_loads(self, corpus):
         assert len(corpus) == 10
@@ -316,12 +406,12 @@ class TestCorpusFormat:
         assert records == [LemmaRecord("foo", "a = b", "lemma")]
 
     def test_bad_field_count(self):
-        with pytest.raises(ValueError):
-            parse_corpus("foo\tlemma\n")
+        with pytest.raises(ValueError, match=r"^line 3: expected 'name<TAB>kind<TAB>statement'$"):
+            parse_corpus("# comment\n\nfoo\tlemma\n")
 
     def test_duplicate_names(self):
-        with pytest.raises(ValueError):
-            parse_corpus("foo\tlemma\ta\nfoo\tlemma\tb\n")
+        with pytest.raises(ValueError, match=r"^line 3: duplicate record name 'foo'$"):
+            parse_corpus("foo\tlemma\ta\n\n foo \tlemma\tb\n")
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,18 @@ class TestTerms:
         with pytest.raises(TermParseError):
             parse_term("P + Q")
 
+    @pytest.mark.parametrize("text, char, position", [
+        ("p -> q % r", "%", 7),
+        ("%", "%", 0),
+        ("  ! P", "!", 2),
+        ("P ->   \t+ Q", "+", 8),
+    ])
+    def test_unexpected_character_is_named_where_it_stands(self, text, char, position):
+        with pytest.raises(TermParseError) as info:
+            parse_term(text)
+        assert str(info.value) == f"unexpected character {char!r} at position {position}"
+        assert info.value.position == position and text[position] == char
+
 
 class TestTacticSyntax:
     """Tactic text reaches the kernel through `apply_toy_tactic`. Each
