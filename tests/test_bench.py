@@ -4,9 +4,11 @@ rendering and regeneration, the suite runner, and the CLI verbs."""
 import functools
 import hashlib
 import json
+import queue
 import random
 import re
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -27,9 +29,11 @@ from proofsearch.bench import (
 )
 import proofsearch.agent
 import proofsearch.bridge
+from proofsearch import bridge_adapter
 import proofsearch.cli
 from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
 from proofsearch.cli import main as cli_main
+from proofsearch.llm import Completion, GuidanceBackend
 from proofsearch.metrics import (
     EpisodeResult,
     aggregate_stats,
@@ -37,6 +41,8 @@ from proofsearch.metrics import (
     pass_at_k_seconds,
     pass_at_k_with_n_queries,
 )
+from proofsearch.prompts import NATURAL_STOP
+from proofsearch.retrieval import LemmaRecord, build_index
 from proofsearch.toy import ToyEnvironment, brute_force_prove
 from proofsearch.toy.suite import parse_suite
 
@@ -858,6 +864,152 @@ class TestBundledSuiteBytes:
         assert run_digest(out) == expected, (
             "the traces or metrics of the bundled suite changed; a digest here may "
             "change only for a deliberate change of output that CHANGES.md lists")
+
+
+
+def deep_suite_text() -> str:
+    """Three intro chains of depth 12. Each theorem holds 11 noise
+    hypotheses (atoms and conjunctions) and an equation `e` whose rewrite
+    leads into a dead end. `d0` and `d1` close with `exact t`. `d2` has
+    no `t`: its plain stage is exhausted, and its retrieval stage closes
+    with `apply lk`, a lemma that only the retrieved entries name."""
+    lines = ["lemma lk : x2 = y2", ""]
+    for k in range(3):
+        premises = [f"a{k}p{j:02d} /\\ c{k}p{j:02d}" if j % 3 == 1 else f"a{k}p{j:02d}"
+                    for j in range(12)]
+        lines += [f"theorem d{k}", "  goal " + " -> ".join(premises + [f"x{k} = y{k}"])]
+        if k < 2:
+            lines.append(f"  hyp t : x{k} = y{k}")
+        lines.append(f"  hyp e : y{k} = z{k}")
+        lines += [f"  hyp n{i:02d} : " + (f"b{k}n{i} /\\ c{k}n{i}" if i % 2 else f"b{k}n{i}")
+                  for i in range(11)]
+        if k == 2:
+            lines.append("  use lk")
+        lines += ["  category deep", "end", ""]
+    return "\n".join(lines)
+
+
+DEEP_CORPUS = [LemmaRecord("lk", "x2 = y2"), LemmaRecord("l_x1", "x1 = z1 -> x1"),
+               LemmaRecord("d_y2", "y2 /\\ z2", "definition"),
+               LemmaRecord("l_b", "b2n0 -> b2n2 -> b2n4")]
+
+
+class DeepBackend(GuidanceBackend):
+    """Answers the n-th query at a (stage, state) with the n-th candidate
+    for the state's first goal. The first query of an episode gets a
+    reply that is not in the response format."""
+
+    def __init__(self):
+        self.asked: dict = {}
+
+    def complete(self, request):
+        meta = request.metadata
+        if meta["state_key"] == "sketch":
+            return Completion("Use the lemma.", NATURAL_STOP, 0.0)
+        if not self.asked:
+            self.asked[None] = 1
+            return Completion("intro, I think", NATURAL_STOP, 0.0)
+        goal, hyps = json.loads(meta["state_key"])["obligations"][0]
+        if "->" in goal:
+            fresh = 1 + sum(name.startswith("h") for name, _ in hyps)
+            candidates = ["exact n00", f"intro h{fresh}"]
+        else:
+            candidates = ["rw e"]
+            if "[THEOREM] lk :" in request.turns[-1][1]:
+                candidates.append("apply lk")
+            candidates += ["rw ← e", "exact t"]
+        n = self.asked.get((meta["stage"], meta["state_key"]), 0)
+        self.asked[(meta["stage"], meta["state_key"])] = n + 1
+        tactic = candidates[n] if n < len(candidates) else "split"
+        return Completion(f"[RUN TACTIC] {tactic} [END]", NATURAL_STOP, 0.0)
+
+
+class _Lines:
+    """A text stream whose every `write` puts one item on a queue."""
+
+    def __init__(self, lines: queue.Queue):
+        self.lines = lines
+
+    def write(self, text):
+        self.lines.put(text)
+
+    def flush(self):
+        pass
+
+    def close(self):
+        self.lines.put(None)
+
+
+class ServedAdapter:
+    """What a BridgeSession uses of its `subprocess.Popen`, for
+    `bridge_adapter.serve` run on a thread of this process. `serve` reads
+    `sys.stdin` and writes `sys.stdout`, so the caller swaps both."""
+
+    def __init__(self, suite_path, responses: queue.Queue, monkeypatch):
+        requests: queue.Queue = queue.Queue()
+        self.stdin = _Lines(requests)
+        monkeypatch.setattr(sys, "stdin", iter(requests.get, None))
+        monkeypatch.setattr(sys, "stdout", _Lines(responses))
+        self.thread = threading.Thread(target=bridge_adapter.serve, args=(str(suite_path),),
+                                       daemon=True)
+        self.thread.start()
+
+    def poll(self):
+        return None if self.thread.is_alive() else 0
+
+    def kill(self):
+        self.stdin.close()
+
+    def wait(self):
+        self.thread.join()
+
+
+class TestDeepSuiteBytes:
+    """Deep states, pinned: every trace's `comparable()` of a suite whose
+    states hold up to 25 hypotheses, run in-process and through the bridge
+    over `bridge_adapter.serve` in this process. The bundled suite has no
+    state this large, so a slip in sorting, escaping or caching that shows
+    only on long hypothesis lists is caught here."""
+
+    DIGESTS = {
+        "d0__a1.jsonl": "1caf3286a7ca733ed590551c94c26ca20be3158028664a2a442082fc7a16e18a",
+        "d1__a1.jsonl": "f68402b8a0ced449cec365ab9b547e7edc7a0d8b1218120e1400bdb3ae7faff3",
+        "d2__a1.jsonl": "ba467834d41aadcda306d222ce2a37ded55378ee064d782d384e16cabd8caa2e",
+    }
+
+    def run(self, out_dir, bench):
+        config = SearchConfig(max_queries=200, per_state_budget=3, format_retry_cap=1)
+        results = run_suite(bench, config, out_dir, lambda theorem, attempt: DeepBackend())
+        assert [(r.theorem, r.proved, r.stage) for r in results] == [
+            ("d0", True, "plain"), ("d1", True, "plain"), ("d2", True, "retrieval")]
+        return {path.name: hashlib.sha256(
+                    json.dumps(EpisodeTrace.load(path).comparable()).encode()).hexdigest()
+                for path in sorted((out_dir / "traces").iterdir())}
+
+    def test_in_process(self, tmp_path):
+        bench = BenchmarkSuite(suite=parse_suite(deep_suite_text()),
+                               index=build_index(DEEP_CORPUS))
+        assert self.run(tmp_path / "out", bench) == self.DIGESTS
+
+    def test_bridged_over_in_process_serve(self, tmp_path, monkeypatch):
+        suite_path = tmp_path / "deep.toysuite"
+        suite_path.write_text(deep_suite_text(), encoding="utf-8")
+        sessions = []
+
+        class ServedSession(proofsearch.bridge.BridgeSession):
+            def __init__(self, config):
+                self.config = config
+                self._next_id = 0
+                self._lines = queue.Queue()
+                self._proc = ServedAdapter(suite_path, self._lines, monkeypatch)
+                sessions.append(self)
+
+        monkeypatch.setattr(proofsearch.bridge, "BridgeSession", ServedSession)
+        bench = BenchmarkSuite(suite=parse_suite(deep_suite_text()), environment="bridge",
+                               bridge_command=["served in-process"],
+                               index=build_index(DEEP_CORPUS))
+        assert self.run(tmp_path / "out", bench) == self.DIGESTS
+        assert len(sessions) == 1 and sessions[0]._proc.poll() == 0
 
 
 class TestDamagedTraces:

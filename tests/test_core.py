@@ -228,6 +228,49 @@ class TestComputedOnce:
         assert len(calls) == 2 * len(states)
 
 
+def json_value(rng, depth):
+    """A seeded nested value of the kinds the program encodes: dicts, lists
+    and tuples over non-ASCII text, floats, ints, booleans and None."""
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return "".join(rng.choices("ab \"\\\n\tλ→∀⊢é😀\x01", k=rng.randint(0, 8)))
+    if kind == 1:
+        return rng.choice([0.0, -1.5, 1e-300, 1e300, 0.1 + 0.2, rng.random()])
+    if kind == 2:
+        return rng.randint(-10**20, 10**20)
+    if kind == 3:
+        return rng.choice([None, True, False])
+    if kind == 4:
+        return rng.choice(["", "ASCII only", "↔ ∧ ∨"])
+    items = [json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {f"k{i}é": item for i, item in enumerate(items)}
+
+
+class TestEncoders:
+    """The shared encoders write what `json.dumps` writes."""
+
+    def test_same_text_as_json_dumps(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            value = json_value(rng, 4)
+            assert core.encode_json(value) == json.dumps(value, ensure_ascii=False)
+            assert core._encode_key(value) == json.dumps(value, ensure_ascii=False,
+                                                         separators=(",", ":"))
+
+    def test_a_list_that_holds_itself_raises(self):
+        loop = [1]
+        loop.append(loop)
+        for encode in (core.encode_json, core._encode_key):
+            with pytest.raises((ValueError, RecursionError)):
+                encode(loop)
+            with pytest.raises((ValueError, RecursionError)):
+                encode({"state": [loop]})
+
+
 SUITE_TEXT = """
 theorem pp
   goal P -> P

@@ -155,6 +155,19 @@ class TestPromptifyGolden:
         with pytest.raises(ValueError):
             promptify(PromptBundle(state=err), BIG_BUDGET)
 
+    def test_retrieved_entries_neither_read_nor_fill_the_goals_cache(self):
+        state = single_state("a = c", {"h1": "a = b", "h2": "b = c"})
+        retrieved = [(LemmaRecord("l_ab", "a = b", "lemma"), 1.5),
+                     (LemmaRecord("d_c", "c", "definition"), 0.5)]
+        first = promptify(PromptBundle(state, retrieved=retrieved), BIG_BUDGET)
+        assert "_goals" not in state.__dict__
+        plain = promptify(PromptBundle(state), BIG_BUDGET)
+        again = promptify(PromptBundle(state, retrieved=retrieved), BIG_BUDGET)
+        assert again == first
+        assert "[THEOREM] l_ab : a = b" in again.agent_text
+        assert "[THEOREM]" not in plain.agent_text
+        assert promptify(PromptBundle(state), BIG_BUDGET) == plain
+
 
 def full_bundle():
     retrieved = [(LemmaRecord("l_ab", "a = b", "lemma"), 1.5)]

@@ -150,6 +150,29 @@ class TestScoring:
                 )
 
 
+class TestRetrieveSumsLikeBm25Score:
+    """`retrieve` adds one weight per record and query token, with the
+    record's count of the term, in query order; so its scores are the
+    very floats `bm25_score` sums, not merely close to them."""
+
+    def test_repeated_terms_at_every_place_in_a_posting(self):
+        rng = random.Random(19)
+        for layout in ([3, 0, 1, 2, 0, 1], [1, 2, 3, 1, 0, 2], [2, 1, 0, 1, 1, 3],
+                       [3, 2, 1, 0, 2, 3]):
+            corpus = [
+                LemmaRecord(f"r{i}", " ".join(["gcd"] * tf + rng.choices(["lcm", "mul", "one"],
+                                                                       k=rng.randint(0, 4))))
+                for i, tf in enumerate(layout)
+            ]
+            index = build_index(corpus)
+            assert [index.postings["gcd"].count(i) for i in range(len(corpus))] == layout
+            state = goal_state("gcd a = lcm (gcd b)", {"h": "mul gcd = one"})
+            query = tokenize(state_query(state))
+            by_name = {record.name: i for i, record in enumerate(corpus)}
+            for record, score in retrieve(index, state, len(corpus)):
+                assert score == bm25_score(index, query, by_name[record.name]), record.name
+
+
 class TestRetrieve:
     def test_never_exceeds_k(self, corpus_index):
         assert len(retrieve(corpus_index, goal_state("P -> Q"), 3)) == 3
