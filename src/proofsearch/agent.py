@@ -120,9 +120,9 @@ def _field_dict(obj, names: tuple) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def overwrite_text(path: str | Path, text: str | bytes):
-    """Write `text` to `path`, a str as UTF-8 and bytes as they are,
-    replacing what the file held.
+def overwrite_text(path: str | Path, *parts: str | bytes):
+    """Write the parts to `path` one after another, a str as UTF-8 and
+    bytes as they are, replacing what the file held.
 
     An existing file is cut to the new length and overwritten in place,
     not truncated to zero first: on ext4 with `auto_da_alloc` (the
@@ -131,13 +131,14 @@ def overwrite_text(path: str | Path, text: str | bytes):
     directory waited on the disk at every trace (0.25 ms a 13 KB file,
     at times past 1 ms, against 0.03 ms in place, on an ext4 virtual
     disk)."""
-    data = text.encode("utf-8") if isinstance(text, str) else text
+    chunks = [part.encode("utf-8") if isinstance(part, str) else part for part in parts]
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        os.ftruncate(fd, len(data))
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        os.ftruncate(fd, sum(map(len, chunks)))
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view):]
     finally:
         os.close(fd)
 
@@ -278,22 +279,24 @@ class EpisodeTrace:
             append(encode_json(line))
         for note in self.notes:
             append(encode_json({"type": "note", "text": note}))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        append("")  # the body ends in a newline
+        data = "\n".join(lines).encode("utf-8")
         outcome = self.outcome or SearchOutcome(proved=False)
         last = encode_json({"type": "outcome", **outcome.to_dict(),
                              **_field_dict(self, _TRAILER_FIELDS),
-                             "crc32": zlib.crc32(data), "lines": len(lines)})
+                             "crc32": zlib.crc32(data), "lines": len(lines) - 1})
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        overwrite_text(path, data + last.encode("utf-8") + b"\n")
+        overwrite_text(path, data, f"{last}\n")
 
     @classmethod
     def _read_head(cls, path: str | Path) -> tuple:
         """The head step of `load`: the trace from the file's header and
-        outcome line alone, and the bytes of the lines between them (None
-        for an incomplete trace). Raises TraceFormatError for a file of
-        another schema, one without a header, or a complete one whose
-        bytes do not match the outcome line's crc32."""
+        outcome line alone, the file's bytes, and the slice of them that
+        holds the lines in between (None for an incomplete trace). Raises
+        TraceFormatError for a file of another schema, one without a
+        header, or a complete one whose bytes do not match the outcome
+        line's crc32."""
         data = Path(path).read_bytes()
         end = data.find(b"\n")
         try:
@@ -317,7 +320,7 @@ class EpisodeTrace:
             if (not isinstance(outcome, dict) or outcome.pop("type", None) != "outcome"
                     or outcome.pop("lines", None) != data.count(b"\n") - 1):
                 trace.incomplete = True
-                return trace, None
+                return trace, data, None
             crc = outcome.pop("crc32", None)
             for name in _TRAILER_FIELDS:
                 setattr(trace, name, outcome.pop(name))
@@ -328,7 +331,7 @@ class EpisodeTrace:
         if crc != zlib.crc32(memoryview(data)[:start]):
             raise TraceFormatError(f"{path}: damaged {TRACE_SCHEMA} trace: its lines do not "
                                    f"match the crc32 on its outcome line")
-        return trace, data[end + 1:start - 1]
+        return trace, data, slice(end + 1, start - 1)
 
     @classmethod
     def load_head(cls, path: str | Path) -> "EpisodeTrace":
@@ -339,7 +342,7 @@ class EpisodeTrace:
         `save` and `comparable()` refuse it. Raises TraceFormatError as
         `load` does, except for a body that matches its crc32 but does not
         parse."""
-        trace, _ = cls._read_head(path)
+        trace, _, _ = cls._read_head(path)
         trace.head_only = True
         return trace
 
@@ -350,19 +353,19 @@ class EpisodeTrace:
         only its header. Raises TraceFormatError for a file of another
         schema, one without a header, or a complete one that does not match
         its crc32 or does not parse."""
-        trace, body = cls._read_head(path)
+        trace, data, body = cls._read_head(path)
         if body is None:
             return trace
         try:
             keys: dict = {}
             # no line holds a raw newline, so the body is one JSON array
-            for item in json.loads(b"[" + body.replace(b"\n", b",") + b"]"):
+            for item in json.loads(b"[" + data[body].replace(b"\n", b",") + b"]"):
                 kind = item.pop("type")
                 if kind == "event":
-                    data = item["data"]
-                    if data[0] in _KEYED_EVENTS:
-                        data[1] = keys[data[1]]
-                    trace.log.append(tuple(data))
+                    event = item["data"]
+                    if event[0] in _KEYED_EVENTS:
+                        event[1] = keys[event[1]]
+                    trace.log.append(tuple(event))
                 elif kind == "query":
                     item["state_key"] = keys[item["state_key"]]
                     trace.log.append(QueryRecord(**item))

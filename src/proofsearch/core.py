@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +36,24 @@ class GlobalContext:
             raise ValueError("theorem statement must be nonempty")
 
 
+class _stored:
+    """A method's value, computed on the first read of the attribute and
+    then kept in the instance's `__dict__` under the method's name, where
+    later reads find it first: `functools.cached_property` without its
+    lock (Python 3.12 dropped the lock too)."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Obligation:
     """One (goal, hypotheses) pair the prover must discharge.
@@ -54,7 +71,10 @@ class Obligation:
     `canonical_key`), `hypotheses_by_name`, `hypothesis_contents()` and
     `sort_key()`. They are not dataclass fields, so `==`, `hash` and
     `repr` ignore them, and an obligation that is never asked for them
-    pays nothing.
+    pays nothing. They are `_stored`, not `functools.cached_property`:
+    on Python 3.11 that takes a lock at every first use, and the search
+    makes thousands of obligations a round that nothing shares between
+    threads.
     """
 
     goal: str
@@ -82,22 +102,22 @@ class Obligation:
         ob.__dict__.update(goal=goal, hypotheses=hypotheses)
         return ob
 
-    @cached_property
+    @_stored
     def _by_name(self) -> tuple:
         """The (name, proposition) pairs in name order."""
         return tuple(sorted(self.hypotheses))
 
-    @cached_property
+    @_stored
     def hypotheses_by_name(self) -> Mapping:
         """Each hypothesis's proposition under its name: a read-only view
         for lookups (`hypothesis_map` gives a fresh dict)."""
         return MappingProxyType(dict(self.hypotheses))
 
-    @cached_property
+    @_stored
     def _contents(self) -> frozenset:
         return frozenset(prop for _, prop in self.hypotheses)
 
-    @cached_property
+    @_stored
     def _sort_key(self) -> tuple:
         return (self.goal, sorted((prop, name) for name, prop in self.hypotheses))
 
@@ -180,10 +200,14 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
     return True
 
 
-# One encoder for every key: `json.dumps` with a keyword builds a new one per call
-_encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-# One encoder for every trace line and wire message, for the same reason
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# One encoder for every key: `json.dumps` with a keyword builds a new one per
+# call. Neither encoder checks for circular references: each value it is given
+# is a tree the program builds (one that held itself would still raise, as
+# RecursionError).
+_encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
+                               check_circular=False).encode
+# One encoder for every trace line and wire message, for the same reasons
+encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def canonical_key(state: ProofState) -> str:

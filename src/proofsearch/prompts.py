@@ -110,6 +110,19 @@ def _hypothesis_lines(obligation: Obligation) -> str:
 
 
 def _render_goals(state: ProofState, retrieved: list | None) -> str:
+    """The goals block, with the retrieved entries under the first goal.
+    A block without entries is rendered on the first call and stored on
+    the (frozen) state, outside its fields, as `ordered_obligations`
+    stores the order: the search prompts at a state several times."""
+    if not retrieved:
+        text = state.__dict__.get("_goals")
+        if text is None:
+            text = state.__dict__["_goals"] = _goals_block(state, None)
+        return text
+    return _goals_block(state, retrieved)
+
+
+def _goals_block(state: ProofState, retrieved: list | None) -> str:
     lines = ["[GOALS]"]
     for i, obligation in enumerate(ordered_obligations(state), start=1):
         lines.append(f"[GOAL] {i}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -113,9 +112,11 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> list:
 
     Each query token, duplicates included, adds its weight to the records
     in its postings, in query order, so every score is the same sum as the
-    record-by-record `bm25_score` in tests/test_retrieval.py gives. Fewer
-    than k_retrieve scored records are followed by zero-score records in
-    name order."""
+    record-by-record `bm25_score` in tests/test_retrieval.py gives. A
+    record's entries in a posting are adjacent, so the length of each run
+    is the record's count of the term, and the runs come in record order.
+    Fewer than k_retrieve scored records are followed by zero-score
+    records in name order."""
     if state.is_error:
         raise ValueError("retrieval query requires a non-error state")
     if not index.records or k_retrieve <= 0:
@@ -127,8 +128,13 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> list:
         if posting is None:
             continue
         idf = _idf(index, term)
-        for i, tf in Counter(posting).items():
-            scores[i] = scores.get(i, 0.0) + _weight(index, idf, tf, lengths[i])
+        i, tf = posting[0], 0
+        for j in posting:  # each record's run of entries, in posting order
+            if j != i:
+                scores[i] = scores.get(i, 0.0) + _weight(index, idf, tf, lengths[i])
+                i, tf = j, 0
+            tf += 1
+        scores[i] = scores.get(i, 0.0) + _weight(index, idf, tf, lengths[i])
     ranked = sorted(scores.items(), key=lambda item: (-item[1], records[item[0]].name))
     ranked = [(records[i], score) for i, score in ranked[:k_retrieve]]
     if len(ranked) < k_retrieve:
@@ -140,21 +146,25 @@ def retrieve(index: RetrievalIndex, state: ProofState, k_retrieve: int) -> list:
 def parse_corpus(text: str) -> list:
     """Corpus file: one record per line, `name<TAB>kind<TAB>statement`.
 
-    Blank lines and `#` comments are ignored; names must be unique.
+    Blank lines and `#` comments are ignored; names must be unique. A line
+    is split at its tabs before each field is stripped, so a statement
+    may be empty but a name may not.
     """
     records = []
     seen = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = line.split("\t")  # before stripping, so a statement may be empty
         if len(fields) != 3:
             raise ValueError(
                 f"line {line_number}: expected 'name<TAB>kind<TAB>statement'"
             )
         name, kind, statement = fields
         name, kind, statement = name.strip(), kind.strip(), statement.strip()
+        if not name:
+            raise ValueError(f"line {line_number}: empty record name")
         if name in seen:
             raise ValueError(f"line {line_number}: duplicate record name {name!r}")
         seen.add(name)

@@ -5,11 +5,13 @@ Every tactic acts on the first obligation under the deterministic order of
 absorbing error states whose message is a stable string (golden tests on
 prompt rendering rely on that).
 
-Obligations carry text, so a step parses the focused goal (and for `rw`
-a hypothesis) back into a `Term`. `apply_toy_tactic` can take a term
-table that maps both ways. Text to `Term`: a step looks the text up
-before it parses, and records every goal or hypothesis it prints from a
-`Term`. `Term` to text, keyed by the term's `id` and holding the term so
+Obligations carry text, so a step needs the focused goal (and for `rw`
+a hypothesis) as a `Term`. `apply_toy_tactic` can take a term table
+that maps both ways. Text to `Term`: a step looks the text up before it
+parses, and records every goal or hypothesis it prints from a `Term`.
+`ToyTheorem.initial_state` seeds the table with the theorem's own goal
+and hypotheses, so an episode in a `ToyEnvironment` parses no text at
+all. `Term` to text, keyed by the term's `id` and holding the term so
 the id is not reused: `print_term` consults it at every node, so the
 subterms an `intro` chain keeps printing are printed once. That is exact
 because printed text is already whitespace-normalized and
@@ -17,7 +19,7 @@ because printed text is already whitespace-normalized and
 `Obligation.trusted` from that printed text and the focused obligation's
 own hypotheses, which are normalized already. The table belongs to one
 `ToyEnvironment`, which means one episode; nothing is cached at module
-level or stored on a `Term`.
+level or stored on a `Term` or a `ToyTheorem`.
 
 A step reads the tactic's text itself. Accepted forms:
 
@@ -56,9 +58,19 @@ class ToyTheorem:
     lemmas: tuple = ()  # (name, Term) pairs
     category: str | None = None
 
-    def initial_state(self) -> ProofState:
-        hyps = {name: print_term(term) for name, term in self.hypotheses}
-        return ProofState.of([Obligation.make(print_term(self.goal), hyps)])
+    def initial_state(self, terms: dict | None = None, texts: dict | None = None) -> ProofState:
+        """The theorem's one obligation. `terms` and `texts`, when given,
+        are a term table (see the module docstring): the goal and the
+        hypotheses are printed through `texts`, and each printed text is
+        recorded in `terms` with the theorem's own `Term`."""
+        terms = {} if terms is None else terms
+        hyps = {}
+        for name, term in self.hypotheses:
+            text = hyps[name] = print_term(term, texts)
+            terms[text] = term
+        goal = print_term(self.goal, texts)
+        terms[goal] = self.goal
+        return ProofState.of([Obligation.make(goal, hyps)])
 
     def statement(self) -> str:
         parts = [f"{name} : {print_term(term)}" for name, term in self.hypotheses]
@@ -228,7 +240,7 @@ class ToyEnvironment(ProofEnvironment):
     def initial_state(self, theorem_id: str) -> ProofState:
         if theorem_id != self.theorem.name:
             raise KeyError(f"environment is bound to {self.theorem.name!r}, not {theorem_id!r}")
-        return self.theorem.initial_state()
+        return self.theorem.initial_state(self._terms, self._texts)
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
         return apply_toy_tactic(state, tactic, self._lemmas, self._terms, self._texts)

@@ -50,7 +50,7 @@ def brute_force_prove(theorem: ToyTheorem, max_depth: int):
     lemmas = dict(theorem.lemmas)
     terms: dict = {}  # this call's term table, both ways
     texts: dict = {}
-    initial = theorem.initial_state()
+    initial = theorem.initial_state(terms, texts)
 
     def search(state: ProofState, remaining: int, path_keys: set):
         if remaining == 0:

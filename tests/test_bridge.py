@@ -21,6 +21,7 @@ from proofsearch.bridge_adapter import obligations_to_wire
 from proofsearch.core import Obligation, ProofState, canonical_key
 from proofsearch.toy import ToyEnvironment, brute_force_prove
 from proofsearch.toy.oracle import candidate_tactics
+from proofsearch.toy.terms import print_term
 
 from conftest import SUITE_PATH
 
@@ -210,12 +211,12 @@ class TestSessionReuse:
                     issued.append(step["state_id"])
         assert len(set(issued)) == len(issued)
 
-    def test_term_table_starts_empty_after_reset(self, monkeypatch):
-        table_sizes = []  # (theorem, entries in its table) at each apply
+    def test_term_table_holds_only_its_theorem_after_reset(self, monkeypatch):
+        tables = []  # (theorem, a copy of its term table) at each apply
 
         class RecordingEnvironment(ToyEnvironment):
             def apply_tactic(self, state, tactic):
-                table_sizes.append((self.theorem.name, len(self._terms)))
+                tables.append((self.theorem, dict(self._terms)))
                 return super().apply_tactic(state, tactic)
 
         requests = [
@@ -223,8 +224,8 @@ class TestSessionReuse:
             {"id": 2, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
             {"id": 3, "cmd": "apply", "state_id": "s2", "tactic": "intro h1"},
             {"id": 4, "cmd": "reset"},
-            {"id": 5, "cmd": "init", "theorem": "triple_intro"},
-            {"id": 6, "cmd": "apply", "state_id": "s4", "tactic": "intro h"},
+            {"id": 5, "cmd": "init", "theorem": "and_intro"},
+            {"id": 6, "cmd": "apply", "state_id": "s4", "tactic": "split"},
         ]
         lines = "".join(json.dumps(request) + "\n" for request in requests)
         monkeypatch.setattr(bridge_adapter, "ToyEnvironment", RecordingEnvironment)
@@ -233,9 +234,20 @@ class TestSessionReuse:
         assert bridge_adapter.serve(str(SUITE_PATH)) == 0
         statuses = [json.loads(line)["status"] for line in sys.stdout.getvalue().splitlines()]
         assert statuses == ["ok"] * 6
-        assert table_sizes[0] == ("imp_const", 0)
-        assert table_sizes[1][1] > 0
-        assert table_sizes[2] == ("triple_intro", 0)
+
+        def own_terms(theorem):
+            terms = [theorem.goal] + [term for _, term in theorem.hypotheses]
+            return {print_term(term): term for term in terms}
+
+        # a theorem's first step finds its own terms, the very objects, and
+        # nothing of the theorem served before the reset
+        assert [theorem.name for theorem, _ in tables] == ["imp_const", "imp_const", "and_intro"]
+        assert len(tables[1][1]) > len(tables[0][1])
+        for theorem, table in (tables[0], tables[2]):
+            own = own_terms(theorem)
+            assert table.keys() == own.keys()
+            assert all(table[text] is term for text, term in own.items())
+        assert sorted(tables[2][1]) == ["P", "P /\\ Q", "Q"]
 
 
 class TestBridgeSession:

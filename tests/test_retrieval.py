@@ -424,6 +424,18 @@ class TestCorpusFormat:
     def test_round_trip(self, corpus):
         assert parse_corpus(write_corpus(corpus)) == corpus
 
+    def test_empty_statement_round_trips(self):
+        records = [LemmaRecord("x", ""), LemmaRecord("d", "", "definition"),
+                   LemmaRecord("y", "a = b")]
+        assert parse_corpus(write_corpus(records)) == records
+        assert parse_corpus("x\tlemma\t  \n") == [LemmaRecord("x", "")]
+
+    def test_tabs_separate_fields_before_they_are_stripped(self):
+        with pytest.raises(ValueError, match=r"^line 1: empty record name$"):
+            parse_corpus(" \tlemma\ta\n")
+        with pytest.raises(ValueError, match=r"^line 2: expected 'name<TAB>kind<TAB>statement'$"):
+            parse_corpus("x\tlemma\ta\ny\tlemma\tb\t\n")
+
     def test_comments_and_blank_lines(self):
         records = parse_corpus("# comment\n\nfoo\tlemma\ta = b\n")
         assert records == [LemmaRecord("foo", "a = b", "lemma")]
