@@ -900,14 +900,15 @@ class DeepBackend(GuidanceBackend):
     reply that is not in the response format."""
 
     def __init__(self):
-        self.asked: dict = {}
+        self.asked: dict = {}  # (stage, state key) -> queries answered there
+        self.malformed = False  # the reply out of format was sent
 
     def complete(self, request):
         meta = request.metadata
         if meta["state_key"] == "sketch":
             return Completion("Use the lemma.", NATURAL_STOP, 0.0)
-        if not self.asked:
-            self.asked[None] = 1
+        if not self.malformed:
+            self.malformed = True
             return Completion("intro, I think", NATURAL_STOP, 0.0)
         goal, hyps = json.loads(meta["state_key"])["obligations"][0]
         if "->" in goal:
