@@ -24,7 +24,7 @@ from .agent import (
     overwrite_text,
     prove,
 )
-from .core import GlobalContext, ProofEnvironment, lift_transition
+from .core import GlobalContext, ProofEnvironment, canonical_key, lift_transition
 from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
     DEFAULT_N_GRID,
@@ -54,8 +54,6 @@ def oracle_scripted_backend(theorem: ToyTheorem, max_depth: int = 6) -> Scripted
 
     Returns None when the oracle finds no proof within max_depth.
     """
-    from .core import canonical_key
-
     proof = brute_force_prove(theorem, max_depth)
     if proof is None:
         return None

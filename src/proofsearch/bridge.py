@@ -7,7 +7,7 @@ so large states never round-trip repeatedly. See docs/bridge-protocol.md
 for the wire contract; `proofsearch.bridge_adapter` is a loopback adapter
 that serves the toy prover behind this protocol.
 
-Transport problems (timeout, crash, malformed line) raise BridgeFailure,
+Transport problems (timeout, crash, malformed line or reply) raise BridgeFailure,
 which is infrastructure failure — never a proof error.
 """
 
@@ -37,13 +37,25 @@ class BridgeConfig:
             raise ValueError("timeout must be > 0")
 
 
-def obligations_from_wire(payload: list) -> frozenset:
-    return frozenset(
-        Obligation.make(
-            item["goal"], {h["name"]: h["prop"] for h in item.get("hypotheses", [])}
-        )
-        for item in payload
-    )
+def obligations_from_wire(payload) -> frozenset:
+    """The obligations of an `ok` reply. Anything but a nonempty list of
+    objects, each with a string `goal` and a list of string `name`/`prop`
+    hypotheses whose names are distinct, raises BridgeFailure: an `ok`
+    with no obligations would read as a proof, which only `qed` may end."""
+    if not isinstance(payload, list) or not payload:
+        raise BridgeFailure(f"malformed obligations: {payload!r}")
+    obligations = []
+    for item in payload:
+        hyps = item.get("hypotheses", []) if isinstance(item, dict) else None
+        if not (isinstance(hyps, list) and isinstance(item.get("goal"), str) and all(
+                isinstance(h, dict) and isinstance(h.get("name"), str)
+                and isinstance(h.get("prop"), str) for h in hyps)):
+            raise BridgeFailure(f"malformed obligation: {item!r}")
+        pairs = frozenset((h["name"], h["prop"]) for h in hyps)
+        if len({name.strip() for name, _ in pairs}) < len(hyps):
+            raise BridgeFailure(f"repeated hypothesis name in obligation: {item!r}")
+        obligations.append(Obligation(item["goal"], pairs))
+    return frozenset(obligations)
 
 
 class BridgeSession:
@@ -103,6 +115,8 @@ class BridgeSession:
         response = self.call("init", theorem=theorem)
         if response["status"] == "error":
             raise BridgeFailure(f"init failed: {response.get('message')}")
+        if not isinstance(response.get("state_id"), str):
+            raise BridgeFailure(f"init reply without a string state_id: {response!r}")
         return response["state_id"], self._state_from(response)
 
     def apply(self, state_id: str, tactic: str) -> dict:
@@ -126,7 +140,7 @@ class BridgeSession:
     def _state_from(response: dict) -> ProofState:
         if response["status"] == "qed":
             return ProofState.qed()
-        return ProofState.of(obligations_from_wire(response.get("obligations", [])))
+        return ProofState.of(obligations_from_wire(response.get("obligations")))
 
     def __enter__(self):
         return self

@@ -6,20 +6,20 @@ absorbing error states whose message is a stable string (golden tests on
 prompt rendering rely on that).
 
 Obligations carry text, so a step needs the focused goal (and for `rw`
-a hypothesis) as a `Term`. `apply_toy_tactic` can take a term table
-that maps both ways. Text to `Term`: a step looks the text up before it
+a hypothesis) as a `Term`. A `ToyEnvironment` owns a term table that
+maps both ways. Text to `Term`: a step looks the text up before it
 parses, and records every goal or hypothesis it prints from a `Term`.
-`ToyTheorem.initial_state` seeds the table with the theorem's own goal
-and hypotheses, so an episode in a `ToyEnvironment` parses no text at
-all. `Term` to text, keyed by the term's `id` and holding the term so
-the id is not reused: `print_term` consults it at every node, so the
-subterms an `intro` chain keeps printing are printed once. That is exact
-because printed text is already whitespace-normalized and
-`parse_term(print_term(t)) == t`. Children are built with
-`Obligation.trusted` from that printed text and the focused obligation's
-own hypotheses, which are normalized already. The table belongs to one
-`ToyEnvironment`, which means one episode; nothing is cached at module
-level or stored on a `Term` or a `ToyTheorem`.
+`initial_state` seeds the table with the theorem's own goal and
+hypotheses, so an episode parses no text at all. `Term` to text, keyed
+by the term's `id` and holding the term so the id is not reused:
+`print_term` consults it at every node, so the subterms an `intro` chain
+keeps printing are printed once. That is exact because printed text is
+already whitespace-normalized and `parse_term(print_term(t)) == t`.
+Children are built with `Obligation.trusted` from that printed text and
+the focused obligation's own hypotheses, which are normalized already.
+The table belongs to one environment, which means one episode; nothing
+is cached at module level or stored on a `Term` or a `ToyTheorem`, and a
+fresh environment steps exactly as a long-lived one does.
 
 A step reads the tactic's text itself. Accepted forms:
 
@@ -39,7 +39,6 @@ parse error whose message doubles as environment feedback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..core import Obligation, ProofEnvironment, ProofState, ordered_obligations
 from .terms import And, Eq, Implies, Term, parse_term, print_term
@@ -57,20 +56,6 @@ class ToyTheorem:
     hypotheses: tuple = ()  # (name, Term) pairs
     lemmas: tuple = ()  # (name, Term) pairs
     category: str | None = None
-
-    def initial_state(self, terms: dict | None = None, texts: dict | None = None) -> ProofState:
-        """The theorem's one obligation. `terms` and `texts`, when given,
-        are a term table (see the module docstring): the goal and the
-        hypotheses are printed through `texts`, and each printed text is
-        recorded in `terms` with the theorem's own `Term`."""
-        terms = {} if terms is None else terms
-        hyps = {}
-        for name, term in self.hypotheses:
-            text = hyps[name] = print_term(term, texts)
-            terms[text] = term
-        goal = print_term(self.goal, texts)
-        terms[goal] = self.goal
-        return ProofState.of([Obligation.make(goal, hyps)])
 
     def statement(self) -> str:
         parts = [f"{name} : {print_term(term)}" for name, term in self.hypotheses]
@@ -117,116 +102,6 @@ def _read_tactic(text: str) -> tuple | str:
     return head, args[0], written != "rw"
 
 
-def _step(
-    focused: Obligation, head: str, name: str | None, reverse: bool,
-    lemmas: Mapping[str, Term], terms: dict, texts: dict,
-) -> list | str:
-    """Apply a read tactic to one obligation.
-
-    Returns the replacement obligations on success, or an error message.
-    """
-
-    def parsed(text: str) -> Term:
-        term = terms.get(text)
-        if term is None:
-            term = terms[text] = parse_term(text)
-        return term
-
-    def printed(term: Term) -> str:
-        text = print_term(term, texts)
-        terms[text] = term
-        return text
-
-    def child(term: Term, hypotheses: frozenset = focused.hypotheses) -> Obligation:
-        return Obligation.trusted(printed(term), hypotheses)
-
-    goal = parsed(focused.goal)
-    hyps = focused.hypotheses_by_name
-
-    if head == "intro":
-        if not isinstance(goal, Implies):
-            return "intro failed: goal is not an implication"
-        if name in hyps:
-            return f"intro failed: hypothesis name '{name}' already in use"
-        new_hyp = (name, printed(goal.lhs))
-        return [child(goal.rhs, focused.hypotheses | {new_hyp})]
-
-    if head == "split":
-        if not isinstance(goal, And):
-            return "split failed: goal is not a conjunction"
-        return [child(goal.lhs), child(goal.rhs)]
-
-    if head == "assumption":
-        if focused.goal in focused.hypothesis_contents():
-            return []
-        return "assumption failed: no hypothesis matches the goal"
-
-    if head == "exact":
-        if name not in hyps:
-            return f"exact failed: no hypothesis named '{name}'"
-        if hyps[name] != focused.goal:
-            return f"exact failed: hypothesis '{name}' does not match the goal"
-        return []
-
-    if head == "refl":
-        if not isinstance(goal, Eq):
-            return "refl failed: goal is not an equality"
-        if goal.lhs != goal.rhs:
-            return "refl failed: sides of the equality are not syntactically equal"
-        return []
-
-    if head == "rw":
-        equation = parsed(hyps[name]) if name in hyps else lemmas.get(name)
-        if equation is None:
-            return f"rw failed: no equation named '{name}'"
-        if not isinstance(equation, Eq):
-            return f"rw failed: '{name}' is not an equation"
-        old, new = (equation.rhs, equation.lhs) if reverse else (equation.lhs, equation.rhs)
-        rewritten, count = _rewrite(goal, old, new)
-        if count == 0:
-            return f"rw failed: no occurrences of '{print_term(old, texts)}' in the goal"
-        return [child(rewritten)]
-
-    # apply NAME
-    lemma = lemmas.get(name)
-    if lemma is None:
-        return f"apply failed: no lemma named '{name}'"
-    if isinstance(lemma, Implies):
-        if print_term(lemma.rhs, texts) != focused.goal:
-            return f"apply failed: conclusion of '{name}' does not match the goal"
-        return [child(lemma.lhs)]
-    if print_term(lemma, texts) != focused.goal:
-        return f"apply failed: '{name}' does not match the goal"
-    return []
-
-
-def apply_toy_tactic(
-    state: ProofState, tactic: str, lemmas: Mapping[str, Term],
-    terms: dict | None = None, texts: dict | None = None,
-) -> ProofState:
-    """Pure transition function of the toy environment.
-
-    Error states absorb every tactic; all failures (including tactic parse
-    errors) return an error state carrying the input obligations. `terms`
-    (text -> `Term`) and `texts` (`id(term)` -> (`Term`, text)), when
-    given, are the caller's term table in its two directions (see the
-    module docstring); the result is the same with or without them.
-    """
-    if state.is_error:
-        return state
-    if state.is_qed:
-        return ProofState.error(state.obligations, "no goals: the proof is already complete")
-    read = _read_tactic(tactic)
-    if isinstance(read, str):
-        return ProofState.error(state.obligations, read)
-    focused, *rest = ordered_obligations(state)
-    result = _step(focused, *read, lemmas, {} if terms is None else terms,
-                   {} if texts is None else texts)
-    if isinstance(result, str):
-        return ProofState.error(state.obligations, result)
-    return ProofState.of(result + rest)
-
-
 class ToyEnvironment(ProofEnvironment):
     """ProofEnvironment over a single toy theorem (one episode, one env),
     with the episode's term table."""
@@ -238,9 +113,107 @@ class ToyEnvironment(ProofEnvironment):
         self._texts: dict = {}  # id(term) -> (term, its printed text)
 
     def initial_state(self, theorem_id: str) -> ProofState:
+        """The theorem's one obligation, its goal and hypotheses printed
+        through the table."""
         if theorem_id != self.theorem.name:
             raise KeyError(f"environment is bound to {self.theorem.name!r}, not {theorem_id!r}")
-        return self.theorem.initial_state(self._terms, self._texts)
+        hyps = {name: self._printed(term) for name, term in self.theorem.hypotheses}
+        return ProofState.of([Obligation.make(self._printed(self.theorem.goal), hyps)])
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
-        return apply_toy_tactic(state, tactic, self._lemmas, self._terms, self._texts)
+        """Error states absorb every tactic; all failures (including tactic
+        parse errors) return an error state carrying the input obligations."""
+        if state.is_error:
+            return state
+        if state.is_qed:
+            return ProofState.error(state.obligations, "no goals: the proof is already complete")
+        read = _read_tactic(tactic)
+        if isinstance(read, str):
+            return ProofState.error(state.obligations, read)
+        focused, *rest = ordered_obligations(state)
+        result = self._step(focused, *read)
+        if isinstance(result, str):
+            return ProofState.error(state.obligations, result)
+        return ProofState.of(result + rest)
+
+    def _parsed(self, text: str) -> Term:
+        """The term of a goal or hypothesis text; parsed only if the table
+        lacks it."""
+        term = self._terms.get(text)
+        if term is None:
+            term = self._terms[text] = parse_term(text)
+        return term
+
+    def _printed(self, term: Term) -> str:
+        """`term`'s text, printed through the table and recorded in it."""
+        text = print_term(term, self._texts)
+        self._terms[text] = term
+        return text
+
+    def _step(self, focused: Obligation, head: str, name: str | None, reverse: bool) -> list | str:
+        """Apply a read tactic to one obligation.
+
+        Returns the replacement obligations on success, or an error message.
+        """
+
+        def child(term: Term, hypotheses: frozenset = focused.hypotheses) -> Obligation:
+            return Obligation.trusted(self._printed(term), hypotheses)
+
+        goal = self._parsed(focused.goal)
+        hyps = focused.hypotheses_by_name
+
+        if head == "intro":
+            if not isinstance(goal, Implies):
+                return "intro failed: goal is not an implication"
+            if name in hyps:
+                return f"intro failed: hypothesis name '{name}' already in use"
+            new_hyp = (name, self._printed(goal.lhs))
+            return [child(goal.rhs, focused.hypotheses | {new_hyp})]
+
+        if head == "split":
+            if not isinstance(goal, And):
+                return "split failed: goal is not a conjunction"
+            return [child(goal.lhs), child(goal.rhs)]
+
+        if head == "assumption":
+            if focused.goal in focused.hypothesis_contents():
+                return []
+            return "assumption failed: no hypothesis matches the goal"
+
+        if head == "exact":
+            if name not in hyps:
+                return f"exact failed: no hypothesis named '{name}'"
+            if hyps[name] != focused.goal:
+                return f"exact failed: hypothesis '{name}' does not match the goal"
+            return []
+
+        if head == "refl":
+            if not isinstance(goal, Eq):
+                return "refl failed: goal is not an equality"
+            if goal.lhs != goal.rhs:
+                return "refl failed: sides of the equality are not syntactically equal"
+            return []
+
+        if head == "rw":
+            equation = self._parsed(hyps[name]) if name in hyps else self._lemmas.get(name)
+            if equation is None:
+                return f"rw failed: no equation named '{name}'"
+            if not isinstance(equation, Eq):
+                return f"rw failed: '{name}' is not an equation"
+            old, new = (equation.rhs, equation.lhs) if reverse else (equation.lhs, equation.rhs)
+            rewritten, count = _rewrite(goal, old, new)
+            if count == 0:
+                return f"rw failed: no occurrences of '{print_term(old, self._texts)}' in the goal"
+            return [child(rewritten)]
+
+        # apply NAME
+        lemma = self._lemmas.get(name)
+        if lemma is None:
+            return f"apply failed: no lemma named '{name}'"
+        if isinstance(lemma, Implies):
+            if print_term(lemma.rhs, self._texts) != focused.goal:
+                return f"apply failed: conclusion of '{name}' does not match the goal"
+            return [child(lemma.lhs)]
+        if print_term(lemma, self._texts) != focused.goal:
+            return f"apply failed: '{name}' does not match the goal"
+        return []

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core import ProofState, canonical_key, ordered_obligations
-from .kernel import ToyTheorem, apply_toy_tactic
+from .kernel import ToyEnvironment, ToyTheorem
 from .terms import Term
 
 
@@ -47,16 +47,15 @@ def brute_force_prove(theorem: ToyTheorem, max_depth: int):
     """Shortest proof of the theorem within max_depth tactics, or None."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    env = ToyEnvironment(theorem)
     lemmas = dict(theorem.lemmas)
-    terms: dict = {}  # this call's term table, both ways
-    texts: dict = {}
-    initial = theorem.initial_state(terms, texts)
+    initial = env.initial_state(theorem.name)
 
     def search(state: ProofState, remaining: int, path_keys: set):
         if remaining == 0:
             return None
         for tactic in candidate_tactics(state, lemmas):
-            result = apply_toy_tactic(state, tactic, lemmas, terms, texts)
+            result = env.apply_tactic(state, tactic)
             if result.is_error:
                 continue
             if result.is_qed:

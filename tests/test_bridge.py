@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from proofsearch import bridge_adapter
+from proofsearch.agent import REASON_INFRASTRUCTURE, SearchConfig, prove
 from proofsearch.bridge import (
     BridgeConfig,
     BridgedEnvironment,
@@ -18,12 +19,12 @@ from proofsearch.bridge import (
     obligations_from_wire,
 )
 from proofsearch.bridge_adapter import obligations_to_wire
-from proofsearch.core import Obligation, ProofState, canonical_key
+from proofsearch.core import GlobalContext, Obligation, ProofState, canonical_key
 from proofsearch.toy import ToyEnvironment, brute_force_prove
 from proofsearch.toy.oracle import candidate_tactics
 from proofsearch.toy.terms import print_term
 
-from conftest import SUITE_PATH
+from conftest import SUITE_PATH, SequenceBackend
 
 LOOPBACK = [sys.executable, "-m", "proofsearch.bridge_adapter", str(SUITE_PATH)]
 
@@ -378,6 +379,48 @@ class TestTransportFailures:
                 session.call("init", theorem="imp_self")
         finally:
             session.close()
+
+    # replies to `init`; each is malformed, none may end the run
+    MALFORMED_REPLIES = {
+        "no-state-id": {"status": "ok", "obligations": [{"goal": "P", "hypotheses": []}]},
+        "no-goal": {"status": "ok", "state_id": "s1", "obligations": [{"hypotheses": []}]},
+        "goal-not-a-string": {"status": "ok", "state_id": "s1", "obligations": [{"goal": 5}]},
+        "name-not-a-string": {"status": "ok", "state_id": "s1", "obligations": [
+            {"goal": "B", "hypotheses": [{"name": 1, "prop": "A"}]}]},
+        "repeated-name": {"status": "ok", "state_id": "s1", "obligations": [
+            {"goal": "B", "hypotheses": [{"name": "h", "prop": "A"},
+                                         {"name": "h", "prop": "B"}]}]},
+        "no-obligations": {"status": "ok", "state_id": "s1"},
+        "empty-obligations": {"status": "ok", "state_id": "s1", "obligations": []},
+        "obligations-not-a-list": {"status": "ok", "state_id": "s1", "obligations": {"goal": "P"}},
+    }
+
+    @staticmethod
+    def replying(reply):
+        """An adapter script that answers every request with `reply`."""
+        return ("import json, sys\n"
+                "for line in sys.stdin:\n"
+                f"    print(json.dumps(dict({reply!r}, id=json.loads(line)['id'])), flush=True)\n")
+
+    @pytest.mark.parametrize("case", list(MALFORMED_REPLIES))
+    def test_malformed_ok_reply_is_a_bridge_failure(self, case):
+        session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case]))
+        try:
+            with pytest.raises(BridgeFailure):
+                session.init("imp_self")
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("case", ["no-state-id", "no-goal", "repeated-name"])
+    def test_malformed_ok_reply_aborts_the_episode_as_infrastructure(self, case):
+        session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case]))
+        try:
+            outcome, trace = prove("imp_self", BridgedEnvironment(session), SequenceBackend([]),
+                                   None, GlobalContext("P -> P"), SearchConfig())
+        finally:
+            session.close()
+        assert outcome.failure_reason == REASON_INFRASTRUCTURE and trace.aborted
+        assert trace.queries_used == 0
 
     def test_config_validates_timeout(self):
         with pytest.raises(ValueError):

@@ -6,16 +6,18 @@ failure table per stage, the progress order by brute force, and the depth,
 per-state, format-retry and query caps. It keys states with its own
 serializer instead of the key stored on a state, compares hypotheses by
 building their sets on the spot instead of reading an obligation's stored
-contents, and applies tactics through `apply_toy_tactic` with no term
-table. The backends are adversarial: malformed and cut-off responses,
-identity rewrites, tactics that error, and infrastructure failures at a
-random query; for some seeds the environment also fails at a random
-tactic. The reference records every event itself, those a query
-record restates included, so the comparison also checks the events an
-`EpisodeTrace` derives from its records.
+contents, and applies each tactic through a fresh `ToyEnvironment`, so no
+term table carries over from one step to the next. The backends are
+adversarial: malformed and cut-off responses, identity rewrites, tactics
+that error, and infrastructure failures at a random query; for some seeds
+the environment also fails at a random tactic. The reference records
+every event itself, those a query record restates included, so the
+comparison also checks the events an `EpisodeTrace` derives from its
+records.
 """
 
 import json
+import queue
 import random
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +37,7 @@ from proofsearch.agent import (
     ensemble_prove,
     prove,
 )
-from proofsearch.bridge import BridgeFailure
+from proofsearch.bridge import BridgeConfig, BridgedEnvironment, BridgeFailure, BridgeSession
 from proofsearch.core import GlobalContext
 from proofsearch.llm import Completion, CompletionRequest, InfrastructureFailure
 from proofsearch.prompts import (
@@ -50,8 +52,11 @@ from proofsearch.prompts import (
 )
 from proofsearch.retrieval import LemmaRecord, build_index, retrieve
 from proofsearch.toy import ToyEnvironment, ToyTheorem
-from proofsearch.toy.kernel import apply_toy_tactic
+from proofsearch.toy.suite import ToySuite, parse_suite
 from proofsearch.toy.terms import And, Atom, Eq, Implies, print_term
+
+from test_bench import ServedAdapter
+from test_toy import write_suite
 
 # --- the reference ------------------------------------------------------------
 
@@ -112,7 +117,6 @@ class ReferenceSearch:
 
     def __init__(self, theorem, backend, config, fail_at=None):
         self.theorem = theorem
-        self.lemmas = dict(theorem.lemmas)
         self.backend = backend
         self.config = config
         self.fail_at = fail_at  # the tactic at which the environment fails
@@ -126,7 +130,8 @@ class ReferenceSearch:
             if self.queries >= self.config.max_queries:
                 raise _Stop(SearchOutcome(proved=False, failure_reason=REASON_BUDGET))
             table = {}
-            self.search(self.theorem.initial_state(), 0, [], [], table, stage, index, gctx)
+            initial = ToyEnvironment(self.theorem).initial_state(self.theorem.name)
+            self.search(initial, 0, [], [], table, stage, index, gctx)
             outcome = SearchOutcome(proved=False, failure_reason=REASON_EXHAUSTED)
         except _Stop as stop:
             outcome = stop.outcome
@@ -156,7 +161,7 @@ class ReferenceSearch:
             self.tactics += 1
             if self.tactics == self.fail_at:
                 raise BridgeFailure(f"environment failure at tactic {self.tactics}")
-            new_state = apply_toy_tactic(state, tactic, self.lemmas)
+            new_state = ToyEnvironment(self.theorem).apply_tactic(state, tactic)
             if new_state.is_qed:
                 result = "qed"
             elif new_state.is_error:
@@ -271,10 +276,11 @@ def random_prop(rng, depth=2):
     return Implies(random_prop(rng, depth - 1), random_prop(rng, depth - 1))
 
 
-def random_theorem(rng, name):
+def random_theorem(rng, name, lemma_prefix=""):
     """A goal `A1 -> ... -> Ak -> C` whose conclusion often follows from
     the antecedents, hypotheses that include equations (so rewrites can
-    cycle) and an identity equation, and a few lemmas."""
+    cycle) and an identity equation, and a few lemmas, their names
+    starting with `lemma_prefix`."""
     antecedents = [random_prop(rng, 1) for _ in range(rng.randint(0, 3))]
     pool = antecedents + [random_prop(rng, 1)]
     roll = rng.random()
@@ -299,9 +305,10 @@ def random_theorem(rng, name):
         hypotheses.append(("hq", random_prop(rng, 1)))
     lemmas = []
     if rng.random() < 0.5:
-        lemmas.append(("l_eq", Eq(Atom(rng.choice(ATOMS)), Atom(rng.choice(ATOMS)))))
+        equation = Eq(Atom(rng.choice(ATOMS)), Atom(rng.choice(ATOMS)))
+        lemmas.append((f"{lemma_prefix}l_eq", equation))
     if rng.random() < 0.5:
-        lemmas.append(("l_imp", Implies(random_prop(rng, 1), conclusion)))
+        lemmas.append((f"{lemma_prefix}l_imp", Implies(random_prop(rng, 1), conclusion)))
     return ToyTheorem(name, goal, tuple(hypotheses), tuple(lemmas))
 
 
@@ -402,9 +409,13 @@ def random_config(rng):
     )
 
 
-def case(seed):
+def case(seed, lemmas_apart=False):
+    """The seed's theorem, config, index, context and backend factory.
+    With `lemmas_apart`, lemma names carry the theorem's name, so the
+    theorems of all seeds fit in one suite file."""
     rng = random.Random(seed)
-    theorem = random_theorem(rng, f"t{seed}")
+    name = f"t{seed}"
+    theorem = random_theorem(rng, name, f"{name}_" if lemmas_apart else "")
     config = random_config(rng)
     index = random_index(rng, theorem) if rng.random() < 0.6 else None
     gctx = GlobalContext(theorem_statement=theorem.statement())
@@ -471,3 +482,46 @@ class TestReferenceSearch:
             STAGE_RETRIEVAL, STAGE_INFORMAL, "no-progress", "error", "format-error",
             "skipped", "environment raised",
         } <= seen
+
+
+class ServedSession(BridgeSession):
+    """A session with `bridge_adapter.serve` on a thread of this process."""
+
+    def __init__(self, suite_path, monkeypatch):
+        self.config = BridgeConfig(command=["served in-process"], timeout_seconds=30)
+        self._next_id = 0
+        self._lines = queue.Queue()
+        self._proc = ServedAdapter(suite_path, self._lines, monkeypatch)
+
+
+class TestReferenceSeedsOverTheWire:
+    """The seeds' theorems behind `bridge_adapter.serve`, one session for
+    all of them with `reset` between seeds, as a run reuses its adapter:
+    each episode's `comparable()` equals the in-process one. This runs
+    `obligations_to_wire`, `obligations_from_wire` and the error text on
+    random states. The adapter cannot fail at a tactic as
+    `FailingEnvironment` does, so the seeds with an environment failure
+    (37 of the 160) are skipped."""
+
+    def test_ensemble_over_the_wire_matches_in_process(self, tmp_path, monkeypatch):
+        cases = [case(seed, lemmas_apart=True) for seed in SEEDS
+                 if environment_failure(seed) is None]
+        assert len(SEEDS) - len(cases) == 37
+        theorems = {theorem.name: theorem for theorem, *_ in cases}
+        lemmas = {name: term for theorem in theorems.values() for name, term in theorem.lemmas}
+        text = write_suite(ToySuite(lemmas, theorems))
+        assert parse_suite(text).theorems == theorems
+        suite_path = tmp_path / "seeds.toysuite"
+        suite_path.write_text(text, encoding="utf-8")
+        session = ServedSession(suite_path, monkeypatch)
+        try:
+            for i, (theorem, config, index, gctx, backend) in enumerate(cases):
+                direct = ensemble_prove(theorem.name, ToyEnvironment(theorem), backend(), index,
+                                        gctx, config)
+                bridged = ensemble_prove(theorem.name, BridgedEnvironment(session, reset=i > 0),
+                                         backend(), index, gctx, config)
+                assert bridged[0] == direct[0], theorem.name
+                assert bridged[1].comparable() == direct[1].comparable(), theorem.name
+        finally:
+            session.close()
+        assert session._proc.poll() == 0

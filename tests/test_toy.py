@@ -17,7 +17,7 @@ from proofsearch.core import (
     normalize_text,
 )
 from proofsearch.toy import ToyEnvironment, brute_force_prove, load_suite
-from proofsearch.toy.kernel import ToyTheorem, apply_toy_tactic
+from proofsearch.toy.kernel import ToyTheorem
 from proofsearch.toy.oracle import candidate_tactics
 from proofsearch.toy.suite import SuiteFormatError, parse_suite
 from proofsearch.toy.terms import (
@@ -97,10 +97,10 @@ class TestTerms:
 
 
 class TestTacticSyntax:
-    """Tactic text reaches the kernel through `apply_toy_tactic`. Each
-    accepted form steps it, a variant steps like its canonical form, and
-    malformed text gives an error state whose message reaches prompts and
-    traces byte for byte."""
+    """Tactic text reaches the kernel through `ToyEnvironment.apply_tactic`.
+    Each accepted form steps it, a variant steps like its canonical form,
+    and malformed text gives an error state whose message reaches prompts
+    and traces byte for byte."""
 
     KNOWN = "expected one of: apply, assumption, exact, intro, refl, rw, split"
     MALFORMED = {
@@ -153,7 +153,7 @@ class TestTacticSyntax:
     def test_malformed_rejected(self, text):
         theorem = theorem_of("P -> P")
         state = run(theorem, text)
-        assert state == ProofState.error(theorem.initial_state().obligations,
+        assert state == ProofState.error(initial(theorem).obligations,
                                          self.MALFORMED[text])
 
     def test_unknown_tactic_message(self):
@@ -170,10 +170,20 @@ def theorem_of(goal, hyps=(), lemmas=(), name="t"):
     )
 
 
+def initial(theorem):
+    return ToyEnvironment(theorem).initial_state(theorem.name)
+
+
+def step(theorem, state, tactic):
+    """One tactic through a fresh environment: the kernel with no term
+    table carried over from an earlier step."""
+    return ToyEnvironment(theorem).apply_tactic(state, tactic)
+
+
 def run(theorem, *tactics):
-    state = theorem.initial_state()
+    state = initial(theorem)
     for tactic in tactics:
-        state = apply_toy_tactic(state, tactic, dict(theorem.lemmas))
+        state = step(theorem, state, tactic)
     return state
 
 
@@ -266,11 +276,11 @@ class TestKernel:
         err = run(theorem_of("P"), "split")
         assert err.is_error
         for tactic in ("intro h", "refl", "nonsense"):
-            assert apply_toy_tactic(err, tactic, {}) == err
+            assert step(theorem_of("P"), err, tactic) == err
 
     def test_qed_state_rejects_further_tactics(self):
         qed = run(theorem_of("a = a"), "refl")
-        after = apply_toy_tactic(qed, "refl", {})
+        after = step(theorem_of("a = a"), qed, "refl")
         assert after.error_message == "no goals: the proof is already complete"
 
     def test_tactics_focus_first_obligation(self):
@@ -289,7 +299,7 @@ class TestKernel:
 class TestEnvironment:
     def test_bound_to_one_theorem(self):
         env = ToyEnvironment(theorem_of("P -> P", name="pp"))
-        assert env.initial_state("pp") == theorem_of("P -> P").initial_state()
+        assert env.initial_state("pp") == ProofState.of([Obligation.make("P -> P")])
         with pytest.raises(KeyError):
             env.initial_state("other")
 
@@ -333,9 +343,8 @@ class TestTermTable:
         checked = 0
         for theorem in suite.theorems.values():
             env = ToyEnvironment(theorem)
-            lemmas = dict(theorem.lemmas)
-            for state, tactic, result in walk(env, lemmas):
-                assert result == apply_toy_tactic(state, tactic, lemmas)
+            for state, tactic, result in walk(env, dict(theorem.lemmas)):
+                assert result == step(theorem, state, tactic)
                 checked += 1
             assert env._terms, theorem.name
             for text, term in env._terms.items():
@@ -420,14 +429,14 @@ class TestTermTable:
             for _ in walk(env, dict(theorem.lemmas)):
                 pass
             proof = brute_force_prove(theorem, 4)
-            assert lift_transition(env, theorem.initial_state(), proof).is_qed
+            assert lift_transition(env, env.initial_state(theorem.name), proof).is_qed
         assert suite_term_state() == terms_before
         assert module_state() == modules_before
 
     def test_table_is_the_environments_own(self):
         theorem = theorem_of("P -> Q -> P")
         first, second = ToyEnvironment(theorem), ToyEnvironment(theorem)
-        first.apply_tactic(theorem.initial_state(), "intro h")
+        first.apply_tactic(initial(theorem), "intro h")
         assert first._terms and not second._terms
 
 
@@ -447,7 +456,7 @@ class TestOracle:
 
     def test_candidates_canonical_order(self):
         theorem = theorem_of("P", hyps=[("h", "P")], lemmas=[("l", "P")])
-        state = theorem.initial_state()
+        state = initial(theorem)
         assert candidate_tactics(state, dict(theorem.lemmas)) == [
             "intro h1",
             "split",
@@ -463,7 +472,7 @@ class TestOracle:
 
     def test_fresh_intro_name_skips_taken(self):
         theorem = theorem_of("P -> Q", hyps=[("h", "R")])
-        candidates = candidate_tactics(theorem.initial_state(), {})
+        candidates = candidate_tactics(initial(theorem), {})
         assert "intro h1" in candidates
 
     def test_soundness_and_minimality_on_bundled_suite(self, suite):
@@ -471,7 +480,7 @@ class TestOracle:
             proof = brute_force_prove(theorem, 4)
             assert proof is not None, theorem.name
             env = ToyEnvironment(theorem)
-            assert lift_transition(env, theorem.initial_state(), proof).is_qed
+            assert lift_transition(env, env.initial_state(theorem.name), proof).is_qed
             if len(proof) > 1:
                 assert brute_force_prove(theorem, len(proof) - 1) is None, theorem.name
 
