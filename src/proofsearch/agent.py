@@ -420,11 +420,8 @@ class _Proved(Exception):
 class _Frame:
     state: ProofState
     key: str
+    least_goal: str  # the goal of the state's first obligation in order
     rho: object = None
-
-    @property
-    def least_goal(self) -> str:
-        return ordered_obligations(self.state)[0].goal
 
 
 class _Searcher:
@@ -438,10 +435,7 @@ class _Searcher:
         self.trace = trace
         self.stage = stage
         self.bad: dict = {}  # state key -> ordered list of bad tactics
-        # the stack's frames by their least goal, each list in push order. A
-        # state is at least as hard as a frame only if it has every goal of
-        # the frame, so the progress check need look only under its own goals.
-        self.frames_by_goal: dict = {}
+        self.stack: list = []  # the frames of the states being searched, root first
 
     def run(self, theorem_id: str):
         reason = self.budget.exhausted_reason()
@@ -452,13 +446,13 @@ class _Searcher:
             raise ValueError("initial state must be non-error")
         if initial.is_qed:
             raise ValueError("theorem is already proved at the initial state")
-        self._search(initial, depth=0, path=[])
+        self._search(initial, path=[])
 
     # one state: push, retrieve, query loop, pop
-    def _search(self, state: ProofState, depth: int, path: list):
+    def _search(self, state: ProofState, path: list):
         key = canonical_key(state)
-        frame = _Frame(state, key)
-        self.frames_by_goal.setdefault(frame.least_goal, []).append(frame)
+        frame = _Frame(state, key, ordered_obligations(state)[0].goal)
+        self.stack.append(frame)
         self.trace.event("push", key)
         if self.index is not None:
             frame.rho = retrieve(self.index, state, self.config.k_retrieve)
@@ -479,7 +473,7 @@ class _Searcher:
                 result = "qed"
             elif new_state.is_error:
                 result, last_outcome = "error", new_state.error_message
-            elif self._dominated(new_state) or depth + 1 >= self.config.max_depth:
+            elif self._dominated(new_state) or len(self.stack) >= self.config.max_depth:
                 result, last_outcome = "no-progress", NO_PROGRESS_MESSAGE
             else:
                 result, last_outcome = "progressed", "success"
@@ -488,23 +482,22 @@ class _Searcher:
             if result == "qed":
                 raise _Proved(path + [tactic])
             if result == "progressed":
-                self._search(new_state, depth + 1, path + [tactic])
+                self._search(new_state, path + [tactic])
             elif tactic not in bad:
                 bad.append(tactic)
                 self.trace.event("bad", key, tactic)
         # per-state attempts exhausted: backtrack (a proof or an abort
         # unwinds past this point without emitting a pop)
-        stacked = self.frames_by_goal[frame.least_goal]
-        stacked.pop()
-        if not stacked:
-            del self.frames_by_goal[frame.least_goal]
+        self.stack.pop()
         self.trace.event("pop", key)
 
     def _dominated(self, state: ProofState) -> bool:
-        """Whether `state` is at least as hard as a frame on the stack."""
+        """Whether `state` is at least as hard as a frame on the stack. A
+        state has every goal of a frame it is at least as hard as, so a
+        frame whose least goal the state lacks is skipped unchecked."""
         goals = {ob.goal for ob in state.obligations}
-        return any(at_least_as_hard(state, f.state)
-                   for goal in goals for f in self.frames_by_goal.get(goal, ()))
+        return any(f.least_goal in goals and at_least_as_hard(state, f.state)
+                   for f in self.stack)
 
     def _query_tactic(self, frame, bad, path, last_step, last_outcome):
         """Prompt for one tactic, spending repair queries on format errors.

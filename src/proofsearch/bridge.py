@@ -115,9 +115,7 @@ class BridgeSession:
         response = self.call("init", theorem=theorem)
         if response["status"] == "error":
             raise BridgeFailure(f"init failed: {response.get('message')}")
-        if not isinstance(response.get("state_id"), str):
-            raise BridgeFailure(f"init reply without a string state_id: {response!r}")
-        return response["state_id"], self._state_from(response)
+        return self.decode_state(response)
 
     def apply(self, state_id: str, tactic: str) -> dict:
         return self.call("apply", state_id=state_id, tactic=tactic)
@@ -137,10 +135,16 @@ class BridgeSession:
             pass
 
     @staticmethod
-    def _state_from(response: dict) -> ProofState:
+    def decode_state(response: dict) -> tuple:
+        """The (state id, state) of an `ok` or `qed` reply to `init` or
+        `apply`. An `ok` reply needs a string `state_id`, and raises
+        BridgeFailure without one; a `qed` reply's id is optional (None)."""
+        state_id = response.get("state_id")
         if response["status"] == "qed":
-            return ProofState.qed()
-        return ProofState.of(obligations_from_wire(response.get("obligations")))
+            return state_id, ProofState.qed()
+        if not isinstance(state_id, str):
+            raise BridgeFailure(f"ok reply without a string state_id: {response!r}")
+        return state_id, ProofState.of(obligations_from_wire(response.get("obligations")))
 
     def __enter__(self):
         return self
@@ -184,7 +188,7 @@ class BridgedEnvironment(ProofEnvironment):
         response = self.session.apply(self._ids[key], tactic)
         if response["status"] == "error":
             return ProofState.error(state.obligations, response.get("message") or "error")
-        new_state = self.session._state_from(response)
-        if "state_id" in response:
-            self._ids[canonical_key(new_state)] = response["state_id"]
+        state_id, new_state = self.session.decode_state(response)
+        if state_id is not None:
+            self._ids[canonical_key(new_state)] = state_id
         return new_state

@@ -20,7 +20,7 @@ def obligations_to_wire(state: ProofState) -> list:
         {
             "goal": ob.goal,
             "hypotheses": [
-                {"name": name, "prop": prop} for name, prop in sorted(ob.hypotheses)
+                {"name": name, "prop": prop} for name, prop in ob.sorted_hypotheses
             ],
         }
         for ob in ordered_obligations(state)

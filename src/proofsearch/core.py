@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -36,24 +38,6 @@ class GlobalContext:
             raise ValueError("theorem statement must be nonempty")
 
 
-class _stored:
-    """A method's value, computed on the first read of the attribute and
-    then kept in the instance's `__dict__` under the method's name, where
-    later reads find it first: `functools.cached_property` without its
-    lock (Python 3.12 dropped the lock too)."""
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class Obligation:
     """One (goal, hypotheses) pair the prover must discharge.
@@ -66,15 +50,11 @@ class Obligation:
     printed goal, its parent's hypotheses), and the child is then `==`,
     hashes and keys the same as one built through `make`.
 
-    Four views are computed on first use and kept on the instance: the
-    hypotheses sorted by name (behind `hypothesis_map` and
-    `canonical_key`), `hypotheses_by_name`, `hypothesis_contents()` and
-    `sort_key()`. They are not dataclass fields, so `==`, `hash` and
-    `repr` ignore them, and an obligation that is never asked for them
-    pays nothing. They are `_stored`, not `functools.cached_property`:
-    on Python 3.11 that takes a lock at every first use, and the search
-    makes thousands of obligations a round that nothing shares between
-    threads.
+    Four derived views are `functools.cached_property`s: `sorted_hypotheses`,
+    `hypotheses_by_name`, `propositions` and `sort_key`. Each is computed
+    on first read and kept on the instance; they are not dataclass fields,
+    so `==`, `hash` and `repr` ignore them, and an obligation that is
+    never asked for them pays nothing.
     """
 
     goal: str
@@ -102,34 +82,28 @@ class Obligation:
         ob.__dict__.update(goal=goal, hypotheses=hypotheses)
         return ob
 
-    @_stored
-    def _by_name(self) -> tuple:
-        """The (name, proposition) pairs in name order."""
+    @cached_property
+    def sorted_hypotheses(self) -> tuple:
+        """The (name, proposition) pairs in name order: the one order in
+        which prompts, keys, the wire and retrieval list hypotheses."""
         return tuple(sorted(self.hypotheses))
 
-    @_stored
+    @cached_property
     def hypotheses_by_name(self) -> Mapping:
-        """Each hypothesis's proposition under its name: a read-only view
-        for lookups (`hypothesis_map` gives a fresh dict)."""
+        """Each hypothesis's proposition under its name, read-only, for
+        lookups (its iteration order is not name order)."""
         return MappingProxyType(dict(self.hypotheses))
 
-    @_stored
-    def _contents(self) -> frozenset:
+    @cached_property
+    def propositions(self) -> frozenset:
+        """The hypotheses' propositions, names dropped."""
         return frozenset(prop for _, prop in self.hypotheses)
 
-    @_stored
-    def _sort_key(self) -> tuple:
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The obligation's place in `ordered_obligations`: goal text,
+        then the (proposition, name) pairs in order."""
         return (self.goal, sorted((prop, name) for name, prop in self.hypotheses))
-
-    def hypothesis_map(self) -> dict:
-        return dict(self._by_name)
-
-    def hypothesis_contents(self) -> frozenset:
-        """The set of hypothesis propositions, ignoring names."""
-        return self._contents
-
-    def sort_key(self):
-        return self._sort_key
 
 
 @dataclass(frozen=True)
@@ -139,6 +113,11 @@ class ProofState:
     QED is the non-error state with an empty obligation set. Error states
     keep the obligations that were pending when the tactic failed, plus the
     environment's feedback message.
+
+    The obligation order and the canonical key are private
+    `functools.cached_property`s, read through `ordered_obligations` and
+    `canonical_key`: the search and `BridgedEnvironment` share one of each
+    per state object, and `==`, `hash` and `repr` ignore them.
     """
 
     obligations: frozenset
@@ -166,21 +145,23 @@ class ProofState:
     def is_qed(self) -> bool:
         return not self.is_error and not self.obligations
 
+    @cached_property
+    def _ordered_obligations(self) -> tuple:
+        if len(self.obligations) < 2:  # nothing to sort
+            return tuple(self.obligations)
+        return tuple(sorted(self.obligations, key=attrgetter("sort_key")))
+
+    @cached_property
+    def _canonical_key(self) -> str:
+        return _encode_key({
+            "error": self.error_message,
+            "obligations": [[ob.goal, ob.sorted_hypotheses] for ob in self._ordered_obligations],
+        })
+
 
 def ordered_obligations(state: ProofState) -> tuple:
-    """Deterministic obligation order: by goal text, then by hypothesis list.
-
-    The tuple is computed on the first call and stored on the (frozen)
-    state, outside its fields, as `canonical_key` stores the key; a state
-    with one obligation is not sorted at all."""
-    order = state.__dict__.get("_order")
-    if order is None:
-        obligations = state.obligations
-        order = state.__dict__["_order"] = (
-            tuple(obligations) if len(obligations) < 2
-            else tuple(sorted(obligations, key=Obligation.sort_key))
-        )
-    return order
+    """Deterministic obligation order: by goal text, then by hypothesis list."""
+    return state._ordered_obligations
 
 
 def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
@@ -194,8 +175,8 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
     if o1.is_error or o2.is_error:
         raise ErrorStateComparison("progress order is undefined on error states")
     for ob2 in o2.obligations:
-        goal, h2 = ob2.goal, ob2._contents
-        if not any(ob1.goal == goal and ob1._contents <= h2 for ob1 in o1.obligations):
+        goal, h2 = ob2.goal, ob2.propositions
+        if not any(ob1.goal == goal and ob1.propositions <= h2 for ob1 in o1.obligations):
             return False
     return True
 
@@ -212,21 +193,8 @@ encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 def canonical_key(state: ProofState) -> str:
     """Stable serialization of a state, invariant under obligation and
-    hypothesis reordering. Used to key the failure table.
-
-    The key is computed on the first call and stored on the (frozen) state,
-    outside its fields, so the search and `BridgedEnvironment` share one
-    serialization per state object."""
-    key = state.__dict__.get("_key")
-    if key is None:
-        payload = {
-            "error": state.error_message,
-            "obligations": [
-                [ob.goal, ob._by_name] for ob in ordered_obligations(state)
-            ],
-        }
-        key = state.__dict__["_key"] = _encode_key(payload)
-    return key
+    hypothesis reordering. Used to key the failure table."""
+    return state._canonical_key
 
 
 class ProofEnvironment(ABC):

@@ -87,8 +87,6 @@ def _mean(values: Sequence[float]) -> float | None:
 class AggregateStats:
     """Means over the pass/fail subpopulations; None marks an empty one."""
 
-    episodes: int = 0
-    aborted: int = 0
     avg_queries_total: float | None = None
     avg_queries_on_failure: float | None = None
     avg_queries_on_pass: float | None = None
@@ -108,13 +106,10 @@ def _per_query(subpopulation: list) -> float | None:
 
 
 def aggregate_stats(results: Iterable[EpisodeResult]) -> AggregateStats:
-    results = list(results)
     valid = _valid(results)
     passed = [r for r in valid if r.proved]
     failed = [r for r in valid if not r.proved]
     return AggregateStats(
-        episodes=len(valid),
-        aborted=sum(1 for r in results if r.aborted),
         avg_queries_total=_mean([r.queries_used for r in valid]),
         avg_queries_on_failure=_mean([r.queries_used for r in failed]),
         avg_queries_on_pass=_mean([r.queries_used for r in passed]),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .core import GlobalContext, Obligation, ProofState, ordered_obligations
+from .core import GlobalContext, ProofState, ordered_obligations
 
 NATURAL_STOP = "natural-stop"
 LENGTH_CAP = "length-cap"
@@ -97,23 +97,11 @@ def sketch_prompt() -> str:
     )
 
 
-def _hypothesis_lines(obligation: Obligation) -> str:
-    """The obligation's `[HYPOTHESIS] name : prop` lines in name order,
-    rendered on the first call and stored on the (frozen) obligation,
-    outside its fields, as `canonical_key` stores a state's key."""
-    text = obligation.__dict__.get("_hypothesis_lines")
-    if text is None:
-        text = obligation.__dict__["_hypothesis_lines"] = "\n".join(
-            f"[HYPOTHESIS] {name} : {prop}" for name, prop in obligation.hypothesis_map().items()
-        )
-    return text
-
-
 def _render_goals(state: ProofState, retrieved: list | None) -> str:
     """The goals block, with the retrieved entries under the first goal.
     A block without entries is rendered on the first call and stored on
-    the (frozen) state, outside its fields, as `ordered_obligations`
-    stores the order: the search prompts at a state several times."""
+    the (frozen) state, outside its fields: the search prompts at a state
+    several times."""
     if not retrieved:
         text = state.__dict__.get("_goals")
         if text is None:
@@ -129,7 +117,8 @@ def _goals_block(state: ProofState, retrieved: list | None) -> str:
         lines.append(obligation.goal)
         if obligation.hypotheses:
             lines.append(f"[HYPOTHESES] {i}")
-            lines.append(_hypothesis_lines(obligation))
+            lines.extend(f"[HYPOTHESIS] {name} : {prop}"
+                         for name, prop in obligation.sorted_hypotheses)
         if i == 1 and retrieved:
             definitions = [r for r, _ in retrieved if r.kind == "definition"]
             theorems = [r for r, _ in retrieved if r.kind == "lemma"]

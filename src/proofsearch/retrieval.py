@@ -102,7 +102,7 @@ def state_query(state: ProofState) -> str:
     parts = []
     for obligation in ordered_obligations(state):
         parts.append(obligation.goal)
-        parts.extend(prop for _, prop in sorted(obligation.hypotheses))
+        parts.extend(prop for _, prop in obligation.sorted_hypotheses)
     return " ".join(parts)
 
 

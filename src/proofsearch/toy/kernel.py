@@ -176,7 +176,7 @@ class ToyEnvironment(ProofEnvironment):
             return [child(goal.lhs), child(goal.rhs)]
 
         if head == "assumption":
-            if focused.goal in focused.hypothesis_contents():
+            if focused.goal in focused.propositions:
                 return []
             return "assumption failed: no hypothesis matches the goal"
 

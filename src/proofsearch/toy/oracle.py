@@ -31,7 +31,7 @@ def candidate_tactics(state: ProofState, lemmas: Mapping[str, Term]) -> list:
     if state.is_error or state.is_qed:
         return []
     focused = ordered_obligations(state)[0]
-    hyp_names = sorted(focused.hypothesis_map())
+    hyp_names = [name for name, _ in focused.sorted_hypotheses]
     equation_names = sorted(set(hyp_names) | set(lemmas))
     candidates = [f"intro {_fresh_intro_name(hyp_names)}", "split"]
     candidates.extend(f"exact {name}" for name in hyp_names)

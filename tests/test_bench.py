@@ -4,11 +4,15 @@ rendering and regeneration, the suite runner, and the CLI verbs."""
 import functools
 import hashlib
 import json
+import os
 import queue
 import random
 import re
+import shutil
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +37,7 @@ from proofsearch import bridge_adapter
 import proofsearch.cli
 from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
 from proofsearch.cli import main as cli_main
+from proofsearch.core import ordered_obligations
 from proofsearch.llm import Completion, GuidanceBackend
 from proofsearch.metrics import (
     EpisodeResult,
@@ -46,7 +51,7 @@ from proofsearch.retrieval import LemmaRecord, build_index
 from proofsearch.toy import ToyEnvironment, brute_force_prove
 from proofsearch.toy.suite import parse_suite
 
-from conftest import CORPUS_PATH, SUITE_PATH, SequenceBackend
+from conftest import CORPUS_PATH, SRC_DIR, SUITE_PATH, SequenceBackend
 
 
 def result(theorem, proved, queries=10, seconds=5.0, attempt=1, **kwargs):
@@ -166,11 +171,9 @@ class TestAggregateStats:
         assert "absent" in rendered
 
     def test_aborted_counted_separately(self):
-        stats = aggregate_stats(
-            [result("a", True), result("b", False, aborted=True)]
-        )
-        assert stats.episodes == 1
-        assert stats.aborted == 1
+        results = [result("a", True, queries=10), result("b", False, queries=50, aborted=True)]
+        assert aggregate_stats(results).avg_queries_total == 10
+        assert build_report(results).aborted == [("b", 1)]
 
 
 class TestReport:
@@ -837,11 +840,42 @@ def run_digest(out) -> str:
     return digest.hexdigest()
 
 
+def claimed_interpreters(minors=(10, 12, 13)) -> dict:
+    """For each 3.N, the first CPython 3.N that starts: `python3.N` on PATH,
+    then `$PYENV_ROOT/versions/3.N.*/bin/python` (PYENV_ROOT defaults to
+    ~/.pyenv). One that does not start, such as a pyenv shim for a version
+    that is not selected, is passed over."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    probe = "import sys; print(sys.implementation.name, *sys.version_info[:2])"
+    found = {}
+    for minor in minors:
+        candidates = [shutil.which(f"python3.{minor}"),
+                      *sorted(root.glob(f"versions/3.{minor}.*/bin/python"))]
+        for python in filter(None, candidates):
+            try:
+                started = subprocess.run([python, "-c", probe], capture_output=True,
+                                         text=True, timeout=60)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if started.returncode == 0 and started.stdout.split() == ["cpython", "3", str(minor)]:
+                found[f"3.{minor}"] = str(python)
+                break
+    return found
+
+
 class TestBundledSuiteBytes:
     """The bundled suite's traces and query metrics, pinned. At depth 2 the
     oracle leaves 24 of 64 episodes unproved, so these runs reach every
     stage boundary: at 16 queries the retrieval stage never starts, at 32
     the sketch is skipped, and at 33 the sketch spends the last query."""
+
+    Q60 = (["--max-queries", "60"],
+           "49eb3e0947c253ded5ba9fef050b82bb68a058604f2e896adb5896c89de4c27b")
+
+    @staticmethod
+    def argv(out) -> list:
+        return ["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
+                "--out", str(out), "--oracle-depth", "2", "--attempts", "2"]
 
     @pytest.mark.parametrize("flags, expected", [
         (["--max-queries", "16"],
@@ -850,20 +884,35 @@ class TestBundledSuiteBytes:
          "b513dc58f87f3e3b537f3aa40eb914aeafbc27658745aef2ef22464463da4571"),
         (["--max-queries", "33"],
          "b9392a5edc6458ebf99b71a075b17533187106f5f21d91a81916f774bb580ee3"),
-        (["--max-queries", "60"],
-         "49eb3e0947c253ded5ba9fef050b82bb68a058604f2e896adb5896c89de4c27b"),
+        Q60,
         (["--no-ensemble"],
          "292fb7b117aab24f351b2c4338b411c9b3142da60432e323ebf635d2cdc3a68f"),
     ], ids=["q16", "q32", "q33", "q60", "no-ensemble"])
     def test_run_bytes_unchanged(self, tmp_path, capsys, flags, expected):
         out = tmp_path / "out"
-        code = cli_main(["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
-                         "--out", str(out), "--oracle-depth", "2", "--attempts", "2", *flags])
+        code = cli_main([*self.argv(out), *flags])
         capsys.readouterr()
         assert code == 0
         assert run_digest(out) == expected, (
             "the traces or metrics of the bundled suite changed; a digest here may "
             "change only for a deliberate change of output that CHANGES.md lists")
+
+    def test_q60_bytes_under_each_claimed_interpreter(self, tmp_path):
+        """`pyproject.toml` claims Python 3.10 and later: the q60 run gives
+        the pinned bytes under every CPython 3.10, 3.12 and 3.13 that starts
+        here. The child needs no pytest; the digest is taken in this process."""
+        found = claimed_interpreters()
+        if not found:
+            pytest.skip("no CPython 3.10, 3.12 or 3.13 starts here, as python3.N on "
+                        "PATH or under $PYENV_ROOT/versions (PYENV_ROOT defaults to ~/.pyenv)")
+        flags, expected = self.Q60
+        for version, python in found.items():
+            out = tmp_path / version
+            ran = subprocess.run([python, "-m", "proofsearch.cli", *self.argv(out), *flags],
+                                 env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                                 capture_output=True, text=True, timeout=300)
+            assert ran.returncode == 0, f"CPython {version} at {python}: {ran.stderr}"
+            assert run_digest(out) == expected, f"CPython {version} at {python}"
 
 
 
@@ -1011,6 +1060,29 @@ class TestDeepSuiteBytes:
                                index=build_index(DEEP_CORPUS))
         assert self.run(tmp_path / "out", bench) == self.DIGESTS
         assert len(sessions) == 1 and sessions[0]._proc.poll() == 0
+
+    def test_progress_check_asks_only_frames_under_the_states_goals(self, tmp_path,
+                                                                      monkeypatch):
+        """A state at least as hard as a frame has the frame's least goal,
+        so the progress check skips each frame whose least goal the new
+        state lacks. The `rw e`, `rw ← e` dead ends lead back to a state on
+        the stack, so the check also fires."""
+        asked = []  # (new state, frame's state, answer)
+        check = proofsearch.agent.at_least_as_hard
+
+        def recording(state, frame_state):
+            asked.append((state, frame_state, check(state, frame_state)))
+            return asked[-1][2]
+
+        monkeypatch.setattr(proofsearch.agent, "at_least_as_hard", recording)
+        bench = BenchmarkSuite(suite=parse_suite(deep_suite_text()),
+                               index=build_index(DEEP_CORPUS))
+        assert self.run(tmp_path / "out", bench) == self.DIGESTS
+        assert asked
+        for state, frame_state, _ in asked:
+            goals = {ob.goal for ob in state.obligations}
+            assert ordered_obligations(frame_state)[0].goal in goals
+        assert any(answer for _, _, answer in asked)
 
 
 class TestDamagedTraces:

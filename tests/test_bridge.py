@@ -380,7 +380,7 @@ class TestTransportFailures:
         finally:
             session.close()
 
-    # replies to `init`; each is malformed, none may end the run
+    # malformed `ok` replies to `init` or `apply`; none may end the run
     MALFORMED_REPLIES = {
         "no-state-id": {"status": "ok", "obligations": [{"goal": "P", "hypotheses": []}]},
         "no-goal": {"status": "ok", "state_id": "s1", "obligations": [{"hypotheses": []}]},
@@ -396,11 +396,14 @@ class TestTransportFailures:
     }
 
     @staticmethod
-    def replying(reply):
-        """An adapter script that answers every request with `reply`."""
+    def replying(reply, **by_cmd):
+        """An adapter script that answers a request with `by_cmd[its cmd]`
+        when given, and with `reply` otherwise."""
         return ("import json, sys\n"
                 "for line in sys.stdin:\n"
-                f"    print(json.dumps(dict({reply!r}, id=json.loads(line)['id'])), flush=True)\n")
+                "    request = json.loads(line)\n"
+                f"    reply = {by_cmd!r}.get(request['cmd'], {reply!r})\n"
+                "    print(json.dumps(dict(reply, id=request['id'])), flush=True)\n")
 
     @pytest.mark.parametrize("case", list(MALFORMED_REPLIES))
     def test_malformed_ok_reply_is_a_bridge_failure(self, case):
@@ -408,6 +411,21 @@ class TestTransportFailures:
         try:
             with pytest.raises(BridgeFailure):
                 session.init("imp_self")
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("case", list(MALFORMED_REPLIES))
+    def test_malformed_ok_reply_to_apply_is_a_bridge_failure(self, case):
+        """The same replies to an `apply` fail where they arrive, not at the
+        next tactic sent from the state they describe."""
+        init = {"status": "ok", "state_id": "s1",
+                "obligations": [{"goal": "P -> P", "hypotheses": []}]}
+        session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case], init=init))
+        try:
+            env = BridgedEnvironment(session)
+            state = env.initial_state("imp_self")
+            with pytest.raises(BridgeFailure):
+                env.apply_tactic(state, "intro h")
         finally:
             session.close()
 

@@ -30,7 +30,8 @@ class TestObligation:
     def test_whitespace_normalized_on_construction(self):
         ob = Obligation.make("P   ->\n Q", {"h": "  a =  b "})
         assert ob.goal == "P -> Q"
-        assert ob.hypothesis_map() == {"h": "a = b"}
+        assert ob.hypotheses == frozenset({("h", "a = b")})
+        assert dict(ob.hypotheses_by_name) == {"h": "a = b"}
 
     def test_equality_ignores_hypothesis_order(self):
         a = Obligation(goal="G", hypotheses=frozenset([("h1", "P"), ("h2", "Q")]))
@@ -43,7 +44,7 @@ class TestObligation:
 
     def test_hypothesis_contents_drop_names(self):
         ob = Obligation.make("G", {"h1": "P", "h2": "P", "h3": "Q"})
-        assert ob.hypothesis_contents() == frozenset({"P", "Q"})
+        assert ob.propositions == frozenset({"P", "Q"})
 
 
 class TestQed:
@@ -181,11 +182,16 @@ class TestComputedOnce:
         # frozensets' iteration order, and with it repr, must agree
         for state, fresh in zip(random_states(11, 200), random_states(11, 200)):
             key = canonical_key(state)
+            order = ordered_obligations(state)
+            assert order is ordered_obligations(state)
+            direct = sorted(state.obligations,
+                            key=lambda ob: (ob.goal, sorted((p, n) for n, p in ob.hypotheses)))
+            assert order == tuple(direct)
             for ob in state.obligations:
-                assert ob.hypothesis_map() == dict(sorted(ob.hypotheses))
-                assert ob.hypotheses_by_name == ob.hypothesis_map()
-                assert ob.hypothesis_contents() == frozenset(p for _, p in ob.hypotheses)
-                assert ob.sort_key() == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
+                assert ob.sorted_hypotheses == tuple(sorted(ob.hypotheses))
+                assert ob.hypotheses_by_name == dict(ob.hypotheses)
+                assert ob.propositions == frozenset(p for _, p in ob.hypotheses)
+                assert ob.sort_key == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
             if not state.is_error:
                 assert at_least_as_hard(state, state)
             assert state == fresh
@@ -206,9 +212,9 @@ class TestComputedOnce:
         assert ob.hypotheses_by_name is ob.hypotheses_by_name
         with pytest.raises(TypeError):
             ob.hypotheses_by_name["h"] = "R"
-        fresh = ob.hypothesis_map()
-        fresh["h"] = "R"
-        assert ob.hypothesis_map() == {"g": "Q", "h": "a = b"}
+        assert ob.sorted_hypotheses is ob.sorted_hypotheses
+        assert ob.sorted_hypotheses == (("g", "Q"), ("h", "a = b"))
+        assert ob.hypotheses_by_name == {"g": "Q", "h": "a = b"}
 
     def test_key_serialized_once_per_state(self, monkeypatch):
         calls = []

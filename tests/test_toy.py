@@ -2,6 +2,7 @@
 brute-force oracle, and the suite file format."""
 
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -351,16 +352,33 @@ class TestTermTable:
                 assert parse_term(text) == term
         assert checked > 500
 
-    def test_steps_build_no_hypothesis_dict(self, suite, monkeypatch):
-        """A step looks names up in the obligation's kept view, not in a
-        fresh `hypothesis_map()` per tactic."""
+    def test_steps_build_no_hypothesis_dict(self, suite):
+        """A step looks names up in the obligation's kept name view: it
+        never walks the hypotheses, in any view, to build a dict per tactic."""
+
+        def refused(*args):
+            raise AssertionError("a step walked an obligation's hypotheses")
+
+        class SealedSet(frozenset):
+            __iter__ = refused
+
+        class SealedPairs(tuple):
+            __iter__ = refused
+
+        class SealedNames(dict):  # lookups only
+            __iter__ = keys = items = values = copy = refused
+
         steps = [(theorem, list(walk(ToyEnvironment(theorem), dict(theorem.lemmas))))
                  for theorem in suite.theorems.values()]
-
-        def refused(self):
-            raise AssertionError("hypothesis_map called by a step")
-
-        monkeypatch.setattr(Obligation, "hypothesis_map", refused)
+        for _, walked in steps:
+            for state, _, _ in walked:
+                for ob in state.obligations:
+                    if not isinstance(ob.hypotheses, SealedSet):
+                        ob.__dict__.update(
+                            propositions=ob.propositions,
+                            hypotheses=SealedSet(ob.hypotheses),
+                            sorted_hypotheses=SealedPairs(sorted(ob.hypotheses)),
+                            hypotheses_by_name=MappingProxyType(SealedNames(ob.hypotheses)))
         for theorem, walked in steps:
             env = ToyEnvironment(theorem)
             for state, tactic, result in walked:
@@ -375,7 +393,7 @@ class TestTermTable:
                     continue
                 made = []
                 for ob in result.obligations:
-                    public = Obligation.make(ob.goal, ob.hypothesis_map())
+                    public = Obligation.make(ob.goal, ob.hypotheses_by_name)
                     assert ob == public and hash(ob) == hash(public)
                     assert (canonical_key(ProofState.of([ob]))
                             == canonical_key(ProofState.of([public])))
