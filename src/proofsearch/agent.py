@@ -416,6 +416,11 @@ class _Proved(Exception):
         self.proof = proof
 
 
+class _ClosedAtStart(Exception):
+    """The environment's initial state is already QED: no tactic script
+    proves it, so there is nothing to replay and no proof to record."""
+
+
 @dataclass
 class _Frame:
     state: ProofState
@@ -445,7 +450,8 @@ class _Searcher:
         if initial.is_error:
             raise ValueError("initial state must be non-error")
         if initial.is_qed:
-            raise ValueError("theorem is already proved at the initial state")
+            raise _ClosedAtStart(
+                "the theorem was closed at its initial state: no tactic script to replay")
         self._search(initial, path=[])
 
     # one state: push, retrieve, query loop, pop
@@ -567,8 +573,9 @@ def prove(
     Returns (SearchOutcome, EpisodeTrace) and records on the trace how the
     stage ended; a budget spent before it starts ends it with no call to
     the environment. Infrastructure failures of the
-    backend or the environment, `init` included, and a token budget too
-    small for the goals abort the trace; they are not proof failures.
+    backend or the environment, `init` included, a token budget too
+    small for the goals and an initial state that is already QED abort
+    the trace; they are not proof failures.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -583,7 +590,7 @@ def prove(
         outcome = SearchOutcome(proved=True, proof=tuple(proved.proof))
     except _Abort as abort:
         outcome = SearchOutcome(proved=False, failure_reason=abort.reason)
-    except (InfrastructureFailure, BridgeFailure, PromptBudgetError) as exc:
+    except (InfrastructureFailure, BridgeFailure, PromptBudgetError, _ClosedAtStart) as exc:
         trace.notes.append(f"infrastructure failure: {exc}")
         trace.aborted = True
         outcome = SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)

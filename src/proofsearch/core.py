@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +40,11 @@ class GlobalContext:
             raise ValueError("theorem statement must be nonempty")
 
 
+def _pair_text(pair: tuple) -> str:
+    """`json.dumps(list(pair), ensure_ascii=False, separators=(",", ":"))`."""
+    return f"[{encode_basestring(pair[0])},{encode_basestring(pair[1])}]"
+
+
 @dataclass(frozen=True)
 class Obligation:
     """One (goal, hypotheses) pair the prover must discharge.
@@ -45,16 +52,24 @@ class Obligation:
     Hypotheses are stored as (name, proposition) pairs in a frozenset, so
     equality is independent of enumeration order. `Obligation(...)` and
     `Obligation.make` whitespace-normalize goal and proposition text and
-    reject duplicate names. `Obligation.trusted` does neither: it is for a
-    kernel that builds a child from text it already holds normalized (its
-    printed goal, its parent's hypotheses), and the child is then `==`,
-    hashes and keys the same as one built through `make`.
+    reject duplicate names, and build every view from scratch on first
+    read.
 
-    Four derived views are `functools.cached_property`s: `sorted_hypotheses`,
-    `hypotheses_by_name`, `propositions` and `sort_key`. Each is computed
-    on first read and kept on the instance; they are not dataclass fields,
-    so `==`, `hash` and `repr` ignore them, and an obligation that is
-    never asked for them pays nothing.
+    Five derived views are `functools.cached_property`s: `sorted_hypotheses`,
+    `pair_texts`, `hypotheses_by_name`, `propositions` and `sort_key`.
+    Each is computed on first read and kept on the instance; they are not
+    dataclass fields, so `==`, `hash` and `repr` ignore them, and an
+    obligation that is never asked for them pays nothing.
+
+    A kernel that steps from an obligation builds its children with
+    `with_goal` (same hypotheses, new goal) or `with_hypothesis` (one more
+    pair, new goal). Both take text that is already normalized and a pair
+    whose name is not in use, as they are. `with_goal` shares every view
+    its parent has built (`sort_key` with the goal replaced);
+    `with_hypothesis` derives `sorted_hypotheses` and `pair_texts` from
+    its parent's by inserting the one new pair, and leaves the other views
+    to be built on first read. Either child is `==`, hashes and keys the
+    same as one built through `make`.
     """
 
     goal: str
@@ -74,19 +89,44 @@ class Obligation:
     def make(cls, goal: str, hypotheses: Mapping[str, str] | None = None) -> "Obligation":
         return cls(goal, frozenset((hypotheses or {}).items()))
 
-    @classmethod
-    def trusted(cls, goal: str, hypotheses: frozenset) -> "Obligation":
-        """An obligation from normalized goal text and distinctly named,
-        normalized (name, proposition) pairs, taken as they are."""
-        ob = object.__new__(cls)
-        ob.__dict__.update(goal=goal, hypotheses=hypotheses)
-        return ob
+    def with_goal(self, goal: str) -> "Obligation":
+        """This obligation's hypotheses under normalized goal text `goal`,
+        with every view built here shared."""
+        child = object.__new__(Obligation)
+        views = child.__dict__
+        views.update(self.__dict__, goal=goal)
+        if "sort_key" in views:
+            views["sort_key"] = (goal, views["sort_key"][1])
+        return child
+
+    def with_hypothesis(self, goal: str, pair: tuple) -> "Obligation":
+        """This obligation plus the normalized (name, proposition) `pair`,
+        whose name is not in use, under normalized goal text `goal`. The
+        parent's name-ordered views, where built, take the pair at its
+        place in name order."""
+        child = object.__new__(Obligation)
+        views = child.__dict__
+        views.update(goal=goal, hypotheses=self.hypotheses | {pair})
+        pairs = self.__dict__.get("sorted_hypotheses")
+        if pairs is not None:
+            at = bisect(pairs, pair)
+            views["sorted_hypotheses"] = pairs[:at] + (pair,) + pairs[at:]
+            texts = self.__dict__.get("pair_texts")
+            if texts is not None:
+                views["pair_texts"] = texts[:at] + (_pair_text(pair),) + texts[at:]
+        return child
 
     @cached_property
     def sorted_hypotheses(self) -> tuple:
         """The (name, proposition) pairs in name order: the one order in
         which prompts, keys, the wire and retrieval list hypotheses."""
         return tuple(sorted(self.hypotheses))
+
+    @cached_property
+    def pair_texts(self) -> tuple:
+        """Each of `sorted_hypotheses` as its compact JSON array text,
+        `["name","prop"]`: the pieces `canonical_key` joins."""
+        return tuple(map(_pair_text, self.sorted_hypotheses))
 
     @cached_property
     def hypotheses_by_name(self) -> Mapping:
@@ -153,10 +193,13 @@ class ProofState:
 
     @cached_property
     def _canonical_key(self) -> str:
-        return _encode_key({
-            "error": self.error_message,
-            "obligations": [[ob.goal, ob.sorted_hypotheses] for ob in self._ordered_obligations],
-        })
+        # the compact JSON text of {"error": ..., "obligations": [[goal,
+        # sorted_hypotheses], ...]}, joined from each obligation's pair texts
+        error = "null" if self.error_message is None else encode_basestring(self.error_message)
+        obligations = ",".join(
+            f'[{encode_basestring(ob.goal)},[{",".join(ob.pair_texts)}]]'
+            for ob in self._ordered_obligations)
+        return f'{{"error":{error},"obligations":[{obligations}]}}'
 
 
 def ordered_obligations(state: ProofState) -> tuple:
@@ -181,14 +224,32 @@ def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:
     return True
 
 
-# One encoder for every key: `json.dumps` with a keyword builds a new one per
-# call. Neither encoder checks for circular references: each value it is given
-# is a tree the program builds (one that held itself would still raise, as
-# RecursionError).
-_encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
-                               check_circular=False).encode
-# One encoder for every trace line and wire message, for the same reasons
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+def make_json_encoder():
+    """`json.dumps(value, ensure_ascii=False)` as one prebuilt encoder.
+
+    `JSONEncoder.encode` builds a new C encoder at every call; this builds
+    it once, from the private `json.encoder.c_make_encoder` with the same
+    settings. Where that is missing or rejects the arguments, it falls back
+    to `JSONEncoder.encode`, which writes the same text. Neither path
+    checks for circular references: each value given is a tree the program
+    builds (one that held itself would still raise, as RecursionError).
+    """
+    settings = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is not None:
+        try:
+            chunks = make(None, settings.default, encode_basestring, settings.indent,
+                          settings.key_separator, settings.item_separator,
+                          settings.sort_keys, settings.skipkeys, settings.allow_nan)
+        except TypeError:
+            pass
+        else:
+            return lambda value: "".join(chunks(value, 0))
+    return settings.encode
+
+
+# One encoder for every trace line, wire request and adapter reply
+encode_json = make_json_encoder()
 
 
 def canonical_key(state: ProofState) -> str:

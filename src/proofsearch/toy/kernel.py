@@ -15,8 +15,10 @@ by the term's `id` and holding the term so the id is not reused:
 `print_term` consults it at every node, so the subterms an `intro` chain
 keeps printing are printed once. That is exact because printed text is
 already whitespace-normalized and `parse_term(print_term(t)) == t`.
-Children are built with `Obligation.trusted` from that printed text and
-the focused obligation's own hypotheses, which are normalized already.
+Children are built from that printed text and the focused obligation,
+whose hypotheses are normalized already: `Obligation.with_hypothesis`
+for `intro`, which adds one pair, and `Obligation.with_goal` for the
+other tactics, which keep the hypotheses as they are.
 The table belongs to one environment, which means one episode; nothing
 is cached at module level or stored on a `Term` or a `ToyTheorem`, and a
 fresh environment steps exactly as a long-lived one does.
@@ -156,8 +158,8 @@ class ToyEnvironment(ProofEnvironment):
         Returns the replacement obligations on success, or an error message.
         """
 
-        def child(term: Term, hypotheses: frozenset = focused.hypotheses) -> Obligation:
-            return Obligation.trusted(self._printed(term), hypotheses)
+        def child(term: Term) -> Obligation:
+            return focused.with_goal(self._printed(term))
 
         goal = self._parsed(focused.goal)
         hyps = focused.hypotheses_by_name
@@ -168,7 +170,7 @@ class ToyEnvironment(ProofEnvironment):
             if name in hyps:
                 return f"intro failed: hypothesis name '{name}' already in use"
             new_hyp = (name, self._printed(goal.lhs))
-            return [child(goal.rhs, focused.hypotheses | {new_hyp})]
+            return [focused.with_hypothesis(self._printed(goal.rhs), new_hyp)]
 
         if head == "split":
             if not isinstance(goal, And):

@@ -810,6 +810,37 @@ class TestCli:
         rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 32 and all(row.endswith(",1,infrastructure") for row in rows)
 
+    def test_qed_reply_to_init_aborts_each_episode_without_a_traceback(self, tmp_path):
+        # an adapter that answers every `init` with `qed`: no episode has a
+        # tactic script, so none is a proof; each aborts, and the run exits 1
+        adapter = tmp_path / "closed.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    request = json.loads(line)\n"
+            "    status = 'qed' if request['cmd'] == 'init' else 'ok'\n"
+            "    print(json.dumps({'id': request['id'], 'status': status}), flush=True)\n"
+            "    if request['cmd'] == 'shutdown':\n"
+            "        break\n", encoding="utf-8")
+        suite_path = tmp_path / "two.toysuite"
+        suite_path.write_text("theorem pp\n  goal P -> P\nend\n\n"
+                              "theorem qq\n  goal Q -> Q\nend\n", encoding="utf-8")
+        out = tmp_path / "out"
+        ran = subprocess.run(
+            [sys.executable, "-m", "proofsearch.cli", "run", "--suite", str(suite_path),
+             "--out", str(out), "--bridge-cmd", f"{sys.executable} {adapter}"],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True, text=True, timeout=120)
+        assert ran.returncode == 1
+        assert "Traceback" not in ran.stderr
+        assert ran.stderr == f"all 2 episodes aborted; see {out / 'results.csv'}\n"
+        for theorem in ("pp", "qq"):
+            trace = EpisodeTrace.load(out / "traces" / trace_file_name(theorem, 1))
+            assert trace.aborted and not trace.outcome.proved
+            assert trace.outcome.failure_reason == REASON_INFRASTRUCTURE
+            assert trace.notes == ["infrastructure failure: the theorem was closed at "
+                                   "its initial state: no tactic script to replay"]
+
     def test_token_budget_too_small_aborts_only_its_episode(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(

@@ -217,21 +217,25 @@ class TestComputedOnce:
         assert ob.hypotheses_by_name == {"g": "Q", "h": "a = b"}
 
     def test_key_serialized_once_per_state(self, monkeypatch):
-        calls = []
-        encode = core._encode_key
+        # count calls of the function behind the state's stored key
+        view = vars(core.ProofState)["_canonical_key"]
+        build = view.func
+        built = []
 
-        def counting_encode(*args, **kwargs):
-            calls.append(args)
-            return encode(*args, **kwargs)
+        def counting_build(state):
+            built.append(state)
+            return build(state)
 
-        states = random_states(12, 50)
-        monkeypatch.setattr(core, "_encode_key", counting_encode)
+        monkeypatch.setattr(view, "func", counting_build)
+        states, fresh_states = random_states(12, 50), random_states(12, 50)
         first = [canonical_key(state) for state in states]
-        assert len(calls) == len(states)
-        assert [canonical_key(state) for state in states] == first
-        assert len(calls) == len(states)
-        assert [canonical_key(state) for state in random_states(12, 50)] == first
-        assert len(calls) == 2 * len(states)
+        assert [id(state) for state in built] == [id(state) for state in states]
+        assert [canonical_key(state) for state in states] == first  # builds nothing
+        assert len(built) == len(states)
+        # an equal state builds its own key, once
+        assert [canonical_key(state) for state in fresh_states] == first
+        assert [canonical_key(state) for state in fresh_states] == first
+        assert [id(state) for state in built[len(states):]] == [id(s) for s in fresh_states]
 
 
 def json_value(rng, depth):
@@ -257,24 +261,40 @@ def json_value(rng, depth):
 
 
 class TestEncoders:
-    """The shared encoders write what `json.dumps` writes."""
+    """The shared encoder writes what `json.dumps` writes, whether it is
+    built from the C encoder or falls back to `JSONEncoder.encode`."""
 
-    def test_same_text_as_json_dumps(self):
+    @pytest.fixture(params=["c", "fallback"])
+    def encode(self, request, monkeypatch):
+        if request.param == "c":
+            if json.encoder.c_make_encoder is None:
+                pytest.skip("this interpreter has no C encoder")
+            return core.make_json_encoder()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        return core.make_json_encoder()
+
+    def test_same_text_as_json_dumps(self, encode):
         rng = random.Random(19)
         for _ in range(500):
             value = json_value(rng, 4)
-            assert core.encode_json(value) == json.dumps(value, ensure_ascii=False)
-            assert core._encode_key(value) == json.dumps(value, ensure_ascii=False,
-                                                         separators=(",", ":"))
+            assert encode(value) == json.dumps(value, ensure_ascii=False)
 
-    def test_a_list_that_holds_itself_raises(self):
+    def test_a_list_that_holds_itself_raises(self, encode):
         loop = [1]
         loop.append(loop)
-        for encode in (core.encode_json, core._encode_key):
-            with pytest.raises((ValueError, RecursionError)):
-                encode(loop)
-            with pytest.raises((ValueError, RecursionError)):
-                encode({"state": [loop]})
+        with pytest.raises((ValueError, RecursionError)):
+            encode(loop)
+        with pytest.raises((ValueError, RecursionError)):
+            encode({"state": [loop]})
+
+    def test_a_call_builds_no_encoder(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("an encoder was built at call time")
+
+        value = {"type": "query", "text": "λ → ∀", "n": [1, 2.5, None]}
+        expected = json.dumps(value, ensure_ascii=False)
+        monkeypatch.setattr(json.encoder, "c_make_encoder", refused)
+        assert core.encode_json(value) == expected
 
 
 SUITE_TEXT = """

@@ -1,6 +1,7 @@
 """Toy prover: term grammar, tactic surface syntax, kernel semantics, the
 brute-force oracle, and the suite file format."""
 
+import json
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -16,6 +17,7 @@ from proofsearch.core import (
     canonical_key,
     lift_transition,
     normalize_text,
+    ordered_obligations,
 )
 from proofsearch.toy import ToyEnvironment, brute_force_prove, load_suite
 from proofsearch.toy.kernel import ToyTheorem
@@ -456,6 +458,57 @@ class TestTermTable:
         first, second = ToyEnvironment(theorem), ToyEnvironment(theorem)
         first.apply_tactic(initial(theorem), "intro h")
         assert first._terms and not second._terms
+
+
+def compact_json(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+class TestDerivedViews:
+    """A kernel child derives its name-ordered views from its parent's
+    (`with_hypothesis` for `intro`, `with_goal` for `split`, `rw` and
+    `apply`); every view equals the one built from scratch, and so does
+    the key."""
+
+    # names with quotes around which `intro h` and `intro h1` insert, and
+    # propositions whose `/\` JSON escapes
+    QUOTED = theorem_of(
+        "P /\\ Q -> R /\\ a = c -> (R /\\ a = c) /\\ Q",
+        hyps=[("a'b", "S /\\ T"), ("e'", "a = b"), ("h'", "T"), ("z'", "b = c")],
+        lemmas=[("l'", "Q -> R"), ("m'", "P /\\ Q -> Q")], name="quoted")
+
+    def test_children_views_equal_views_built_from_scratch(self, suite):
+        derived = {}
+        for theorem in [*suite.theorems.values(), self.QUOTED]:
+            env = ToyEnvironment(theorem)
+            for state, tactic, result in walk(env, dict(theorem.lemmas)):
+                if result.is_error or result.is_qed:
+                    continue
+                head = tactic.split()[0]
+                for ob in result.obligations - state.obligations:
+                    if "sorted_hypotheses" in vars(ob) and "pair_texts" in vars(ob):
+                        derived[head] = derived.get(head, 0) + 1
+                    pairs = tuple(sorted(ob.hypotheses))
+                    assert ob.sorted_hypotheses == pairs
+                    assert ob.pair_texts == tuple(compact_json(pair) for pair in pairs)
+                    assert ob.hypotheses_by_name == dict(ob.hypotheses)
+                    assert ob.propositions == frozenset(p for _, p in ob.hypotheses)
+                    assert ob.sort_key == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
+                payload = {"error": None,
+                           "obligations": [[ob.goal, sorted(ob.hypotheses)]
+                                           for ob in ordered_obligations(result)]}
+                assert canonical_key(result) == compact_json(payload)
+        assert {"intro", "split", "rw", "apply"} <= set(derived), derived
+        assert derived["intro"] > 20
+
+    def test_quoted_names_and_escaped_props_reach_the_key(self):
+        env = ToyEnvironment(self.QUOTED)
+        state = env.initial_state("quoted")
+        canonical_key(state)
+        child = env.apply_tactic(state, "intro h")
+        ob, = child.obligations
+        assert [name for name, _ in ob.sorted_hypotheses] == ["a'b", "e'", "h", "h'", "z'"]
+        assert '["a\'b","S /\\\\ T"]' in canonical_key(child)
 
 
 class TestOracle:
