@@ -261,31 +261,32 @@ def json_value(rng, depth):
 
 
 class TestEncoders:
-    """The shared encoder writes what `json.dumps` writes, whether it is
-    built from the C encoder or falls back to `JSONEncoder.encode`."""
+    """The shared encoder writes what `json.dumps` writes, and so does the
+    fallback to `JSONEncoder.encode` built where the C encoder is missing."""
 
-    @pytest.fixture(params=["c", "fallback"])
-    def encode(self, request, monkeypatch):
-        if request.param == "c":
-            if json.encoder.c_make_encoder is None:
-                pytest.skip("this interpreter has no C encoder")
-            return core.make_json_encoder()
+    @staticmethod
+    def encoders(monkeypatch) -> list:
+        # the patch stays for the test: the fallback consults it at each call
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        return core.make_json_encoder()
+        fallback = core.make_json_encoder()
+        assert isinstance(getattr(fallback, "__self__", None), json.JSONEncoder)
+        return [core.encode_json, fallback]
 
-    def test_same_text_as_json_dumps(self, encode):
+    def test_same_text_as_json_dumps(self, monkeypatch):
         rng = random.Random(19)
-        for _ in range(500):
-            value = json_value(rng, 4)
-            assert encode(value) == json.dumps(value, ensure_ascii=False)
+        values = [json_value(rng, 4) for _ in range(500)]
+        expected = [json.dumps(value, ensure_ascii=False) for value in values]
+        for encode in self.encoders(monkeypatch):
+            assert [encode(value) for value in values] == expected
 
-    def test_a_list_that_holds_itself_raises(self, encode):
+    def test_a_list_that_holds_itself_raises(self, monkeypatch):
         loop = [1]
         loop.append(loop)
-        with pytest.raises((ValueError, RecursionError)):
-            encode(loop)
-        with pytest.raises((ValueError, RecursionError)):
-            encode({"state": [loop]})
+        for encode in self.encoders(monkeypatch):
+            with pytest.raises((ValueError, RecursionError)):
+                encode(loop)
+            with pytest.raises((ValueError, RecursionError)):
+                encode({"state": [loop]})
 
     def test_a_call_builds_no_encoder(self, monkeypatch):
         def refused(*args):
