@@ -430,10 +430,11 @@ class _Frame:
 
 
 class _Searcher:
-    def __init__(self, env, backend, index, gctx, config, budget, trace, stage):
+    def __init__(self, env, backend, index, gctx, config, budget, trace, stage, rankings):
         self.env = env
         self.backend = backend
         self.index = index
+        self.rankings = rankings  # state key -> its `retrieve` ranking, for the episode
         self.gctx = gctx
         self.config = config
         self.budget = budget
@@ -461,10 +462,11 @@ class _Searcher:
         self.stack.append(frame)
         self.trace.event("push", key)
         if self.index is not None:
-            frame.rho = retrieve(self.index, state, self.config.k_retrieve)
-            self.trace.event(
-                "retrieve", key, [[r.name, score] for r, score in frame.rho]
-            )
+            rho = self.rankings.get(key)
+            if rho is None:
+                rho = self.rankings[key] = retrieve(self.index, state, self.config.k_retrieve)
+            frame.rho = rho
+            self.trace.event("retrieve", key, [[r.name, score] for r, score in rho])
         bad = self.bad.setdefault(key, [])
         last_step: str | None = None
         last_outcome: str | None = None
@@ -567,12 +569,15 @@ def prove(
     trace: EpisodeTrace | None = None,
     budget: _Budget | None = None,
     stage: str = STAGE_PLAIN,
+    rankings: dict | None = None,
 ):
     """Run one stage: the depth-first search for one theorem.
 
     Returns (SearchOutcome, EpisodeTrace) and records on the trace how the
     stage ended; a budget spent before it starts ends it with no call to
-    the environment. Infrastructure failures of the
+    the environment. `rankings` maps a state key to its `retrieve`
+    ranking; the stages of an episode share one, and a stage run alone
+    gets its own, so each distinct state is ranked once an episode. Infrastructure failures of the
     backend or the environment, `init` included, a token budget too
     small for the goals and an initial state that is already QED abort
     the trace; they are not proof failures.
@@ -581,8 +586,10 @@ def prove(
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
     if budget is None:
         budget = _Budget(config.max_queries, config.wall_timeout_seconds)
+    if rankings is None:
+        rankings = {}
     trace.stage = stage
-    searcher = _Searcher(env, backend, index, gctx, config, budget, trace, stage)
+    searcher = _Searcher(env, backend, index, gctx, config, budget, trace, stage, rankings)
     try:
         searcher.run(theorem_id)
         outcome = SearchOutcome(proved=False, failure_reason=REASON_EXHAUSTED)
@@ -656,11 +663,15 @@ def ensemble_prove(
 
     Each stage is one call to `prove`, which records how it ended; the
     episode stops at the first stage that does not end in an exhausted
-    search. The failure table is reset between stages (each stage is a
-    distinct execution); the trace labels every query with its stage.
+    search. Every stage starts from the environment's initial state, and
+    the stages share one table of rankings, so a state is ranked once an
+    episode however many stages push it. Only the failure table is reset
+    between stages (each stage is a distinct execution); the trace labels
+    every query with its stage.
     """
     trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
     budget = _Budget(config.max_queries, config.wall_timeout_seconds)
+    rankings: dict = {}  # state key -> ranking, for this episode only
     stages = [(STAGE_PLAIN, None)]
     if index is not None:
         stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
@@ -672,7 +683,7 @@ def ensemble_prove(
                 stage_gctx = replace(gctx, informal_hints=sketch)
         outcome, trace = prove(
             theorem_id, env, backend, stage_index, stage_gctx, config,
-            trace=trace, budget=budget, stage=stage,
+            trace=trace, budget=budget, stage=stage, rankings=rankings,
         )
         if outcome.failure_reason != REASON_EXHAUSTED:
             break

@@ -113,14 +113,20 @@ class ToyEnvironment(ProofEnvironment):
         self._lemmas = dict(theorem.lemmas)
         self._terms: dict = {}  # goal or hypothesis text -> its Term
         self._texts: dict = {}  # id(term) -> (term, its printed text)
+        self._initial: ProofState | None = None
 
     def initial_state(self, theorem_id: str) -> ProofState:
         """The theorem's one obligation, its goal and hypotheses printed
-        through the table."""
+        through the table. Built at the first call and returned as the
+        same object at every later one, so the stages of an episode share
+        its root and the views the root has built (key, obligation order,
+        goals block)."""
         if theorem_id != self.theorem.name:
             raise KeyError(f"environment is bound to {self.theorem.name!r}, not {theorem_id!r}")
-        hyps = {name: self._printed(term) for name, term in self.theorem.hypotheses}
-        return ProofState.of([Obligation.make(self._printed(self.theorem.goal), hyps)])
+        if self._initial is None:
+            hyps = {name: self._printed(term) for name, term in self.theorem.hypotheses}
+            self._initial = ProofState.of([Obligation.make(self._printed(self.theorem.goal), hyps)])
+        return self._initial
 
     def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
         """Error states absorb every tactic; all failures (including tactic

@@ -2,10 +2,12 @@
 budgets, format repair, the informal-sketch call, and the staged ensemble."""
 
 import json
+import sys
 import zlib
 
 import pytest
 
+import proofsearch.agent
 from proofsearch.agent import (
     EpisodeTrace,
     NO_PROGRESS_MESSAGE,
@@ -25,7 +27,8 @@ from proofsearch.agent import (
     generate_informal_sketch,
     prove,
 )
-from proofsearch.bench import results_from_traces
+from proofsearch.bench import BenchmarkSuite, results_from_traces, run_suite
+from proofsearch.bridge import BridgeConfig, BridgedEnvironment, BridgeSession
 from proofsearch.core import (
     GlobalContext,
     at_least_as_hard,
@@ -42,7 +45,7 @@ from proofsearch.llm import (
 from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import build_index
 from proofsearch.toy import ToyEnvironment
-from proofsearch.toy.suite import parse_suite
+from proofsearch.toy.suite import ToySuite, parse_suite
 
 from conftest import SequenceBackend, wrap
 
@@ -529,6 +532,102 @@ class TestEnsemble:
         assert outcome.failure_reason == REASON_TIMEOUT
         assert (env.initial_states, env.tactics) == (0, 0)
         assert trace.events == ()
+
+
+def intro_then_split(request, prompt):
+    """`intro h` at the root of `pp`, `split` (an error) below it: with
+    `per_state_budget=2` a stage pushes the root once and its child twice."""
+    return wrap("split" if "[STEPS]" in prompt else "intro h")
+
+
+@pytest.fixture()
+def ranked_keys(monkeypatch):
+    """The canonical key of every state `retrieve` ranks, in call order."""
+    keys = []
+    ranked = proofsearch.agent.retrieve
+
+    def counted(index, state, k):
+        keys.append(canonical_key(state))
+        return ranked(index, state, k)
+
+    monkeypatch.setattr(proofsearch.agent, "retrieve", counted)
+    return keys
+
+
+def retrieve_events(trace):
+    return [e for e in trace.events if e[0] == "retrieve"]
+
+
+class TestRankingsPerEpisode:
+    """Each distinct state of an episode is ranked once, whichever stage
+    or push reaches it; nothing is kept from one episode to the next."""
+
+    def ensemble(self, scenarios, env):
+        return ensemble_prove(
+            "pp", env, PromptAwareBackend(intro_then_split), retrieval_index(scenarios),
+            gctx_for(scenarios, "pp"), config(per_state_budget=2),
+        )
+
+    def test_stages_share_the_root_and_its_rankings(self, scenarios, ranked_keys):
+        env = CountingEnvironment(scenarios.theorem("pp"))
+        outcome, trace = self.ensemble(scenarios, env)
+        assert outcome.failure_reason == REASON_EXHAUSTED
+        assert trace.stage == STAGE_INFORMAL
+        assert env.initial_states == 3
+        events = retrieve_events(trace)
+        assert len(events) == 6  # three pushes in each stage with an index
+        assert ranked_keys == list(dict.fromkeys(e[1] for e in events))
+        assert len(ranked_keys) == 2
+
+    def test_prove_alone_ranks_each_key_once_within_its_stage(self, scenarios, ranked_keys):
+        outcome, trace = run_plain(scenarios, "pp", PromptAwareBackend(intro_then_split),
+                                   cfg=config(per_state_budget=2),
+                                   index=retrieval_index(scenarios))
+        assert outcome.failure_reason == REASON_EXHAUSTED
+        events = retrieve_events(trace)
+        assert [e[1] for e in events].count(events[1][1]) == 2  # the child, pushed twice
+        assert ranked_keys == list(dict.fromkeys(e[1] for e in events))
+        assert len(ranked_keys) == 2
+        run_plain(scenarios, "pp", PromptAwareBackend(intro_then_split),
+                  cfg=config(per_state_budget=2), index=retrieval_index(scenarios))
+        assert ranked_keys[2:] == ranked_keys[:2]  # a second call ranks again
+
+    def test_keyed_by_state_key_over_the_bridge(self, scenarios, ranked_keys, tmp_path):
+        """Each stage's `init` returns a new state object; the rankings
+        are still shared, and the trace equals the in-process one."""
+        suite_path = tmp_path / "scenarios.toysuite"
+        suite_path.write_text(SCENARIOS, encoding="utf-8")
+        command = [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
+        roots = []
+
+        class Recorded(BridgedEnvironment):
+            def initial_state(self, theorem_id):
+                roots.append(super().initial_state(theorem_id))
+                return roots[-1]
+
+        with BridgeSession(BridgeConfig(command=command)) as session:
+            bridged = self.ensemble(scenarios, Recorded(session))
+        assert len(roots) == 3
+        assert roots[1] == roots[0] and roots[1] is not roots[0]
+        assert len(retrieve_events(bridged[1])) == 6
+        assert len(ranked_keys) == len(set(ranked_keys)) == 2
+        direct = self.ensemble(scenarios, env_for(scenarios, "pp"))
+        assert bridged[0] == direct[0]
+        assert bridged[1].comparable() == direct[1].comparable()
+
+    def test_nothing_outlives_an_episode(self, scenarios, ranked_keys, tmp_path):
+        suite = ToySuite(scenarios.lemmas, {"pp": scenarios.theorem("pp")})
+        bench = BenchmarkSuite(suite=suite, index=retrieval_index(scenarios))
+        starts = []
+
+        def factory(theorem, attempt):
+            starts.append(len(ranked_keys))
+            return PromptAwareBackend(intro_then_split)
+
+        results = run_suite(bench, config(per_state_budget=2), tmp_path, factory, attempts=2)
+        assert [r.attempt for r in results] == [1, 2]
+        first, second = ranked_keys[starts[0]:starts[1]], ranked_keys[starts[1]:]
+        assert len(first) == 2 and second == first
 
 
 class TestDeterminismAndTrace:

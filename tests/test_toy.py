@@ -306,6 +306,17 @@ class TestEnvironment:
         with pytest.raises(KeyError):
             env.initial_state("other")
 
+    def test_initial_state_is_built_once_per_environment(self):
+        theorem = theorem_of("P -> Q -> P", hyps=[("hq", "Q")], name="pqp")
+        env = ToyEnvironment(theorem)
+        first = env.initial_state("pqp")
+        assert env.initial_state("pqp") is first
+        with pytest.raises(KeyError):
+            env.initial_state("other")
+        fresh = ToyEnvironment(theorem).initial_state("pqp")
+        assert fresh == first and fresh is not first
+        assert canonical_key(fresh) == canonical_key(first)
+
     def test_statement_renders_turnstile(self):
         assert theorem_of("Q", hyps=[("hp", "P")]).statement() == "hp : P ⊢ Q"
         assert theorem_of("P -> P").statement() == "P -> P"
