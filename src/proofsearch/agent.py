@@ -462,11 +462,11 @@ class _Searcher:
         self.stack.append(frame)
         self.trace.event("push", key)
         if self.index is not None:
-            rho = self.rankings.get(key)
-            if rho is None:
-                rho = self.rankings[key] = retrieve(self.index, state, self.config.k_retrieve)
-            frame.rho = rho
-            self.trace.event("retrieve", key, [[r.name, score] for r, score in rho])
+            frame.rho = self.rankings.get(key)
+            if frame.rho is None:
+                frame.rho = self.rankings[key] = retrieve(self.index, state,
+                                                          self.config.k_retrieve)
+            self.trace.event("retrieve", key, [[r.name, score] for r, score in frame.rho])
         bad = self.bad.setdefault(key, [])
         last_step: str | None = None
         last_outcome: str | None = None
@@ -576,11 +576,11 @@ def prove(
     Returns (SearchOutcome, EpisodeTrace) and records on the trace how the
     stage ended; a budget spent before it starts ends it with no call to
     the environment. `rankings` maps a state key to its `retrieve`
-    ranking; the stages of an episode share one, and a stage run alone
-    gets its own, so each distinct state is ranked once an episode. Infrastructure failures of the
-    backend or the environment, `init` included, a token budget too
-    small for the goals and an initial state that is already QED abort
-    the trace; they are not proof failures.
+    ranking: the stages of an episode share one, and a stage run alone
+    gets its own, so each distinct state is ranked once an episode.
+    Infrastructure failures of the backend or the environment, `init`
+    included, a token budget too small for the goals and an initial state
+    that is already QED abort the trace; they are not proof failures.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -671,7 +671,7 @@ def ensemble_prove(
     """
     trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
     budget = _Budget(config.max_queries, config.wall_timeout_seconds)
-    rankings: dict = {}  # state key -> ranking, for this episode only
+    rankings: dict = {}
     stages = [(STAGE_PLAIN, None)]
     if index is not None:
         stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
