@@ -28,6 +28,7 @@ from .core import (
     canonical_key,
     encode_json,
     ordered_obligations,
+    write_all,
 )
 from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
 from .prompts import (
@@ -136,9 +137,7 @@ def overwrite_text(path: str | Path, *parts: str | bytes):
     try:
         os.ftruncate(fd, sum(map(len, chunks)))
         for chunk in chunks:
-            view = memoryview(chunk)
-            while view:
-                view = view[os.write(fd, view):]
+            write_all(fd, chunk)
     finally:
         os.close(fd)
 

@@ -14,13 +14,14 @@ which is infrastructure failure — never a proof error.
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import subprocess
-import threading
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Obligation, ProofEnvironment, ProofState, canonical_key, encode_json
+from .core import Obligation, ProofEnvironment, ProofState, canonical_key, encode_json, write_all
 
 
 class BridgeFailure(Exception):
@@ -59,7 +60,14 @@ def obligations_from_wire(payload) -> frozenset:
 
 
 class BridgeSession:
-    """One adapter process, strictly serialized request/response."""
+    """One adapter process, strictly serialized request/response.
+
+    Requests and replies are UTF-8 bytes over binary pipes. A reply is read
+    on the thread that calls `call`, in `_CHUNK`-byte pieces, with one
+    `select.poll` deadline, `timeout_seconds` after the call starts, for
+    the whole call (so POSIX only)."""
+
+    _CHUNK = 8192
 
     def __init__(self, config: BridgeConfig):
         self.config = config
@@ -69,39 +77,28 @@ class BridgeSession:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
+            bufsize=0,
         )
-        self._lines: queue.Queue = queue.Queue()
-        threading.Thread(target=self._pump, daemon=True).start()
-
-    def _pump(self):
-        with self._proc.stdout as stdout:  # this thread is its only reader
-            for line in stdout:
-                self._lines.put(line)
-        self._lines.put(None)  # EOF marker
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        self._poller = select.poll()
+        self._poller.register(self._stdout, select.POLLIN)
+        self._pending = b""  # what the adapter wrote past the last reply read
 
     def call(self, cmd: str, **fields) -> dict:
         if self._proc.poll() is not None:
             raise BridgeFailure("adapter process is not running")
+        deadline = time.monotonic() + self.config.timeout_seconds
         self._next_id += 1
         request = {"id": self._next_id, "cmd": cmd, **fields}
         try:
-            self._proc.stdin.write(encode_json(request) + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            write_all(self._stdin, (encode_json(request) + "\n").encode())
+        except OSError as exc:
             raise BridgeFailure(f"adapter pipe broken: {exc}") from exc
+        line = self._read_line(deadline)
         try:
-            line = self._lines.get(timeout=self.config.timeout_seconds)
-        except queue.Empty:
-            raise BridgeFailure(
-                f"adapter response timed out after {self.config.timeout_seconds}s"
-            ) from None
-        if line is None:
-            raise BridgeFailure("adapter closed its output stream")
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
+            response = json.loads(line.decode())
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise BridgeFailure(f"malformed response line: {line.strip()!r}") from exc
         if not isinstance(response, dict) or response.get("id") != request["id"]:
             raise BridgeFailure(
@@ -110,6 +107,23 @@ class BridgeSession:
         if response.get("status") not in ("ok", "error", "qed"):
             raise BridgeFailure(f"unknown response status in {response!r}")
         return response
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The adapter's next line, newline included, if it comes by
+        `deadline` (a `time.monotonic()` reading)."""
+        parts = [self._pending]
+        while (end := parts[-1].find(b"\n")) < 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poller.poll(remaining * 1000):
+                raise BridgeFailure(
+                    f"adapter response timed out after {self.config.timeout_seconds}s")
+            chunk = os.read(self._stdout, self._CHUNK)
+            if not chunk:
+                raise BridgeFailure("adapter closed its output stream")
+            parts.append(chunk)
+        last = parts.pop()
+        self._pending = last[end + 1:]
+        return b"".join(parts) + last[:end + 1]
 
     def init(self, theorem: str) -> tuple:
         response = self.call("init", theorem=theorem)
@@ -129,10 +143,8 @@ class BridgeSession:
         if self._proc.poll() is None:
             self._proc.kill()
             self._proc.wait()
-        try:
-            self._proc.stdin.close()
-        except BrokenPipeError:  # a request the dead adapter never read
-            pass
+        self._proc.stdin.close()
+        self._proc.stdout.close()
 
     @staticmethod
     def decode_state(response: dict) -> tuple:

@@ -28,11 +28,14 @@ def obligations_to_wire(state: ProofState) -> list:
 
 
 def _respond(payload: dict):
-    sys.stdout.write(encode_json(payload) + "\n")
-    sys.stdout.flush()
+    out = sys.stdout.buffer
+    out.write((encode_json(payload) + "\n").encode())
+    out.flush()
 
 
 def serve(suite_path: str):
+    """Answer the requests on `sys.stdin.buffer` on `sys.stdout.buffer`, in
+    UTF-8 whatever the locale, until `shutdown` or the end of input."""
     suite = load_suite(suite_path)
     states: dict = {}  # state id -> ProofState
     env: ToyEnvironment | None = None
@@ -54,14 +57,14 @@ def serve(suite_path: str):
             payload["obligations"] = obligations_to_wire(state)
         return payload
 
-    for line in sys.stdin:
+    for line in sys.stdin.buffer:
         if not line.strip():
             continue
         try:
-            request = json.loads(line)
+            request = json.loads(line.decode())
             request_id = request.get("id")
             cmd = request.get("cmd")
-        except (json.JSONDecodeError, AttributeError):  # not JSON, or not a JSON object
+        except (ValueError, AttributeError):  # not UTF-8 JSON, or not a JSON object
             _respond({"id": None, "status": "error", "message": "malformed request line"})
             continue
         if cmd == "shutdown":

@@ -9,6 +9,7 @@ message. The empty, non-error obligation set is the goal state (QED).
 from __future__ import annotations
 
 import json
+import os
 from abc import ABC, abstractmethod
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -250,6 +251,14 @@ def make_json_encoder():
 
 # One encoder for every trace line, wire request and adapter reply
 encode_json = make_json_encoder()
+
+
+def write_all(fd: int, data: bytes):
+    """Write all of `data` to the file descriptor `fd`: one `os.write` may
+    take only part of it (a pipe that is nearly full, a signal)."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def canonical_key(state: ProofState) -> str:

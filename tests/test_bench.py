@@ -1,11 +1,11 @@
 """Benchmark harness: metrics arithmetic, aggregate statistics, report
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
+import contextlib
 import functools
 import hashlib
 import json
 import os
-import queue
 import random
 import re
 import shutil
@@ -428,9 +428,9 @@ class TestBridgedRunSuite:
         # is answered only after the client's timeout
         suite_path = loopback_command(tmp_path)[-1]
         script = (
-            "import json, sys, time\n"
+            "import json, sys, time, types\n"
             "from proofsearch import bridge_adapter\n"
-            "def lines(stdin=sys.stdin):\n"
+            "def lines(stdin=sys.stdin.buffer):\n"
             "    slow = False\n"
             "    for line in stdin:\n"
             "        request = json.loads(line)\n"
@@ -440,7 +440,7 @@ class TestBridgedRunSuite:
             "            time.sleep(1.0)\n"
             "            slow = False\n"
             "        yield line\n"
-            "sys.stdin = lines()\n"
+            "sys.stdin = types.SimpleNamespace(buffer=lines())\n"
             f"bridge_adapter.serve({suite_path!r})\n"
         )
         monkeypatch.setattr(proofsearch.bridge, "BridgeConfig", functools.partial(
@@ -1005,34 +1005,28 @@ class DeepBackend(GuidanceBackend):
         return Completion(f"[RUN TACTIC] {tactic} [END]", NATURAL_STOP, 0.0)
 
 
-class _Lines:
-    """A text stream whose every `write` puts one item on a queue."""
-
-    def __init__(self, lines: queue.Queue):
-        self.lines = lines
-
-    def write(self, text):
-        self.lines.put(text)
-
-    def flush(self):
-        pass
-
-    def close(self):
-        self.lines.put(None)
-
-
 class ServedAdapter:
     """What a BridgeSession uses of its `subprocess.Popen`, for
-    `bridge_adapter.serve` run on a thread of this process. `serve` reads
-    `sys.stdin` and writes `sys.stdout`, so the caller swaps both."""
+    `bridge_adapter.serve` run on a thread of this process over two real
+    pipes. `serve` reads `sys.stdin` and writes `sys.stdout`, so the caller
+    swaps both for the adapter's ends of the pipes. The thread closes its
+    ends when `serve` returns, as an exiting process would."""
 
-    def __init__(self, suite_path, responses: queue.Queue, monkeypatch):
-        requests: queue.Queue = queue.Queue()
-        self.stdin = _Lines(requests)
-        monkeypatch.setattr(sys, "stdin", iter(requests.get, None))
-        monkeypatch.setattr(sys, "stdout", _Lines(responses))
-        self.thread = threading.Thread(target=bridge_adapter.serve, args=(str(suite_path),),
-                                       daemon=True)
+    def __init__(self, suite_path, monkeypatch):
+        requests_read, requests_write = os.pipe()
+        replies_read, replies_write = os.pipe()
+        self.stdin = open(requests_write, "wb", buffering=0)
+        self.stdout = open(replies_read, "rb", buffering=0)
+        adapter_in = open(requests_read, encoding="utf-8")
+        adapter_out = open(replies_write, "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", adapter_in)
+        monkeypatch.setattr(sys, "stdout", adapter_out)
+
+        def run():
+            with adapter_in, adapter_out:
+                bridge_adapter.serve(str(suite_path))
+
+        self.thread = threading.Thread(target=run, daemon=True)
         self.thread.start()
 
     def poll(self):
@@ -1043,6 +1037,16 @@ class ServedAdapter:
 
     def wait(self):
         self.thread.join()
+
+
+@contextlib.contextmanager
+def serving(suite_path, monkeypatch):
+    """While entered, the `subprocess.Popen` that a BridgeSession calls
+    starts a ServedAdapter over `suite_path` instead of a process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(proofsearch.bridge.subprocess, "Popen",
+                      lambda command, **options: ServedAdapter(suite_path, monkeypatch))
+        yield
 
 
 class TestDeepSuiteBytes:
@@ -1079,10 +1083,8 @@ class TestDeepSuiteBytes:
 
         class ServedSession(proofsearch.bridge.BridgeSession):
             def __init__(self, config):
-                self.config = config
-                self._next_id = 0
-                self._lines = queue.Queue()
-                self._proc = ServedAdapter(suite_path, self._lines, monkeypatch)
+                with serving(suite_path, monkeypatch):
+                    super().__init__(config)
                 sessions.append(self)
 
         monkeypatch.setattr(proofsearch.bridge, "BridgeSession", ServedSession)

@@ -6,6 +6,8 @@ import io
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -154,6 +156,18 @@ class TestConformance:
                                                 {"id": 2, "status": "ok"}]
         assert code == 0
 
+    def test_request_that_is_not_utf8_answered_not_fatal(self):
+        proc = subprocess.Popen(LOOPBACK, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        stdout, _ = proc.communicate(
+            b'{"id": 1, "cmd": "\xff"}\n' + json.dumps({"id": 2, "cmd": "shutdown"}).encode()
+            + b"\n", timeout=30)
+        responses = [json.loads(line) for line in stdout.splitlines()]
+        assert responses == [
+            {"id": None, "status": "error", "message": "malformed request line"},
+            {"id": 2, "status": "ok"},
+        ]
+        assert proc.returncode == 0
+
     def test_unknown_command(self):
         responses, _ = self.raw(
             [{"id": 1, "cmd": "frobnicate"}, {"id": 2, "cmd": "shutdown"}]
@@ -180,13 +194,14 @@ class TestConformance:
     def test_adapter_imports_only_the_prover_it_serves(self):
         """Every spawn pays for what the adapter imports: `core` and `toy`,
         not the search, the prompts, the model clients, retrieval or the
-        bridge client with its subprocess and queue."""
+        bridge client with its subprocess and select."""
         code = "import sys, proofsearch.bridge_adapter; print(' '.join(sys.modules))"
         loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                     text=True, check=True).stdout.split())
         assert {"proofsearch.core", "proofsearch.toy"} <= loaded
         unused = {"proofsearch.agent", "proofsearch.prompts", "proofsearch.llm",
-                  "proofsearch.retrieval", "proofsearch.bridge", "subprocess", "queue"}
+                  "proofsearch.retrieval", "proofsearch.bridge", "subprocess", "queue",
+                  "select"}
         assert sorted(loaded & unused) == []
 
 
@@ -230,10 +245,11 @@ class TestSessionReuse:
         ]
         lines = "".join(json.dumps(request) + "\n" for request in requests)
         monkeypatch.setattr(bridge_adapter, "ToyEnvironment", RecordingEnvironment)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(lines.encode())))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
         assert bridge_adapter.serve(str(SUITE_PATH)) == 0
-        statuses = [json.loads(line)["status"] for line in sys.stdout.getvalue().splitlines()]
+        statuses = [json.loads(line)["status"]
+                    for line in sys.stdout.buffer.getvalue().splitlines()]
         assert statuses == ["ok"] * 6
 
         def own_terms(theorem):
@@ -261,6 +277,99 @@ class TestBridgeSession:
     def test_shutdown_within_timeout(self, session):
         assert session.call("shutdown")["status"] == "ok"
         assert session._proc.wait(timeout=session.config.timeout_seconds) == 0
+
+
+class TestReadPath:
+    """Replies are read on the calling thread, from a binary pipe, with one
+    deadline for the whole call."""
+
+    @staticmethod
+    def session(script, timeout_seconds=10.0):
+        return BridgeSession(BridgeConfig(command=[sys.executable, "-c", script],
+                                          timeout_seconds=timeout_seconds))
+
+    @staticmethod
+    def replying(*writes):
+        """An adapter script that reads one request, then writes `writes`
+        to stdout in turn, the reply's id put in place of `ID`, sleeping
+        for each number among them."""
+        return ("import json, sys, time\n"
+                "request = json.loads(sys.stdin.readline())\n"
+                f"for part in {writes!r}:\n"
+                "    if isinstance(part, str):\n"
+                "        sys.stdout.buffer.write(part.replace('ID', str(request['id'])).encode())\n"
+                "        sys.stdout.flush()\n"
+                "    else:\n"
+                "        time.sleep(part)\n"
+                "sys.stdin.read()\n")
+
+    def test_a_session_starts_no_thread(self):
+        threads = threading.active_count()
+        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as session:
+            state_id, _ = session.init("imp_self")
+            for _ in range(100):
+                assert session.apply(state_id, "intro h")["status"] == "ok"
+                assert threading.active_count() == threads
+        assert threading.active_count() == threads
+
+    def test_close_closes_the_adapters_output(self, session):
+        session.init("imp_self")
+        session.close()
+        assert session._proc.stdout.closed and session._proc.stdin.closed
+
+    def test_reply_in_two_parts_is_one_reply(self):
+        session = self.session(self.replying('{"id": ID, "sta', 0.3, 'tus": "ok"}\n'))
+        try:
+            assert session.call("reset") == {"id": 1, "status": "ok"}
+        finally:
+            session.close()
+
+    def test_reply_larger_than_the_pipe_buffer_arrives_whole(self):
+        # 300 KB: three UTF-8 bytes a character, so reads end inside characters
+        script = ("import json, sys\n"
+                  "request = json.loads(sys.stdin.readline())\n"
+                  "reply = dict(id=request['id'], status='error', message='\\u2190' * 100_000)\n"
+                  "sys.stdout.buffer.write(json.dumps(reply, ensure_ascii=False).encode() + b'\\n')\n"
+                  "sys.stdout.flush()\n"
+                  "sys.stdin.read()\n")
+        session = self.session(script)
+        try:
+            reply = session.call("apply", state_id="s1", tactic="rw h")
+            assert reply["message"] == "\u2190" * 100_000
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("writes", [('{"id": ID, "sta', 30),
+                                        ('{"id": ID, "st', 0.1, "a", 0.1, "t", 0.1, "u", 0.1,
+                                         "s", 0.1, '"', 0.1, ":", 30)],
+                             ids=["stall", "trickle"])
+    def test_partial_line_times_out_at_the_deadline(self, writes):
+        """One deadline covers the call: bytes that keep coming do not
+        extend it."""
+        session = self.session(self.replying(*writes), timeout_seconds=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BridgeFailure, match="timed out after 0.5s"):
+                session.call("reset")
+            assert 0.5 <= time.monotonic() - start < 5
+        finally:
+            session.close()
+
+    def test_adapter_speaks_utf8_whatever_its_locale(self, suite):
+        """`rw ← h` and its error text cross the wire as UTF-8 under an
+        ASCII locale, and the replies are the in-process ones."""
+        command = ["env", "PYTHONIOENCODING=ascii"] + LOOPBACK
+        theorem = suite.theorem("eq_symm")
+        direct = ToyEnvironment(theorem)
+        with BridgeSession(BridgeConfig(command=command, timeout_seconds=30)) as session:
+            bridged = BridgedEnvironment(session)
+            state = bridged.initial_state("eq_symm")
+            assert state == direct.initial_state("eq_symm")
+            for tactic in ["rw ← h2", "rw ← h"]:
+                expected = direct.apply_tactic(state, tactic)
+                assert bridged.apply_tactic(state, tactic) == expected, tactic
+            assert expected == ProofState.of([Obligation.make("a = a", {"h": "a = b"})])
+            assert session._proc.poll() is None
 
 
 class TestBridgedEnvironment:
@@ -341,6 +450,19 @@ class TestTransportFailures:
         try:
             with pytest.raises(BridgeFailure, match="timed out"):
                 session.call("init", theorem="imp_self")
+        finally:
+            session.close()
+
+    def test_reply_that_is_not_utf8_fails_at_once(self):
+        script = ("import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\xfe{}\\n'); "
+                  "sys.stdout.flush(); sys.stdin.read()")
+        session = BridgeSession(
+            BridgeConfig(command=[sys.executable, "-c", script], timeout_seconds=10.0))
+        try:
+            start = time.monotonic()
+            with pytest.raises(BridgeFailure, match=r"malformed response line: b'\\xff\\xfe\{\}'"):
+                session.call("init", theorem="imp_self")
+            assert time.monotonic() - start < 5
         finally:
             session.close()
 

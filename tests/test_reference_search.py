@@ -17,7 +17,6 @@ records.
 """
 
 import json
-import queue
 import random
 from dataclasses import dataclass, field, replace
 
@@ -55,7 +54,7 @@ from proofsearch.toy import ToyEnvironment, ToyTheorem
 from proofsearch.toy.suite import ToySuite, parse_suite
 from proofsearch.toy.terms import And, Atom, Eq, Implies, print_term
 
-from test_bench import ServedAdapter
+from test_bench import serving
 from test_toy import write_suite
 
 # --- the reference ------------------------------------------------------------
@@ -488,10 +487,8 @@ class ServedSession(BridgeSession):
     """A session with `bridge_adapter.serve` on a thread of this process."""
 
     def __init__(self, suite_path, monkeypatch):
-        self.config = BridgeConfig(command=["served in-process"], timeout_seconds=30)
-        self._next_id = 0
-        self._lines = queue.Queue()
-        self._proc = ServedAdapter(suite_path, self._lines, monkeypatch)
+        with serving(suite_path, monkeypatch):
+            super().__init__(BridgeConfig(command=["served in-process"], timeout_seconds=30))
 
 
 class TestReferenceSeedsOverTheWire:
