@@ -1008,9 +1008,10 @@ class DeepBackend(GuidanceBackend):
 class ServedAdapter:
     """What a BridgeSession uses of its `subprocess.Popen`, for
     `bridge_adapter.serve` run on a thread of this process over two real
-    pipes. `serve` reads `sys.stdin` and writes `sys.stdout`, so the caller
-    swaps both for the adapter's ends of the pipes. The thread closes its
-    ends when `serve` returns, as an exiting process would."""
+    pipes. `serve` reads `sys.stdin.buffer` and writes `sys.stdout.buffer`,
+    so the caller swaps both streams for the adapter's ends of the pipes,
+    opened as text over a buffer. The thread closes its ends when `serve`
+    returns, as an exiting process would."""
 
     def __init__(self, suite_path, monkeypatch):
         requests_read, requests_write = os.pipe()

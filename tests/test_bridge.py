@@ -289,7 +289,7 @@ class TestReadPath:
                                           timeout_seconds=timeout_seconds))
 
     @staticmethod
-    def replying(*writes):
+    def writing(*writes):
         """An adapter script that reads one request, then writes `writes`
         to stdout in turn, the reply's id put in place of `ID`, sleeping
         for each number among them."""
@@ -318,7 +318,7 @@ class TestReadPath:
         assert session._proc.stdout.closed and session._proc.stdin.closed
 
     def test_reply_in_two_parts_is_one_reply(self):
-        session = self.session(self.replying('{"id": ID, "sta', 0.3, 'tus": "ok"}\n'))
+        session = self.session(self.writing('{"id": ID, "sta', 0.3, 'tus": "ok"}\n'))
         try:
             assert session.call("reset") == {"id": 1, "status": "ok"}
         finally:
@@ -346,7 +346,7 @@ class TestReadPath:
     def test_partial_line_times_out_at_the_deadline(self, writes):
         """One deadline covers the call: bytes that keep coming do not
         extend it."""
-        session = self.session(self.replying(*writes), timeout_seconds=0.5)
+        session = self.session(self.writing(*writes), timeout_seconds=0.5)
         try:
             start = time.monotonic()
             with pytest.raises(BridgeFailure, match="timed out after 0.5s"):
