@@ -19,21 +19,19 @@ import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .bridge import BridgeFailure
 from .core import (
     GlobalContext,
+    InfrastructureFailure,
     ProofEnvironment,
     ProofState,
     at_least_as_hard,
     canonical_key,
     encode_json,
     ordered_obligations,
-    write_all,
 )
-from .llm import CompletionRequest, GuidanceBackend, InfrastructureFailure
+from .llm import CompletionRequest, GuidanceBackend
 from .prompts import (
     ParsedAction,
-    PromptBudgetError,
     PromptBundle,
     parse_tactic,
     promptify,
@@ -137,7 +135,9 @@ def overwrite_text(path: str | Path, *parts: str | bytes):
     try:
         os.ftruncate(fd, sum(map(len, chunks)))
         for chunk in chunks:
-            write_all(fd, chunk)
+            view = memoryview(chunk)
+            while view:  # one `os.write` may take only part of it
+                view = view[os.write(fd, view):]
     finally:
         os.close(fd)
 
@@ -415,11 +415,6 @@ class _Proved(Exception):
         self.proof = proof
 
 
-class _ClosedAtStart(Exception):
-    """The environment's initial state is already QED: no tactic script
-    proves it, so there is nothing to replay and no proof to record."""
-
-
 @dataclass
 class _Frame:
     state: ProofState
@@ -450,7 +445,7 @@ class _Searcher:
         if initial.is_error:
             raise ValueError("initial state must be non-error")
         if initial.is_qed:
-            raise _ClosedAtStart(
+            raise InfrastructureFailure(
                 "the theorem was closed at its initial state: no tactic script to replay")
         self._search(initial, path=[])
 
@@ -577,9 +572,9 @@ def prove(
     the environment. `rankings` maps a state key to its `retrieve`
     ranking: the stages of an episode share one, and a stage run alone
     gets its own, so each distinct state is ranked once an episode.
-    Infrastructure failures of the backend or the environment, `init`
-    included, a token budget too small for the goals and an initial state
-    that is already QED abort the trace; they are not proof failures.
+    An InfrastructureFailure aborts the trace and is not a proof failure:
+    one of the backend or the environment, `init` included, a token budget
+    too small for the goals, or an initial state that is already QED.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -596,7 +591,7 @@ def prove(
         outcome = SearchOutcome(proved=True, proof=tuple(proved.proof))
     except _Abort as abort:
         outcome = SearchOutcome(proved=False, failure_reason=abort.reason)
-    except (InfrastructureFailure, BridgeFailure, PromptBudgetError, _ClosedAtStart) as exc:
+    except InfrastructureFailure as exc:
         trace.notes.append(f"infrastructure failure: {exc}")
         trace.aborted = True
         outcome = SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)
@@ -629,7 +624,7 @@ def generate_informal_sketch(
     )
     try:
         completion = backend.complete(request)
-    except (InfrastructureFailure, BridgeFailure) as exc:
+    except InfrastructureFailure as exc:
         trace.notes.append(f"skipped: infrastructure failure: {exc}")
         return None
     ordinal = budget.consume()

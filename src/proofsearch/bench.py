@@ -138,12 +138,12 @@ def _completed(paths: list, config: SearchConfig) -> dict:
 class _Environments:
     """The environments of a run's episodes.
 
-    A bridged run holds one adapter session at a time. It is spawned for
-    the first episode that needs one, and every later episode on it starts
-    with `reset` (sent from its first `initial_state`, so a failed reset
-    aborts only that episode). `close` ends it: after an aborted episode,
-    so that a dead adapter costs one episode and a reply that came too
-    late never answers a later request, and when the run ends."""
+    A bridged run holds one adapter session at a time, and the session is
+    each episode's environment: it is spawned for the first episode that
+    needs one, and the `init` that starts each episode (or stage) drops
+    the states of the one before. `close` ends it: after an aborted
+    episode, so that a dead adapter costs one episode and a reply that
+    came too late never answers a later request, and when the run ends."""
 
     def __init__(self, bench: BenchmarkSuite):
         if bench.environment not in ("toy", "bridge"):
@@ -156,13 +156,11 @@ class _Environments:
     def open(self, theorem: ToyTheorem) -> ProofEnvironment:
         if self.bench.environment == "toy":
             return ToyEnvironment(theorem)
-        from . import bridge  # BridgeSession is looked up at each spawn
-
-        served = self.session is not None  # a live session served an earlier episode
-        if not served:
+        if self.session is None:
+            from . import bridge  # BridgeSession is looked up at each spawn
             self.session = bridge.BridgeSession(
                 bridge.BridgeConfig(command=self.bench.bridge_command))
-        return bridge.BridgedEnvironment(self.session, reset=served)
+        return self.session
 
     def close(self):
         if self.session is not None:

@@ -7,8 +7,8 @@ so large states never round-trip repeatedly. See docs/bridge-protocol.md
 for the wire contract; `proofsearch.bridge_adapter` is a loopback adapter
 that serves the toy prover behind this protocol.
 
-Transport problems (timeout, crash, malformed line or reply) raise BridgeFailure,
-which is infrastructure failure — never a proof error.
+Transport problems (timeout, crash, malformed line or reply) raise
+BridgeFailure, an InfrastructureFailure: never a proof error.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Obligation, ProofEnvironment, ProofState, canonical_key, encode_json, write_all
+from .core import (InfrastructureFailure, Obligation, ProofEnvironment, ProofState,
+                   canonical_key, encode_json)
 
 
-class BridgeFailure(Exception):
+class BridgeFailure(InfrastructureFailure):
     """Transport-level bridge failure; aborts the episode."""
 
 
@@ -59,13 +60,18 @@ def obligations_from_wire(payload) -> frozenset:
     return frozenset(obligations)
 
 
-class BridgeSession:
-    """One adapter process, strictly serialized request/response.
+class BridgeSession(ProofEnvironment):
+    """One adapter process, strictly serialized request/response, and the
+    ProofEnvironment it serves: "qed" replies map to QED, "ok" to the
+    reported obligations, and "error" to an error state carrying the
+    previous obligations plus the adapter's message. Error states absorb
+    locally without a wire call.
 
-    Requests and replies are UTF-8 bytes over binary pipes. A reply is read
-    on the thread that calls `call`, in `_CHUNK`-byte pieces, with one
-    `select.poll` deadline, `timeout_seconds` after the call starts, for
-    the whole call (so POSIX only)."""
+    Requests and replies are UTF-8 bytes over binary pipes, the request
+    written without blocking and the reply read on the calling thread in
+    `_CHUNK`-byte pieces. A call waits on `select.poll` only for a full
+    pipe or a reply not yet come, under one deadline, `timeout_seconds`
+    after the call starts (so POSIX only)."""
 
     _CHUNK = 8192
 
@@ -81,9 +87,13 @@ class BridgeSession:
         )
         self._stdin = self._proc.stdin.fileno()
         self._stdout = self._proc.stdout.fileno()
-        self._poller = select.poll()
-        self._poller.register(self._stdout, select.POLLIN)
+        os.set_blocking(self._stdin, False)
+        self._writable = select.poll()
+        self._writable.register(self._stdin, select.POLLOUT)
+        self._readable = select.poll()
+        self._readable.register(self._stdout, select.POLLIN)
         self._pending = b""  # what the adapter wrote past the last reply read
+        self._ids: dict = {}  # canonical state key -> adapter state id, this episode
 
     def call(self, cmd: str, **fields) -> dict:
         if self._proc.poll() is not None:
@@ -91,10 +101,7 @@ class BridgeSession:
         deadline = time.monotonic() + self.config.timeout_seconds
         self._next_id += 1
         request = {"id": self._next_id, "cmd": cmd, **fields}
-        try:
-            write_all(self._stdin, (encode_json(request) + "\n").encode())
-        except OSError as exc:
-            raise BridgeFailure(f"adapter pipe broken: {exc}") from exc
+        self._write((encode_json(request) + "\n").encode(), deadline)
         line = self._read_line(deadline)
         try:
             response = json.loads(line.decode())
@@ -108,15 +115,29 @@ class BridgeSession:
             raise BridgeFailure(f"unknown response status in {response!r}")
         return response
 
+    def _wait(self, poller, deadline: float):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not poller.poll(remaining * 1000):
+            raise BridgeFailure(
+                f"adapter response timed out after {self.config.timeout_seconds}s")
+
+    def _write(self, data: bytes, deadline: float):
+        """Write all of `data` to the adapter's stdin by `deadline`."""
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(self._stdin, view):]
+            except BlockingIOError:  # the pipe is full until the adapter reads
+                self._wait(self._writable, deadline)
+            except OSError as exc:
+                raise BridgeFailure(f"adapter pipe broken: {exc}") from exc
+
     def _read_line(self, deadline: float) -> bytes:
         """The adapter's next line, newline included, if it comes by
         `deadline` (a `time.monotonic()` reading)."""
         parts = [self._pending]
         while (end := parts[-1].find(b"\n")) < 0:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._poller.poll(remaining * 1000):
-                raise BridgeFailure(
-                    f"adapter response timed out after {self.config.timeout_seconds}s")
+            self._wait(self._readable, deadline)
             chunk = os.read(self._stdout, self._CHUNK)
             if not chunk:
                 raise BridgeFailure("adapter closed its output stream")
@@ -125,19 +146,29 @@ class BridgeSession:
         self._pending = last[end + 1:]
         return b"".join(parts) + last[:end + 1]
 
-    def init(self, theorem: str) -> tuple:
-        response = self.call("init", theorem=theorem)
+    def initial_state(self, theorem_id: str) -> ProofState:
+        """Send `init`: the adapter drops the states of the episode or
+        stage before, and so does the session."""
+        response = self.call("init", theorem=theorem_id)
         if response["status"] == "error":
             raise BridgeFailure(f"init failed: {response.get('message')}")
-        return self.decode_state(response)
+        state_id, state = self._decode_state(response)
+        self._ids = {canonical_key(state): state_id}
+        return state
 
-    def apply(self, state_id: str, tactic: str) -> dict:
-        return self.call("apply", state_id=state_id, tactic=tactic)
-
-    def reset(self):
-        response = self.call("reset")
-        if response["status"] != "ok":
-            raise BridgeFailure(f"reset failed: {response.get('message')}")
+    def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
+        if state.is_error:
+            return state
+        key = canonical_key(state)
+        if key not in self._ids:
+            raise BridgeFailure("state was not issued by this session")
+        response = self.call("apply", state_id=self._ids[key], tactic=tactic)
+        if response["status"] == "error":
+            return ProofState.error(state.obligations, response.get("message") or "error")
+        state_id, new_state = self._decode_state(response)
+        if state_id is not None:
+            self._ids[canonical_key(new_state)] = state_id
+        return new_state
 
     def close(self):
         if self._proc.poll() is None:
@@ -147,7 +178,7 @@ class BridgeSession:
         self._proc.stdout.close()
 
     @staticmethod
-    def decode_state(response: dict) -> tuple:
+    def _decode_state(response: dict) -> tuple:
         """The (state id, state) of an `ok` or `qed` reply to `init` or
         `apply`. An `ok` reply needs a string `state_id`, and raises
         BridgeFailure without one; a `qed` reply's id is optional (None)."""
@@ -163,44 +194,3 @@ class BridgeSession:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-class BridgedEnvironment(ProofEnvironment):
-    """ProofEnvironment implementation backed by a bridge session.
-
-    "qed" responses map to QED, "ok" to the reported obligations, and
-    "error" to an error state carrying the previous obligations plus the
-    adapter's message. Error states absorb locally without a wire call.
-
-    With `reset`, the first `initial_state` sends `reset` before its `init`,
-    so that an adapter which served an earlier episode drops that
-    episode's states; later ones (the next ensemble stages) send `init`
-    alone.
-    """
-
-    def __init__(self, session: BridgeSession, reset: bool = False):
-        self.session = session
-        self._reset = reset
-        self._ids: dict = {}  # canonical state key -> adapter state id
-
-    def initial_state(self, theorem_id: str) -> ProofState:
-        if self._reset:
-            self.session.reset()
-            self._reset = False
-        state_id, state = self.session.init(theorem_id)
-        self._ids[canonical_key(state)] = state_id
-        return state
-
-    def apply_tactic(self, state: ProofState, tactic: str) -> ProofState:
-        if state.is_error:
-            return state
-        key = canonical_key(state)
-        if key not in self._ids:
-            raise BridgeFailure("state was not issued by this session")
-        response = self.session.apply(self._ids[key], tactic)
-        if response["status"] == "error":
-            return ProofState.error(state.obligations, response.get("message") or "error")
-        state_id, new_state = self.session.decode_state(response)
-        if state_id is not None:
-            self._ids[canonical_key(new_state)] = state_id
-        return new_state

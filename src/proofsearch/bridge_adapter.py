@@ -70,11 +70,9 @@ def serve(suite_path: str):
         if cmd == "shutdown":
             _respond({"id": request_id, "status": "ok"})
             return 0
-        if cmd == "reset":
+        if cmd == "init":  # starts an episode: every state issued before is dropped
             states.clear()
             env = None
-            _respond({"id": request_id, "status": "ok"})
-        elif cmd == "init":
             theorem = request.get("theorem")
             if theorem not in suite.theorems:
                 _respond({"id": request_id, "status": "error",

@@ -9,7 +9,6 @@ message. The empty, non-error obligation set is the goal state (QED).
 from __future__ import annotations
 
 import json
-import os
 from abc import ABC, abstractmethod
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -27,6 +26,12 @@ def normalize_text(text: str) -> str:
 
 class ErrorStateComparison(Exception):
     """Raised when the progress order is applied to an error state."""
+
+
+class InfrastructureFailure(Exception):
+    """A failure of what serves the search (the model's transport, the
+    prover's adapter, a token budget too small for the goals), not of a
+    proof: it aborts the episode, which is never counted as failed."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class ProofState:
 
     The obligation order and the canonical key are private
     `functools.cached_property`s, read through `ordered_obligations` and
-    `canonical_key`: the search and `BridgedEnvironment` share one of each
+    `canonical_key`: the search and `BridgeSession` share one of each
     per state object, and `==`, `hash` and `repr` ignore them.
     """
 
@@ -251,14 +256,6 @@ def make_json_encoder():
 
 # One encoder for every trace line, wire request and adapter reply
 encode_json = make_json_encoder()
-
-
-def write_all(fd: int, data: bytes):
-    """Write all of `data` to the file descriptor `fd`: one `os.write` may
-    take only part of it (a pipe that is nearly full, a signal)."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 def canonical_key(state: ProofState) -> str:

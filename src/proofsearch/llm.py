@@ -17,12 +17,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .core import InfrastructureFailure
 from .prompts import LENGTH_CAP, NATURAL_STOP
-
-
-class InfrastructureFailure(Exception):
-    """Transport-level failure after exhausting retries; aborts the episode
-    and is never counted as a proof failure."""
 
 
 @dataclass

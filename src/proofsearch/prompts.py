@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .core import GlobalContext, ProofState, ordered_obligations
+from .core import GlobalContext, InfrastructureFailure, ProofState, ordered_obligations
 
 NATURAL_STOP = "natural-stop"
 LENGTH_CAP = "length-cap"
@@ -39,7 +39,7 @@ _DROP_ORDER = (_SECTION_STEPS, _SECTION_INFORMAL, _SECTION_RETRIEVED,
                _SECTION_INCORRECT, _SECTION_LAST)
 
 
-class PromptBudgetError(Exception):
+class PromptBudgetError(InfrastructureFailure):
     """The token budget cannot even fit the current goals."""
 
 

@@ -490,12 +490,11 @@ def bridge_conformance_session(requests):
 
 def test_criterion_10_bridge_differential(suite):
     with criterion(10, "bridge differential and conformance"):
-        from proofsearch.bridge import BridgeConfig, BridgedEnvironment, BridgeSession
+        from proofsearch.bridge import BridgeConfig, BridgeSession
 
-        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=60)) as session:
+        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=60)) as bridged_env:
             for theorem in suite.theorems.values():
                 direct_env = ToyEnvironment(theorem)
-                bridged_env = BridgedEnvironment(session)
                 assert bridged_env.initial_state(theorem.name) == direct_env.initial_state(
                     theorem.name
                 )

@@ -28,7 +28,7 @@ from proofsearch.agent import (
     prove,
 )
 from proofsearch.bench import BenchmarkSuite, results_from_traces, run_suite
-from proofsearch.bridge import BridgeConfig, BridgedEnvironment, BridgeSession
+from proofsearch.bridge import BridgeConfig, BridgeSession
 from proofsearch.core import (
     GlobalContext,
     at_least_as_hard,
@@ -600,13 +600,13 @@ class TestRankingsPerEpisode:
         command = [sys.executable, "-m", "proofsearch.bridge_adapter", str(suite_path)]
         roots = []
 
-        class Recorded(BridgedEnvironment):
+        class Recorded(BridgeSession):
             def initial_state(self, theorem_id):
                 roots.append(super().initial_state(theorem_id))
                 return roots[-1]
 
-        with BridgeSession(BridgeConfig(command=command)) as session:
-            bridged = self.ensemble(scenarios, Recorded(session))
+        with Recorded(BridgeConfig(command=command)) as session:
+            bridged = self.ensemble(scenarios, session)
         assert len(roots) == 3
         assert roots[1] == roots[0] and roots[1] is not roots[0]
         assert len(retrieve_events(bridged[1])) == 6

@@ -393,8 +393,8 @@ class TestBridgedRunSuite:
         )
         assert [r.proved for r in results] == [True, True]
         assert len(recorded_sessions) == 1  # one spawn for the run
-        assert [c for c in recorded_sessions[0].commands if c != "apply"] == [
-            "init", "reset", "init",
+        assert recorded_sessions[0].commands == [  # `init` alone starts each episode
+            "init", "apply", "apply", "init", "apply", "apply", "apply",
         ]
         assert_all_closed(recorded_sessions)
 
@@ -795,7 +795,7 @@ class TestCli:
         for name in ("metrics.txt", "metrics.csv"):
             assert (bridged / name).read_bytes() == (toy / name).read_bytes()
         session, = recorded_sessions
-        assert session.commands.count("reset") == 63  # once per episode after the first
+        assert set(session.commands) == {"init", "apply"}  # `init` alone starts an episode
         assert session.commands.count("init") == 40 + 3 * 24
         assert_all_closed(recorded_sessions)
 

@@ -15,7 +15,6 @@ from proofsearch import bridge_adapter
 from proofsearch.agent import REASON_INFRASTRUCTURE, SearchConfig, prove
 from proofsearch.bridge import (
     BridgeConfig,
-    BridgedEnvironment,
     BridgeFailure,
     BridgeSession,
     obligations_from_wire,
@@ -146,14 +145,18 @@ class TestConformance:
         assert proc.returncode == 0
 
     def test_request_that_is_not_an_object_answered_not_fatal(self):
-        not_objects = [[1], 3, "reset", True, None]
+        not_objects = [[1], 3, "init", True, None]
         responses, code = self.raw(
-            not_objects + [{"id": 1, "cmd": "reset"}, {"id": 2, "cmd": "shutdown"}]
+            not_objects + [{"id": 1, "cmd": "init", "theorem": "imp_self"},
+                           {"id": 2, "cmd": "shutdown"}]
         )
         malformed = {"id": None, "status": "error", "message": "malformed request line"}
         assert responses[:len(not_objects)] == [malformed] * len(not_objects)
-        assert responses[len(not_objects):] == [{"id": 1, "status": "ok"},
-                                                {"id": 2, "status": "ok"}]
+        assert responses[len(not_objects):] == [
+            {"id": 1, "status": "ok", "state_id": "s1",
+             "obligations": [{"goal": "P -> P", "hypotheses": []}]},
+            {"id": 2, "status": "ok"},
+        ]
         assert code == 0
 
     def test_request_that_is_not_utf8_answered_not_fatal(self):
@@ -175,21 +178,47 @@ class TestConformance:
         assert responses[0]["status"] == "error"
         assert "unknown command" in responses[0]["message"]
 
-    def test_reset_invalidates_state_ids(self):
+    def test_reset_is_an_unknown_command(self):
+        """`init` alone starts an episode; there is no `reset`."""
+        responses, code = self.raw([{"id": 1, "cmd": "reset"}, {"id": 2, "cmd": "shutdown"}])
+        assert responses == [
+            {"id": 1, "status": "error", "message": "unknown command 'reset'"},
+            {"id": 2, "status": "ok"},
+        ]
+        assert code == 0
+
+    def test_init_invalidates_state_ids(self):
+        """`init` drops every state issued before it; ids stay unique."""
         responses, _ = self.raw(
             [
                 {"id": 1, "cmd": "init", "theorem": "imp_self"},
-                {"id": 2, "cmd": "reset"},
-                {"id": 3, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
-                {"id": 4, "cmd": "shutdown"},
+                {"id": 2, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
+                {"id": 3, "cmd": "init", "theorem": "imp_self"},
+                {"id": 4, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
+                {"id": 5, "cmd": "apply", "state_id": "s2", "tactic": "exact h"},
+                {"id": 6, "cmd": "apply", "state_id": "s3", "tactic": "intro h"},
+                {"id": 7, "cmd": "shutdown"},
             ]
         )
-        assert responses[1]["status"] == "ok"
-        assert responses[2]["status"] == "error"
+        assert [(r["id"], r["status"], r.get("state_id")) for r in responses] == [
+            (1, "ok", "s1"), (2, "ok", "s2"), (3, "ok", "s3"), (4, "error", None),
+            (5, "error", None), (6, "ok", "s4"), (7, "ok", None),
+        ]
+        assert [responses[3]["message"], responses[4]["message"]] == [
+            "unknown state id 's1'", "unknown state id 's2'"]
 
     def test_shutdown_exits_zero(self):
         _, code = self.raw([{"id": 1, "cmd": "shutdown"}])
         assert code == 0
+
+    def test_cli_imports_no_bridge_client(self):
+        """Only a bridged run needs the bridge client: `run` imports it when
+        it starts the adapter, and nothing else does."""
+        code = "import sys, proofsearch.cli; print(' '.join(sys.modules))"
+        loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, check=True).stdout.split())
+        assert {"proofsearch.cli", "proofsearch.agent", "proofsearch.bench"} <= loaded
+        assert sorted(loaded & {"proofsearch.bridge", "subprocess", "select"}) == []
 
     def test_adapter_imports_only_the_prover_it_serves(self):
         """Every spawn pays for what the adapter imports: `core` and `toy`,
@@ -206,28 +235,38 @@ class TestConformance:
 
 
 class TestSessionReuse:
-    """An adapter serves a whole run: every episode after the first starts
-    with `reset`, then `init`."""
+    """An adapter serves a whole run: `init` starts every episode, and
+    drops every state issued before it."""
 
-    def test_hundred_reset_init_cycles(self, suite):
+    def test_hundred_init_cycles(self, suite):
         theorems = list(suite.theorems.values())
         issued = []
         with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as session:
             for cycle in range(100):
-                if cycle:
-                    session.reset()
-                    for stale in issued:
-                        response = session.apply(stale, "intro h")
-                        assert response["status"] == "error", (cycle, stale)
                 theorem = theorems[cycle % len(theorems)]
-                state_id, _ = session.init(theorem.name)
-                issued.append(state_id)
-                step = session.apply(state_id, brute_force_prove(theorem, 4)[0])
-                if "state_id" in step:
-                    issued.append(step["state_id"])
-        assert len(set(issued)) == len(issued)
+                init = session.call("init", theorem=theorem.name)
+                assert init["status"] == "ok", cycle
+                for stale in issued:
+                    response = session.call("apply", state_id=stale, tactic="intro h")
+                    assert response == {"id": response["id"], "status": "error",
+                                        "message": f"unknown state id {stale!r}"}, cycle
+                issued.append(init["state_id"])
+                step = session.call("apply", state_id=init["state_id"],
+                                    tactic=brute_force_prove(theorem, 4)[0])
+                assert step["status"] in ("ok", "qed"), (cycle, step)
+                issued.append(step["state_id"])
+        assert len(set(issued)) == len(issued) == 200
 
-    def test_term_table_holds_only_its_theorem_after_reset(self, monkeypatch):
+    def test_state_from_before_init_is_refused_without_a_wire_call(self, session):
+        first = session.initial_state("imp_self")
+        child = session.apply_tactic(first, "intro h")
+        assert session.initial_state("imp_self") == first
+        sent = session._next_id
+        with pytest.raises(BridgeFailure, match="^state was not issued by this session$"):
+            session.apply_tactic(child, "exact h")
+        assert session._next_id == sent
+
+    def test_term_table_holds_only_its_theorem_after_init(self, monkeypatch):
         tables = []  # (theorem, a copy of its term table) at each apply
 
         class RecordingEnvironment(ToyEnvironment):
@@ -239,9 +278,8 @@ class TestSessionReuse:
             {"id": 1, "cmd": "init", "theorem": "imp_const"},
             {"id": 2, "cmd": "apply", "state_id": "s1", "tactic": "intro h"},
             {"id": 3, "cmd": "apply", "state_id": "s2", "tactic": "intro h1"},
-            {"id": 4, "cmd": "reset"},
-            {"id": 5, "cmd": "init", "theorem": "and_intro"},
-            {"id": 6, "cmd": "apply", "state_id": "s4", "tactic": "split"},
+            {"id": 4, "cmd": "init", "theorem": "and_intro"},
+            {"id": 5, "cmd": "apply", "state_id": "s4", "tactic": "split"},
         ]
         lines = "".join(json.dumps(request) + "\n" for request in requests)
         monkeypatch.setattr(bridge_adapter, "ToyEnvironment", RecordingEnvironment)
@@ -250,14 +288,14 @@ class TestSessionReuse:
         assert bridge_adapter.serve(str(SUITE_PATH)) == 0
         statuses = [json.loads(line)["status"]
                     for line in sys.stdout.buffer.getvalue().splitlines()]
-        assert statuses == ["ok"] * 6
+        assert statuses == ["ok"] * 5
 
         def own_terms(theorem):
             terms = [theorem.goal] + [term for _, term in theorem.hypotheses]
             return {print_term(term): term for term in terms}
 
         # a theorem's first step finds its own terms, the very objects, and
-        # nothing of the theorem served before the reset
+        # nothing of the theorem served before its `init`
         assert [theorem.name for theorem, _ in tables] == ["imp_const", "imp_const", "and_intro"]
         assert len(tables[1][1]) > len(tables[0][1])
         for theorem, table in (tables[0], tables[2]):
@@ -269,10 +307,10 @@ class TestSessionReuse:
 
 class TestBridgeSession:
     def test_init_and_apply(self, session):
-        state_id, state = session.init("imp_self")
+        state = session.initial_state("imp_self")
         assert state == ProofState.of([Obligation.make("P -> P")])
-        response = session.apply(state_id, "intro h")
-        assert response["status"] == "ok"
+        assert session.apply_tactic(state, "intro h") == ProofState.of(
+            [Obligation.make("P", {"h": "P"})])
 
     def test_shutdown_within_timeout(self, session):
         assert session.call("shutdown")["status"] == "ok"
@@ -306,21 +344,21 @@ class TestReadPath:
     def test_a_session_starts_no_thread(self):
         threads = threading.active_count()
         with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as session:
-            state_id, _ = session.init("imp_self")
+            state = session.initial_state("imp_self")
             for _ in range(100):
-                assert session.apply(state_id, "intro h")["status"] == "ok"
+                assert not session.apply_tactic(state, "intro h").is_error
                 assert threading.active_count() == threads
         assert threading.active_count() == threads
 
     def test_close_closes_the_adapters_output(self, session):
-        session.init("imp_self")
+        session.initial_state("imp_self")
         session.close()
         assert session._proc.stdout.closed and session._proc.stdin.closed
 
     def test_reply_in_two_parts_is_one_reply(self):
         session = self.session(self.writing('{"id": ID, "sta', 0.3, 'tus": "ok"}\n'))
         try:
-            assert session.call("reset") == {"id": 1, "status": "ok"}
+            assert session.call("shutdown") == {"id": 1, "status": "ok"}
         finally:
             session.close()
 
@@ -339,6 +377,14 @@ class TestReadPath:
         finally:
             session.close()
 
+    def test_request_larger_than_the_pipe_buffer_is_written_whole(self, session):
+        """The adapter reads a 200 KB tactic while the session waits for room
+        in the pipe, and its name comes back in the reply."""
+        name = "h" * 200_000
+        state = session.initial_state("imp_self")
+        assert session.apply_tactic(state, f"intro {name}") == ProofState.of(
+            [Obligation.make("P", {name: "P"})])
+
     @pytest.mark.parametrize("writes", [('{"id": ID, "sta', 30),
                                         ('{"id": ID, "st', 0.1, "a", 0.1, "t", 0.1, "u", 0.1,
                                          "s", 0.1, '"', 0.1, ":", 30)],
@@ -350,7 +396,7 @@ class TestReadPath:
         try:
             start = time.monotonic()
             with pytest.raises(BridgeFailure, match="timed out after 0.5s"):
-                session.call("reset")
+                session.call("shutdown")
             assert 0.5 <= time.monotonic() - start < 5
         finally:
             session.close()
@@ -361,37 +407,37 @@ class TestReadPath:
         command = ["env", "PYTHONIOENCODING=ascii"] + LOOPBACK
         theorem = suite.theorem("eq_symm")
         direct = ToyEnvironment(theorem)
-        with BridgeSession(BridgeConfig(command=command, timeout_seconds=30)) as session:
-            bridged = BridgedEnvironment(session)
+        with BridgeSession(BridgeConfig(command=command, timeout_seconds=30)) as bridged:
             state = bridged.initial_state("eq_symm")
             assert state == direct.initial_state("eq_symm")
             for tactic in ["rw ← h2", "rw ← h"]:
                 expected = direct.apply_tactic(state, tactic)
                 assert bridged.apply_tactic(state, tactic) == expected, tactic
             assert expected == ProofState.of([Obligation.make("a = a", {"h": "a = b"})])
-            assert session._proc.poll() is None
+            assert bridged._proc.poll() is None
 
 
 class TestBridgedEnvironment:
+    """The session is the ProofEnvironment its adapter serves."""
+
     def test_full_proof_through_bridge(self, session):
-        env = BridgedEnvironment(session)
-        state = env.initial_state("imp_self")
-        state = env.apply_tactic(state, "intro h")
+        state = session.initial_state("imp_self")
+        state = session.apply_tactic(state, "intro h")
         assert state == ProofState.of([Obligation.make("P", {"h": "P"})])
-        assert env.apply_tactic(state, "exact h").is_qed
+        assert session.apply_tactic(state, "exact h").is_qed
 
     def test_error_absorbs_locally(self, session):
-        env = BridgedEnvironment(session)
-        state = env.initial_state("imp_self")
-        err = env.apply_tactic(state, "refl")
+        state = session.initial_state("imp_self")
+        err = session.apply_tactic(state, "refl")
         assert err.is_error
-        assert env.apply_tactic(err, "intro h") == err
+        sent = session._next_id
+        assert session.apply_tactic(err, "intro h") == err
+        assert session._next_id == sent
 
     def test_unknown_state_raises_bridge_failure(self, session):
-        env = BridgedEnvironment(session)
         foreign = ProofState.of([Obligation.make("Z")])
         with pytest.raises(BridgeFailure):
-            env.apply_tactic(foreign, "intro h")
+            session.apply_tactic(foreign, "intro h")
 
 
 def differential_pairs(theorem):
@@ -411,10 +457,9 @@ def differential_pairs(theorem):
 
 class TestDifferentialEquivalence:
     def test_stub_matches_direct_on_whole_suite(self, suite):
-        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as session:
+        with BridgeSession(BridgeConfig(command=LOOPBACK, timeout_seconds=30)) as bridged_env:
             for theorem in suite.theorems.values():
                 direct_env = ToyEnvironment(theorem)
-                bridged_env = BridgedEnvironment(session)
                 bridged_initial = bridged_env.initial_state(theorem.name)
                 assert bridged_initial == direct_env.initial_state(theorem.name)
                 seen = {canonical_key(bridged_initial)}
@@ -452,6 +497,31 @@ class TestTransportFailures:
                 session.call("init", theorem="imp_self")
         finally:
             session.close()
+
+    def test_request_write_times_out_at_the_deadline(self):
+        """A request larger than the pipe buffer, to an adapter that reads
+        nothing, fails at the call's deadline instead of blocking. The call
+        runs on a thread, so that a write that blocks fails the test."""
+        session = self.run_adapter_script("import time; time.sleep(30)")
+        raised = []
+
+        def send():
+            try:
+                session.call("apply", state_id="s1", tactic="x" * 200_000)
+            except BridgeFailure as exc:
+                raised.append(str(exc))
+
+        sender = threading.Thread(target=send, daemon=True)
+        try:
+            start = time.monotonic()
+            sender.start()
+            sender.join(timeout=5)
+            assert not sender.is_alive(), "the request write outlived the call's deadline"
+            assert 1.0 <= time.monotonic() - start < 5
+            assert raised == ["adapter response timed out after 1.0s"]
+        finally:
+            session.close()  # a blocked write ends with the adapter
+            sender.join(timeout=10)
 
     def test_reply_that_is_not_utf8_fails_at_once(self):
         script = ("import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\xfe{}\\n'); "
@@ -532,7 +602,7 @@ class TestTransportFailures:
         session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case]))
         try:
             with pytest.raises(BridgeFailure):
-                session.init("imp_self")
+                session.initial_state("imp_self")
         finally:
             session.close()
 
@@ -544,10 +614,9 @@ class TestTransportFailures:
                 "obligations": [{"goal": "P -> P", "hypotheses": []}]}
         session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case], init=init))
         try:
-            env = BridgedEnvironment(session)
-            state = env.initial_state("imp_self")
+            state = session.initial_state("imp_self")
             with pytest.raises(BridgeFailure):
-                env.apply_tactic(state, "intro h")
+                session.apply_tactic(state, "intro h")
         finally:
             session.close()
 
@@ -555,7 +624,7 @@ class TestTransportFailures:
     def test_malformed_ok_reply_aborts_the_episode_as_infrastructure(self, case):
         session = self.run_adapter_script(self.replying(self.MALFORMED_REPLIES[case]))
         try:
-            outcome, trace = prove("imp_self", BridgedEnvironment(session), SequenceBackend([]),
+            outcome, trace = prove("imp_self", session, SequenceBackend([]),
                                    None, GlobalContext("P -> P"), SearchConfig())
         finally:
             session.close()

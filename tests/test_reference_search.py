@@ -36,7 +36,7 @@ from proofsearch.agent import (
     ensemble_prove,
     prove,
 )
-from proofsearch.bridge import BridgeConfig, BridgedEnvironment, BridgeFailure, BridgeSession
+from proofsearch.bridge import BridgeConfig, BridgeFailure, BridgeSession
 from proofsearch.core import GlobalContext
 from proofsearch.llm import Completion, CompletionRequest, InfrastructureFailure
 from proofsearch.prompts import (
@@ -493,7 +493,7 @@ class ServedSession(BridgeSession):
 
 class TestReferenceSeedsOverTheWire:
     """The seeds' theorems behind `bridge_adapter.serve`, one session for
-    all of them with `reset` between seeds, as a run reuses its adapter:
+    all of them with `init` starting each seed, as a run reuses its adapter:
     each episode's `comparable()` equals the in-process one. This runs
     `obligations_to_wire`, `obligations_from_wire` and the error text on
     random states. The adapter cannot fail at a tactic as
@@ -512,11 +512,10 @@ class TestReferenceSeedsOverTheWire:
         suite_path.write_text(text, encoding="utf-8")
         session = ServedSession(suite_path, monkeypatch)
         try:
-            for i, (theorem, config, index, gctx, backend) in enumerate(cases):
+            for theorem, config, index, gctx, backend in cases:
                 direct = ensemble_prove(theorem.name, ToyEnvironment(theorem), backend(), index,
                                         gctx, config)
-                bridged = ensemble_prove(theorem.name, BridgedEnvironment(session, reset=i > 0),
-                                         backend(), index, gctx, config)
+                bridged = ensemble_prove(theorem.name, session, backend(), index, gctx, config)
                 assert bridged[0] == direct[0], theorem.name
                 assert bridged[1].comparable() == direct[1].comparable(), theorem.name
         finally:
