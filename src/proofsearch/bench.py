@@ -89,9 +89,10 @@ def run_suite(
     order and writes one trace file per episode under out_dir/traces/.
 
     With `resume`, an episode whose trace file is already complete is not
-    run again: its result is read from the trace's head. Missing and
-    incomplete traces are run. Raises ResumeError, before any episode
-    runs, when a complete trace holds another search config."""
+    run again: its result is read from the trace's head. Missing,
+    incomplete and infrastructure-aborted traces are run. Raises
+    ResumeError, before any episode runs, when a kept trace holds another
+    search config."""
     out_dir = Path(out_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -121,12 +122,13 @@ def run_suite(
 
 
 def _completed(paths: list, config: SearchConfig) -> dict:
-    """The result of each episode whose trace file is complete, by path."""
+    """The result of each episode whose trace file is complete and not
+    aborted, by path."""
     done = {}
     for path in paths:
         if path.is_file():
             head = EpisodeTrace.load_head(path)
-            if head.incomplete:
+            if head.incomplete or head.aborted:
                 continue
             if head.config != config.to_dict():
                 raise ResumeError(f"{path}: recorded with another search config; "

@@ -33,7 +33,6 @@ from .llm import (
     ReplayBackend,
     ScriptedBackend,
 )
-from .prompts import system_prompt
 from .retrieval import build_index, load_corpus
 from .toy import ToyEnvironment, brute_force_prove, load_suite
 
@@ -78,18 +77,22 @@ def _read(flag: str, path: str, load):
 def cmd_run(args) -> int:
     if args.attempts < 1:  # these checks come before any output
         raise SystemExit("--attempts must be >= 1")
-    if args.oracle_depth < 1:
+    if args.oracle_depth is not None and args.oracle_depth < 1:
         raise SystemExit("--oracle-depth must be >= 1")
     if args.rate_limit is not None and args.rate_limit <= 0:
         raise SystemExit("--rate-limit must be > 0")
     # each backend's flags: whether it needs them, and that no other backend is given them
     for backend, dest, required in [("replay", "replay_dir", True), ("http", "base_url", True),
-                                    ("http", "model", True), ("http", "rate_limit", False)]:
+                                    ("http", "model", True), ("http", "rate_limit", False),
+                                    ("http", "api_key_env", False),
+                                    ("oracle", "oracle_depth", False)]:
         flag = "--" + dest.replace("_", "-")
         if args.backend == backend and required and not getattr(args, dest):
             raise SystemExit(f"{flag} is required for --backend {backend}")
         if args.backend != backend and getattr(args, dest) is not None:
             raise SystemExit(f"{flag} needs --backend {backend}")
+    oracle_depth = 6 if args.oracle_depth is None else args.oracle_depth
+    api_key_env = "PROOFSEARCH_API_KEY" if args.api_key_env is None else args.api_key_env
     config = _config_from(args)
     suite = _read("--suite", args.suite, load_suite)
     recorded = {}
@@ -103,6 +106,10 @@ def cmd_run(args) -> int:
                 trace = recorded[name] = EpisodeTrace.load(path)
                 if trace.incomplete:
                     raise SystemExit(f"--replay-dir {args.replay_dir} has no complete trace {name}")
+                if trace.config != config.to_dict():
+                    raise SystemExit(f"--replay-dir {args.replay_dir}: {name} was recorded with "
+                                     "another search config; replay with the flags of the run "
+                                     "that wrote it")
     index = build_index(_read("--corpus", args.corpus, load_corpus)) if args.corpus else None
     bench = BenchmarkSuite(
         suite=suite,
@@ -116,19 +123,18 @@ def cmd_run(args) -> int:
 
     def backend_factory(theorem, attempt):
         if args.backend == "oracle":
-            backend = oracle_scripted_backend(theorem, max_depth=args.oracle_depth)
+            backend = oracle_scripted_backend(theorem, max_depth=oracle_depth)
             if backend is None:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
                 backend = ScriptedBackend({})
         elif args.backend == "replay":
-            trace = recorded[trace_file_name(theorem.name, attempt)]
-            backend = ReplayBackend(trace.records, system_prompt(trace.config["prompt_style"]))
+            backend = ReplayBackend(recorded[trace_file_name(theorem.name, attempt)].records)
         else:
             backend = HttpBackend(
                 HttpBackendConfig(
                     base_url=args.base_url,
                     model=args.model,
-                    api_key_env=args.api_key_env,
+                    api_key_env=api_key_env,
                 ),
                 limiter,
             )
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--backend", choices=["oracle", "replay", "http"], default="oracle")
     run.add_argument("--replay-dir", help="an earlier run's traces/ directory for --backend replay")
-    run.add_argument("--oracle-depth", type=int, default=6)
+    run.add_argument("--oracle-depth", type=int, help="oracle search depth (default 6)")
     run.add_argument("--attempts", type=int, default=1)
     run.add_argument("--no-ensemble", action="store_true",
                      help="one stage, labelled plain, instead of the staged ensemble; "
@@ -226,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="adapter command line; the run then steps tactics through it")
     run.add_argument("--base-url", help="chat-completions base URL (http backend)")
     run.add_argument("--model", help="model id (http backend)")
-    run.add_argument("--api-key-env", default="PROOFSEARCH_API_KEY")
+    run.add_argument("--api-key-env",
+                     help="environment variable holding the API key (default PROOFSEARCH_API_KEY)")
     run.add_argument("--rate-limit", type=float, help="max requests per second")
     run.add_argument("--resume", action="store_true",
-                     help="keep each episode whose trace under --out is complete and run "
-                          "only the missing or incomplete ones")
+                     help="keep each episode whose trace under --out is complete and not "
+                          "aborted, and run only the others")
     _add_config_flags(run)
     run.set_defaults(func=cmd_run)
 

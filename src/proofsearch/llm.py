@@ -147,13 +147,12 @@ class HttpBackend(GuidanceBackend):
 
 class ReplayBackend(GuidanceBackend):
     """Answers from an earlier run's query records, in order. A request must
-    ask what its record asked (stage, state key and user turn, and, when
-    `system` is given, the system prompt of the recorded run's tactic
-    queries); one that does not raises and leaves the record unused."""
+    ask what its record asked (stage, state key and user turn); one that
+    does not raises and leaves the record unused. The system prompt follows
+    from the recorded search config, which `run` checks before replaying."""
 
-    def __init__(self, records: Sequence, system: str | None = None):
+    def __init__(self, records: Sequence):
         self.records = list(records)
-        self.system = system
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:
@@ -162,9 +161,7 @@ class ReplayBackend(GuidanceBackend):
         record = self.records[self._cursor]
         asked = (request.metadata.get("stage"), request.metadata.get("state_key"),
                  request.turns[-1][1])
-        other_system = (self.system is not None and record.result_class != "sketch"
-                        and request.system != self.system)
-        if (record.stage, record.state_key, record.prompt_text) != asked or other_system:
+        if (record.stage, record.state_key, record.prompt_text) != asked:
             raise InfrastructureFailure(f"replay mismatch at query {record.ordinal}")
         self._cursor += 1
         return Completion(record.response, record.stop_reason, record.latency_seconds)

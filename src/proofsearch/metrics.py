@@ -142,7 +142,7 @@ def build_report(
     n_grid: Sequence[int] = DEFAULT_N_GRID,
     seconds_grid: Sequence[float] = DEFAULT_SECONDS_GRID,
 ) -> MetricsReport:
-    results = list(results)
+    results = sorted(results, key=lambda r: (r.theorem, r.attempt))
     report = MetricsReport(stats=aggregate_stats(results))
     valid = _valid(results)
     for k in attempts_grid:

@@ -26,18 +26,6 @@ _ASSETS = {
     "coq": "system_coq.txt",
 }
 
-_SECTION_GOALS = "goals"
-_SECTION_INFORMAL = "informal"
-_SECTION_STEPS = "steps"
-_SECTION_RETRIEVED = "retrieved"
-_SECTION_INCORRECT = "incorrect"
-_SECTION_LAST = "last"
-_SECTION_NOTICE = "notice"
-
-# dropped first under budget pressure; goals and the format notice never drop
-_DROP_ORDER = (_SECTION_STEPS, _SECTION_INFORMAL, _SECTION_RETRIEVED,
-               _SECTION_INCORRECT, _SECTION_LAST)
-
 
 class PromptBudgetError(InfrastructureFailure):
     """The token budget cannot even fit the current goals."""
@@ -97,96 +85,71 @@ def sketch_prompt() -> str:
     )
 
 
-def _render_goals(state: ProofState, retrieved: list | None) -> str:
-    """The goals block, with the retrieved entries under the first goal.
-    A block without entries is rendered on the first call and stored on
-    the (frozen) state, outside its fields: the search prompts at a state
-    several times."""
-    if not retrieved:
-        text = state.__dict__.get("_goals")
-        if text is None:
-            text = state.__dict__["_goals"] = _goals_block(state, None)
-        return text
-    return _goals_block(state, retrieved)
+def _goals(state: ProofState) -> tuple:
+    """The goals block as (head, rest): the first goal with its hypotheses,
+    where the retrieved entries attach, and the goals after it. Rendered
+    on the first call and stored on the (frozen) state, outside its
+    fields: the search prompts at a state several times."""
+    goals = state.__dict__.get("_goals")
+    if goals is None:
+        blocks = []
+        for i, obligation in enumerate(ordered_obligations(state), start=1):
+            lines = [f"[GOAL] {i}", obligation.goal]
+            if obligation.hypotheses:
+                lines.append(f"[HYPOTHESES] {i}")
+                lines.extend(f"[HYPOTHESIS] {name} : {prop}"
+                             for name, prop in obligation.sorted_hypotheses)
+            blocks.append("\n".join(lines))
+        goals = state.__dict__["_goals"] = ("\n".join(["[GOALS]", *blocks[:1]]),
+                                            "\n".join(blocks[1:]))
+    return goals
 
 
-def _goals_block(state: ProofState, retrieved: list | None) -> str:
-    lines = ["[GOALS]"]
-    for i, obligation in enumerate(ordered_obligations(state), start=1):
-        lines.append(f"[GOAL] {i}")
-        lines.append(obligation.goal)
-        if obligation.hypotheses:
-            lines.append(f"[HYPOTHESES] {i}")
-            lines.extend(f"[HYPOTHESIS] {name} : {prop}"
-                         for name, prop in obligation.sorted_hypotheses)
-        if i == 1 and retrieved:
-            definitions = [r for r, _ in retrieved if r.kind == "definition"]
-            theorems = [r for r, _ in retrieved if r.kind == "lemma"]
-            if definitions:
-                lines.append(f"[DEFINITIONS] {i}")
-                lines.extend(f"[DEFINITION] {r.name} : {r.statement}" for r in definitions)
-            if theorems:
-                lines.append(f"[THEOREMS] {i}")
-                lines.extend(f"[THEOREM] {r.name} : {r.statement}" for r in theorems)
+def _entries(retrieved: list) -> str:
+    """The first goal's retrieved definitions and theorems."""
+    lines = []
+    for kind, heading, entry in (("definition", "[DEFINITIONS] 1", "[DEFINITION]"),
+                                 ("lemma", "[THEOREMS] 1", "[THEOREM]")):
+        records = [record for record, _ in retrieved if record.kind == kind]
+        if records:
+            lines.append(heading)
+            lines.extend(f"{entry} {r.name} : {r.statement}" for r in records)
     return "\n".join(lines)
-
-
-def _sections(bundle: PromptBundle) -> dict:
-    sections = {_SECTION_GOALS: _render_goals(bundle.state, bundle.retrieved)}
-    if bundle.context is not None and bundle.context.informal_hints:
-        sections[_SECTION_INFORMAL] = "[INFORMAL-PROOF]\n" + bundle.context.informal_hints.strip()
-    if bundle.steps:
-        sections[_SECTION_STEPS] = "[STEPS]" + "".join(f"[STEP]{t}" for t in bundle.steps)
-    if bundle.bad_tactics:
-        sections[_SECTION_INCORRECT] = "[INCORRECT STEPS]" + "".join(
-            f"[STEP]{t}" for t in bundle.bad_tactics
-        )
-    if bundle.last_step is not None:
-        if bundle.last_outcome == "success":
-            tail = "[SUCCESS]"
-        else:
-            tail = f"[ERROR MESSAGE]\n{bundle.last_outcome or ''}".rstrip()
-        sections[_SECTION_LAST] = f"[LAST STEP] {bundle.last_step}\n{tail}"
-    if bundle.format_error_notice:
-        sections[_SECTION_NOTICE] = bundle.format_error_notice
-    return sections
-
-
-_SECTION_RENDER_ORDER = (
-    _SECTION_GOALS,
-    _SECTION_INFORMAL,
-    _SECTION_STEPS,
-    _SECTION_INCORRECT,
-    _SECTION_LAST,
-    _SECTION_NOTICE,
-)
-
-
-def _assemble(sections: dict) -> str:
-    parts = [sections[name] for name in _SECTION_RENDER_ORDER if name in sections]
-    if _SECTION_NOTICE in sections:
-        # the repair notice carries its own closing [END]
-        return "\n".join(parts)
-    return "\n".join(parts + ["[END]"])
 
 
 def promptify(bundle: PromptBundle, token_budget: int, style: str = "lean") -> AgentPrompt:
     """Render the agent prompt, trimming sections to fit the budget.
 
-    Sections drop in a fixed priority order; the goals block (and a
-    pending format-error notice) are never dropped. If even those exceed
-    the budget, a PromptBudgetError is raised.
+    Each section has a drop rank: under budget pressure rank 1 drops
+    first, then 2, up to 5. The goals and the closing notice or [END]
+    have rank 0 and never drop. If even those exceed the budget, a
+    PromptBudgetError is raised.
     """
     if bundle.state.is_error:
         raise ValueError("cannot promptify an error state")
-    sections = _sections(bundle)
-    for drop in (None, *_DROP_ORDER):  # None: try the full prompt first
-        if drop == _SECTION_RETRIEVED:
-            # the retrieved entries live inside the goals block
-            sections[_SECTION_GOALS] = _render_goals(bundle.state, None)
+    head, rest = _goals(bundle.state)
+    hints = bundle.context.informal_hints if bundle.context is not None else None
+    last = ""
+    if bundle.last_step is not None:
+        if bundle.last_outcome == "success":
+            tail = "[SUCCESS]"
         else:
-            sections.pop(drop, None)
-        text = _assemble(sections)
+            tail = f"[ERROR MESSAGE]\n{bundle.last_outcome or ''}".rstrip()
+        last = f"[LAST STEP] {bundle.last_step}\n{tail}"
+    sections = [  # (text, drop rank) in render order; an empty text is absent
+        (head, 0),
+        (_entries(bundle.retrieved) if bundle.retrieved else "", 3),
+        (rest, 0),
+        ("[INFORMAL-PROOF]\n" + hints.strip() if hints else "", 2),
+        ("[STEPS]" + "".join([f"[STEP]{t}" for t in bundle.steps]) if bundle.steps else "", 1),
+        ("[INCORRECT STEPS]" + "".join([f"[STEP]{t}" for t in bundle.bad_tactics])
+         if bundle.bad_tactics else "", 4),
+        (last, 5),
+        (bundle.format_error_notice or "[END]", 0),  # the notice carries its own [END]
+    ]
+    for dropped in range(6):  # ranks 1..dropped are left out; 0: the full prompt
+        text = "\n".join([part for part, rank in sections
+                          if part and not 0 < rank <= dropped])
         estimate = estimate_tokens(text)
         if estimate <= token_budget:
             return AgentPrompt(system_prompt(style), text, estimate)

@@ -641,8 +641,11 @@ class TestCli:
         (["--rate-limit", "0.001"], "--rate-limit needs --backend http"),
         (["--backend", "replay", "--replay-dir", "no-such-run/traces", "--model", "m"],
          "--model needs --backend http"),
+        (["--api-key-env", "KEY"], "--api-key-env needs --backend http"),
+        (["--backend", "replay", "--replay-dir", "no-such-run/traces", "--oracle-depth", "4"],
+         "--oracle-depth needs --backend oracle"),
     ], ids=["replay-dir", "replay-dir-with-http", "base-url", "model", "rate-limit",
-            "model-with-replay"])
+            "model-with-replay", "api-key-env", "oracle-depth-with-replay"])
     def test_flag_without_its_backend_rejected(self, tmp_path, flags, expected):
         assert self.run_without(tmp_path, flags) == expected
 
@@ -715,21 +718,22 @@ class TestCli:
                        "--attempts", "2"])
         assert message == f"--replay-dir {first / 'traces'} has no trace imp_self__a2.jsonl"
 
-    def run_twice(self, tmp_path, flags, replay_flags=(), replay_code=0):
-        """A run, then a replay of it from its traces that must exit with
-        `replay_code`; returns both output directories."""
+    def run_twice(self, tmp_path, flags, oracle_depth):
+        """An oracle run at `oracle_depth`, then a replay of it from its
+        traces with the same `flags`; returns both output directories."""
         out1, out2 = tmp_path / "first", tmp_path / "second"
-        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out1), *flags])
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out1), *flags,
+                  "--oracle-depth", str(oracle_depth)])
         code = cli_main(
             ["run", "--suite", str(SUITE_PATH), "--out", str(out2), *flags,
-             "--backend", "replay", "--replay-dir", str(out1 / "traces"), *replay_flags]
+             "--backend", "replay", "--replay-dir", str(out1 / "traces")]
         )
-        assert code == replay_code
+        assert code == 0
         return out1, out2
 
     def test_record_then_replay_backend(self, tmp_path, capsys):
-        out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--attempts", "2",
-                                               "--oracle-depth", "4"])
+        out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--attempts", "2"],
+                                    oracle_depth=4)
         capsys.readouterr()
 
         def without_wall_seconds(path):
@@ -746,8 +750,13 @@ class TestCli:
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
 
     def test_replay_of_a_different_question_aborts(self, tmp_path, capsys):
-        out1, out2 = self.run_twice(tmp_path, ["--corpus", str(CORPUS_PATH), "--no-ensemble"],
-                                    ["--k-retrieve", "1"], replay_code=1)
+        # the replay has no corpus, so its first prompt lacks the recorded lemmas
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out1), "--no-ensemble",
+                  "--corpus", str(CORPUS_PATH)])
+        code = cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out2), "--no-ensemble",
+                         "--backend", "replay", "--replay-dir", str(out1 / "traces")])
+        assert code == 1
         assert "0/32 episodes proved" in capsys.readouterr().out
         for path in sorted((out2 / "traces").iterdir()):
             trace = EpisodeTrace.load(path)
@@ -755,22 +764,34 @@ class TestCli:
             assert trace.notes == ["infrastructure failure: replay mismatch at query 1"]
 
     def test_replay_with_another_prompt_style_aborts(self, tmp_path, capsys):
-        # depth 2 leaves episodes unproved, so the runs hold sketch queries,
-        # whose system prompt is not the style's
-        flags = ["--corpus", str(CORPUS_PATH), "--oracle-depth", "2"]
-        out1, out2 = self.run_twice(tmp_path, flags)
+        # depth 2 leaves episodes unproved, so the runs hold sketch queries too
+        flags = ["--corpus", str(CORPUS_PATH)]
+        out1, out2 = self.run_twice(tmp_path, flags, oracle_depth=2)
         assert any(r.stage == "informal" for r in results_from_traces(out1 / "traces"))
         for name in ("metrics.txt", "metrics.csv"):
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
-        out3 = tmp_path / "third"
-        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out3), *flags,
-                  "--backend", "replay", "--replay-dir", str(out1 / "traces"),
-                  "--prompt-style", "coq"])
-        assert capsys.readouterr().out.endswith(f"0/32 episodes proved; reports written to {out3}\n")
-        for path in sorted((out3 / "traces").iterdir()):
-            trace = EpisodeTrace.load(path)
-            assert trace.aborted
-            assert trace.notes == ["infrastructure failure: replay mismatch at query 1"]
+        capsys.readouterr()
+        # the prompt style is a search flag, which the trace headers record
+        message = self.run_without(tmp_path, [
+            *flags, "--backend", "replay", "--replay-dir", str(out1 / "traces"),
+            "--prompt-style", "coq"])
+        assert message == (f"--replay-dir {out1 / 'traces'}: imp_self__a1.jsonl was recorded "
+                           "with another search config; replay with the flags of the run that "
+                           "wrote it")
+        assert capsys.readouterr().out == ""
+
+    def test_replay_with_other_search_flags_stops_before_any_output(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(first), "--no-ensemble",
+                  "--max-queries", "60"])
+        capsys.readouterr()
+        message = self.run_without(tmp_path, [
+            "--no-ensemble", "--backend", "replay", "--replay-dir", str(first / "traces"),
+            "--max-queries", "5"])
+        assert message == (f"--replay-dir {first / 'traces'}: imp_self__a1.jsonl was recorded "
+                           "with another search config; replay with the flags of the run that "
+                           "wrote it")
+        assert capsys.readouterr().out == ""
 
     def test_bridged_run_equals_the_in_process_run(self, tmp_path, capsys, recorded_sessions):
         # depth 2 leaves 24 episodes unproved, and each of them runs all
@@ -809,6 +830,18 @@ class TestCli:
         assert captured.err == f"all 32 episodes aborted; see {out / 'results.csv'}\n"
         rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 32 and all(row.endswith(",1,infrastructure") for row in rows)
+
+    def test_report_of_an_aborted_run_equals_the_runs_own(self, tmp_path, capsys):
+        # the suite's order is not its trace files' name order
+        out, again = tmp_path / "out", tmp_path / "again"
+        assert cli_main(["run", "--suite", str(SUITE_PATH), "--out", str(out), "--attempts", "2",
+                         "--bridge-cmd", "false"]) == 1
+        assert cli_main(["report", "--traces", str(out / "traces"), "--out", str(again)]) == 0
+        capsys.readouterr()
+        text = (out / "metrics.txt").read_text(encoding="utf-8")
+        assert text.count(" attempt ") == 64
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_qed_reply_to_init_aborts_each_episode_without_a_traceback(self, tmp_path):
         # an adapter that answers every `init` with `qed`: no episode has a
@@ -1334,6 +1367,17 @@ class TestResume:
             return [line.split(",")[:column] + line.split(",")[column + 1:] for line in lines]
 
         assert rows(resumed) == rows(whole)
+
+    def test_resume_reruns_aborted_episodes(self, tmp_path, monkeypatch, capsys):
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        episodes = self.run(whole, monkeypatch)
+        assert len(self.run(resumed, monkeypatch, "--bridge-cmd", "false")) == 64
+        assert all(r.aborted for r in results_from_traces(resumed / "traces"))
+        assert self.run(resumed, monkeypatch, "--resume") == episodes
+        capsys.readouterr()
+        for name in ("metrics.txt", "metrics.csv"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes(), name
+        assert run_digest(resumed) == run_digest(whole)
 
     def test_resume_of_a_complete_run_queries_nothing(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -160,9 +160,13 @@ class TestPromptifyGolden:
         retrieved = [(LemmaRecord("l_ab", "a = b", "lemma"), 1.5),
                      (LemmaRecord("d_c", "c", "definition"), 0.5)]
         first = promptify(PromptBundle(state, retrieved=retrieved), BIG_BUDGET)
-        assert "_goals" not in state.__dict__
+        # whatever the state caches outside its fields holds no retrieved entry
+        cached = repr(vars(state))
+        assert "[GOALS]" in cached
+        assert "[THEOREM]" not in cached and "[DEFINITION]" not in cached
         plain = promptify(PromptBundle(state), BIG_BUDGET)
         again = promptify(PromptBundle(state, retrieved=retrieved), BIG_BUDGET)
+        assert "[THEOREM]" not in repr(vars(state)) and "[DEFINITION]" not in repr(vars(state))
         assert again == first
         assert "[THEOREM] l_ab : a = b" in again.agent_text
         assert "[THEOREM]" not in plain.agent_text
