@@ -284,9 +284,11 @@ class EpisodeTrace:
         last = encode_json({"type": "outcome", **outcome.to_dict(),
                              **_field_dict(self, _TRAILER_FIELDS),
                              "crc32": zlib.crc32(data), "lines": len(lines) - 1})
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        overwrite_text(path, data, f"{last}\n")
+        try:
+            overwrite_text(path, data, f"{last}\n")
+        except (FileNotFoundError, NotADirectoryError):  # make the directory on first use
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            overwrite_text(path, data, f"{last}\n")
 
     @classmethod
     def _read_head(cls, path: str | Path) -> tuple:
@@ -316,8 +318,10 @@ class EpisodeTrace:
                 outcome = json.loads(data[start:-1]) if data.endswith(b"\n") else None
             except ValueError:  # the file was cut inside its last line
                 outcome = None
+            # `replace` finds each newline with memchr; `count` of one byte is a scalar loop
+            newlines = len(data) - len(data.replace(b"\n", b""))
             if (not isinstance(outcome, dict) or outcome.pop("type", None) != "outcome"
-                    or outcome.pop("lines", None) != data.count(b"\n") - 1):
+                    or outcome.pop("lines", None) != newlines - 1):
                 trace.incomplete = True
                 return trace, data, None
             crc = outcome.pop("crc32", None)

@@ -182,7 +182,12 @@ def cmd_report(args) -> int:
     for flag in ("k_grid", "n_grid"):
         if min(getattr(args, flag) or [1]) < 1:  # before any output
             raise SystemExit(f"--{flag.replace('_', '-')} values must be >= 1")
-    results = results_from_traces(args.traces)
+    try:
+        results = results_from_traces(args.traces)
+    except OSError as exc:  # a TraceFormatError goes on to `main`
+        print(f"proofsearch report: {exc.filename or args.traces}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     if not results:
         print(f"no trace files under {args.traces}", file=sys.stderr)
         return 1

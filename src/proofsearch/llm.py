@@ -88,12 +88,18 @@ class HttpBackendConfig:
     backoff_seconds: float = 1.0
 
 
+# statuses that the same request would get again: raised after one POST
+_CLIENT_ERRORS = frozenset((400, 401, 403, 404, 422))
+
+
 class HttpBackend(GuidanceBackend):
     """Chat-completions-style HTTP client on ``urllib``.
 
     POSTs {model, messages, temperature: 0, n: 1} to
-    <base_url>/chat/completions. Transport errors, non-2xx statuses and
-    malformed bodies are all retried with exponential backoff; retries are
+    <base_url>/chat/completions. A client error (400, 401, 403, 404 or
+    422) raises InfrastructureFailure after its one POST. Transport
+    errors, every other non-2xx status (408, 429 and 5xx among them) and
+    malformed bodies are retried with exponential backoff; retries are
     not inference calls and are invisible to the query budget.
     """
 
@@ -142,6 +148,10 @@ class HttpBackend(GuidanceBackend):
                 last_error = exc
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # it holds the error response, still open
+                    if exc.code in _CLIENT_ERRORS:
+                        raise InfrastructureFailure(
+                            f"HTTP {exc.code} {exc.reason}: a client error, not retried"
+                        ) from None
         raise InfrastructureFailure(f"transport retries exhausted: {last_error}")
 
 

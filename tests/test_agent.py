@@ -2,6 +2,7 @@
 budgets, format repair, the informal-sketch call, and the staged ensemble."""
 
 import json
+import random
 import sys
 import zlib
 
@@ -21,13 +22,20 @@ from proofsearch.agent import (
     STAGE_INFORMAL,
     STAGE_PLAIN,
     STAGE_RETRIEVAL,
+    TRACE_SCHEMA,
     TraceFormatError,
     _Budget,
     ensemble_prove,
     generate_informal_sketch,
+    overwrite_text,
     prove,
 )
-from proofsearch.bench import BenchmarkSuite, results_from_traces, run_suite
+from proofsearch.bench import (
+    BenchmarkSuite,
+    oracle_scripted_backend,
+    results_from_traces,
+    run_suite,
+)
 from proofsearch.bridge import BridgeConfig, BridgeSession
 from proofsearch.core import (
     GlobalContext,
@@ -886,3 +894,149 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="without its body"):
             head.comparable()
         assert not (tmp_path / "again.jsonl").exists()
+
+    def test_save_makes_a_missing_directory(self, tmp_path):
+        path = tmp_path / "runs" / "traces" / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        assert path.read_text(encoding="utf-8").splitlines() == HAND_BUILT_LINES
+
+    def test_save_into_an_existing_directory_makes_none(self, tmp_path, monkeypatch):
+        def no_mkdir(self, *args, **kwargs):
+            raise AssertionError(f"mkdir {self}")
+
+        monkeypatch.setattr(proofsearch.agent.Path, "mkdir", no_mkdir)
+        path = tmp_path / "pp__a2.jsonl"
+        hand_built_trace().save(path)
+        hand_built_trace().save(str(path))  # over the file, by a str path
+        assert path.read_text(encoding="utf-8").splitlines() == HAND_BUILT_LINES
+
+    def test_save_under_a_regular_file_raises(self, tmp_path):
+        parent = tmp_path / "traces"
+        parent.write_text("not a directory", encoding="utf-8")
+        with pytest.raises(FileExistsError):
+            hand_built_trace().save(parent / "pp__a2.jsonl")
+        assert parent.read_text(encoding="utf-8") == "not a directory"
+
+
+def reference_head_verdict(data: bytes, path) -> tuple:
+    """The head step's verdict on a trace file's bytes, with its lines
+    counted by `data.count(b"\\n")`: ("complete", None), ("incomplete",
+    None) or ("error", message). Independent of `_read_head`, from
+    docs/trace-format.md, for files whose header and outcome fields are
+    whole; it checks the header, its schema, `lines`, then `crc32`."""
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data if end < 0 else data[:end])
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("type") != "header":
+        return "error", (f"{path}: not a trace file: its first line is not a "
+                         f"{TRACE_SCHEMA} header")
+    if header.get("schema") != TRACE_SCHEMA:
+        return "error", (f"{path}: trace schema {header.get('schema')!r} is not supported; "
+                         f"this version reads {TRACE_SCHEMA!r}")
+    lines = data.split(b"\n")
+    if lines[-1] != b"" or len(lines) < 3:  # no newline at the end, or no outcome line
+        return "incomplete", None
+    try:
+        outcome = json.loads(lines[-2])
+    except ValueError:
+        return "incomplete", None
+    if (not isinstance(outcome, dict) or outcome.get("type") != "outcome"
+            or outcome.get("lines") != data.count(b"\n") - 1):
+        return "incomplete", None
+    if outcome.get("crc32") != zlib.crc32(data[:len(data) - len(lines[-2]) - 1]):
+        return "error", (f"{path}: damaged {TRACE_SCHEMA} trace: its lines do not match "
+                         "the crc32 on its outcome line")
+    return "complete", None
+
+
+def head_verdict(read, path) -> tuple:
+    try:
+        trace = read(path)
+    except TraceFormatError as exc:
+        return "error", str(exc)
+    return ("incomplete" if trace.incomplete else "complete"), None
+
+
+def with_outcome(data: bytes, **fields) -> bytes:
+    """The trace's bytes with fields of its outcome line replaced."""
+    body, _, last = data[:-1].rpartition(b"\n")
+    outcome = {**json.loads(last), **fields}
+    return body + b"\n" + json.dumps(outcome, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+def mutations(data: bytes, rng: random.Random):
+    """(name, bytes) for seeded damage to a saved trace: cuts at every byte
+    of its last two lines, at random body offsets and in the header, a
+    flipped body byte,
+    an added and a dropped line, `lines` off by one and a wrong `crc32`."""
+    header_end = data.find(b"\n") + 1
+    outcome_start = data.rfind(b"\n", 0, -1) + 1
+    last_two = data.rfind(b"\n", 0, outcome_start - 1) + 1
+    for cut in range(last_two, len(data) + 1):
+        yield f"cut at {cut}", data[:cut]
+    for _ in range(8):
+        cut = rng.randrange(header_end, outcome_start)
+        yield f"cut at {cut}", data[:cut]
+    cut = rng.randrange(header_end)
+    yield f"cut at {cut}", data[:cut]  # inside the header
+    for _ in range(4):
+        at = rng.randrange(header_end, outcome_start)
+        flipped = data[at] ^ rng.randrange(1, 256)
+        yield f"byte {at} flipped", data[:at] + bytes([flipped]) + data[at + 1:]
+    lines = data.splitlines(keepends=True)
+    for _ in range(2):
+        n = rng.randrange(1, len(lines) - 1)
+        yield f"line {n} dropped", b"".join(lines[:n] + lines[n + 1:])
+        yield f"line {n} added", b"".join(lines[:n + 1] + lines[n:])
+    outcome = json.loads(data[outcome_start:-1])
+    for delta in (-1, 1):
+        yield f"lines {delta:+d}", with_outcome(data, lines=outcome["lines"] + delta)
+    yield "crc32 wrong", with_outcome(data, crc32=outcome["crc32"] ^ 1)
+
+
+def short_line_trace() -> EpisodeTrace:
+    """A trace whose body lines are all shorter than 40 bytes."""
+    trace = EpisodeTrace(theorem="pp", config={})
+    for n in range(30):
+        trace.event("push", "k")
+        trace.event(str(n % 10))
+        trace.event("pop", "k")
+    trace.outcome = SearchOutcome(proved=False, failure_reason=REASON_EXHAUSTED)
+    return trace
+
+
+class TestHeadCheckAgainstReference:
+    """`load_head` and `load` give the reference's verdict and message on
+    seeded damage to real saved traces: the bundled suite's, and one of
+    short lines."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, suite, corpus_index, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("bundled")
+        bench = BenchmarkSuite(suite=suite, index=corpus_index)
+        run_suite(bench, config(max_queries=33), out_dir,
+                  lambda theorem, attempt: (oracle_scripted_backend(theorem, max_depth=2)
+                                            or ScriptedBackend({})))
+        short = out_dir / "traces" / "short__a1.jsonl"
+        short_line_trace().save(short)
+        assert max(map(len, short.read_bytes().splitlines()[1:-1])) < 40
+        return sorted((out_dir / "traces").glob("*.jsonl"))
+
+    def test_verdicts_equal_the_reference(self, saved, tmp_path):
+        assert len(saved) == 33
+        rng = random.Random(27)
+        path = tmp_path / "mutated.jsonl"
+        seen = set()
+        for original in saved:
+            data = original.read_bytes()
+            assert reference_head_verdict(data, original) == ("complete", None)
+            for name, mutated in mutations(data, rng):
+                overwrite_text(path, mutated)  # in place: no write-back wait per file
+                expected = reference_head_verdict(mutated, path)
+                for read in (EpisodeTrace.load_head, EpisodeTrace.load):
+                    assert head_verdict(read, path) == expected, (original.name, name, read)
+                seen.add(expected[0] if expected[1] is None else expected[1].split(": ")[1])
+        assert seen == {"complete", "incomplete", "damaged proofsearch-trace/3 trace",
+                        "not a trace file"}

@@ -1248,6 +1248,16 @@ class TestDamagedTraces:
         assert message == (f"proofsearch report: {path}: not a trace file: its first line "
                            "is not a proofsearch-trace/3 header")
 
+    def test_report_on_a_directory_named_as_a_trace(self, run, tmp_path, capsys):
+        traces = self.copy_traces(run, tmp_path / "traces")
+        path = traces / "x.jsonl"
+        path.mkdir()
+        out = tmp_path / "report"
+        message = self.one_line_error(
+            capsys, ["report", "--traces", str(traces), "--out", str(out)])
+        assert message == f"proofsearch report: {path}: Is a directory"
+        assert not out.exists()
+
     def test_replay_verb_on_a_version_1_trace(self, run, tmp_path, capsys):
         _, path = self.older_schema(run, tmp_path)
         message = self.one_line_error(

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from proofsearch import llm
 from proofsearch.agent import QueryRecord
 from proofsearch.llm import (
     Completion,
@@ -95,8 +96,10 @@ class TestRecordReplay:
 class _MockHandler(BaseHTTPRequestHandler):
     server_version = "MockChat/1"
     behaviors = []  # mutated per test: list of ("ok"|"error"|"garbage"|"body", payload)
+    posts = 0  # POSTs received in this test
 
     def do_POST(self):
+        type(self).posts += 1
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).last_request = {
@@ -136,9 +139,12 @@ class _MockHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def mock_server():
     server = HTTPServer(("127.0.0.1", 0), _MockHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that `shutdown` does not wait out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _MockHandler.behaviors = []
+    _MockHandler.posts = 0
     yield f"http://127.0.0.1:{server.server_port}", _MockHandler
     server.shutdown()
     server.server_close()
@@ -181,9 +187,21 @@ class TestHttpBackend:
 
     def test_retries_transient_500_then_succeeds(self, mock_server):
         base_url, handler = mock_server
-        handler.behaviors = [("error", 500), ("error", 429), ("ok", {"text": "ok now"})]
+        handler.behaviors = [("error", 500), ("error", 429), ("error", 408),
+                             ("ok", {"text": "ok now"})]
         completion = http_backend(base_url).complete(request_for())
         assert completion.text == "ok now"
+        assert handler.posts == 4
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_client_error_raises_after_one_post(self, mock_server, monkeypatch, status):
+        base_url, handler = mock_server
+        handler.behaviors = [("error", status), ("ok", {"text": "not asked for"})]
+        slept = []
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        with pytest.raises(InfrastructureFailure, match=f"^HTTP {status} .*not retried$"):
+            http_backend(base_url).complete(request_for())
+        assert (handler.posts, slept) == (1, [])
 
     def test_exhausted_retries_raise_infrastructure(self, mock_server):
         base_url, handler = mock_server
