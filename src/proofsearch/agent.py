@@ -27,7 +27,6 @@ from .core import (
     at_least_as_hard,
     canonical_key,
     encode_json,
-    ordered_obligations,
 )
 from .llm import CompletionRequest, GuidanceBackend
 from .prompts import (
@@ -456,7 +455,7 @@ class _Searcher:
     # one state: push, retrieve, query loop, pop
     def _search(self, state: ProofState, path: list):
         key = canonical_key(state)
-        frame = _Frame(state, key, ordered_obligations(state)[0].goal)
+        frame = _Frame(state, key, state.obligations[0].goal)
         self.stack.append(frame)
         self.trace.event("push", key)
         if self.index is not None:

@@ -39,7 +39,7 @@ class BridgeConfig:
             raise ValueError("timeout must be > 0")
 
 
-def obligations_from_wire(payload) -> frozenset:
+def obligations_from_wire(payload) -> list:
     """The obligations of an `ok` reply. Anything but a nonempty list of
     objects, each with a string `goal` and a list of string `name`/`prop`
     hypotheses whose names are distinct, raises BridgeFailure: an `ok`
@@ -53,11 +53,11 @@ def obligations_from_wire(payload) -> frozenset:
                 isinstance(h, dict) and isinstance(h.get("name"), str)
                 and isinstance(h.get("prop"), str) for h in hyps)):
             raise BridgeFailure(f"malformed obligation: {item!r}")
-        pairs = frozenset((h["name"], h["prop"]) for h in hyps)
-        if len({name.strip() for name, _ in pairs}) < len(hyps):
+        pairs = [(h["name"], h["prop"]) for h in hyps]
+        if len({name.strip() for name, _ in pairs}) < len(pairs):
             raise BridgeFailure(f"repeated hypothesis name in obligation: {item!r}")
         obligations.append(Obligation(item["goal"], pairs))
-    return frozenset(obligations)
+    return obligations
 
 
 class BridgeSession(ProofEnvironment):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .core import ProofState, encode_json, ordered_obligations
+from .core import ProofState, encode_json
 from .toy import ToyEnvironment, load_suite
 
 
@@ -20,10 +20,10 @@ def obligations_to_wire(state: ProofState) -> list:
         {
             "goal": ob.goal,
             "hypotheses": [
-                {"name": name, "prop": prop} for name, prop in ob.sorted_hypotheses
+                {"name": name, "prop": prop} for name, prop in ob.hypotheses
             ],
         }
-        for ob in ordered_obligations(state)
+        for ob in state.obligations
     ]
 
 

@@ -182,12 +182,7 @@ def cmd_report(args) -> int:
     for flag in ("k_grid", "n_grid"):
         if min(getattr(args, flag) or [1]) < 1:  # before any output
             raise SystemExit(f"--{flag.replace('_', '-')} values must be >= 1")
-    try:
-        results = results_from_traces(args.traces)
-    except OSError as exc:  # a TraceFormatError goes on to `main`
-        print(f"proofsearch report: {exc.filename or args.traces}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 1
+    results = results_from_traces(args.traces)
     if not results:
         print(f"no trace files under {args.traces}", file=sys.stderr)
         return 1
@@ -272,6 +267,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TraceFormatError, ResumeError) as exc:  # one line, not a traceback
         print(f"proofsearch {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file, directory or command the verb could not use
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"proofsearch {args.command}: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

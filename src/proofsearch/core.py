@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from bisect import bisect
-from dataclasses import dataclass, field
+from bisect import bisect, bisect_left
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -55,45 +54,44 @@ def _pair_text(pair: tuple) -> str:
 class Obligation:
     """One (goal, hypotheses) pair the prover must discharge.
 
-    Hypotheses are stored as (name, proposition) pairs in a frozenset, so
-    equality is independent of enumeration order. `Obligation(...)` and
-    `Obligation.make` whitespace-normalize goal and proposition text and
-    reject duplicate names, and build every view from scratch on first
-    read.
+    `hypotheses` is the tuple of distinct (name, proposition) pairs in name
+    order: the one order in which prompts, keys, the wire and retrieval
+    list hypotheses. `Obligation(...)` and `Obligation.make` build it from
+    any iterable of pairs, whitespace-normalizing goal and proposition
+    text; identical pairs collapse to one, and two propositions under one
+    name raise. So `==` and `hash` ignore the order pairs are given in.
 
-    Five derived views are `functools.cached_property`s: `sorted_hypotheses`,
-    `pair_texts`, `hypotheses_by_name`, `propositions` and `sort_key`.
-    Each is computed on first read and kept on the instance; they are not
-    dataclass fields, so `==`, `hash` and `repr` ignore them, and an
-    obligation that is never asked for them pays nothing.
+    Three derived views are `functools.cached_property`s: `pair_texts`,
+    `propositions` and `sort_key`. Each is computed on first read and kept
+    on the instance; they are not dataclass fields, so `==`, `hash` and
+    `repr` ignore them, and an obligation that is never asked for them
+    pays nothing.
 
     A kernel that steps from an obligation builds its children with
     `with_goal` (same hypotheses, new goal) or `with_hypothesis` (one more
     pair, new goal). Both take text that is already normalized and a pair
     whose name is not in use, as they are. `with_goal` shares every view
     its parent has built (`sort_key` with the goal replaced);
-    `with_hypothesis` derives `sorted_hypotheses` and `pair_texts` from
-    its parent's by inserting the one new pair, and leaves the other views
+    `with_hypothesis` inserts the new pair at its place in name order, and
+    into its parent's `pair_texts` where built, and leaves the other views
     to be built on first read. Either child is `==`, hashes and keys the
     same as one built through `make`.
     """
 
     goal: str
-    hypotheses: frozenset = field(default_factory=frozenset)
+    hypotheses: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "goal", normalize_text(self.goal))
-        pairs = frozenset(
-            (name.strip(), normalize_text(prop)) for name, prop in self.hypotheses
-        )
-        names = [name for name, _ in pairs]
-        if len(names) != len(set(names)):
+        pairs = tuple(sorted({(name.strip(), normalize_text(prop))
+                              for name, prop in self.hypotheses}))
+        if len({name for name, _ in pairs}) != len(pairs):
             raise ValueError("duplicate hypothesis names in obligation")
         object.__setattr__(self, "hypotheses", pairs)
 
     @classmethod
     def make(cls, goal: str, hypotheses: Mapping[str, str] | None = None) -> "Obligation":
-        return cls(goal, frozenset((hypotheses or {}).items()))
+        return cls(goal, (hypotheses or {}).items())
 
     def with_goal(self, goal: str) -> "Obligation":
         """This obligation's hypotheses under normalized goal text `goal`,
@@ -108,37 +106,31 @@ class Obligation:
     def with_hypothesis(self, goal: str, pair: tuple) -> "Obligation":
         """This obligation plus the normalized (name, proposition) `pair`,
         whose name is not in use, under normalized goal text `goal`. The
-        parent's name-ordered views, where built, take the pair at its
-        place in name order."""
+        pair, and its text where the parent has built `pair_texts`, goes
+        in at its place in name order."""
         child = object.__new__(Obligation)
         views = child.__dict__
-        views.update(goal=goal, hypotheses=self.hypotheses | {pair})
-        pairs = self.__dict__.get("sorted_hypotheses")
-        if pairs is not None:
-            at = bisect(pairs, pair)
-            views["sorted_hypotheses"] = pairs[:at] + (pair,) + pairs[at:]
-            texts = self.__dict__.get("pair_texts")
-            if texts is not None:
-                views["pair_texts"] = texts[:at] + (_pair_text(pair),) + texts[at:]
+        pairs = self.hypotheses
+        at = bisect(pairs, pair)
+        views.update(goal=goal, hypotheses=pairs[:at] + (pair,) + pairs[at:])
+        texts = self.__dict__.get("pair_texts")
+        if texts is not None:
+            views["pair_texts"] = texts[:at] + (_pair_text(pair),) + texts[at:]
         return child
 
-    @cached_property
-    def sorted_hypotheses(self) -> tuple:
-        """The (name, proposition) pairs in name order: the one order in
-        which prompts, keys, the wire and retrieval list hypotheses."""
-        return tuple(sorted(self.hypotheses))
+    def hypothesis(self, name: str) -> str | None:
+        """The proposition under `name`, or None: a bisect lookup."""
+        pairs = self.hypotheses
+        at = bisect_left(pairs, (name,))
+        if at < len(pairs) and pairs[at][0] == name:
+            return pairs[at][1]
+        return None
 
     @cached_property
     def pair_texts(self) -> tuple:
-        """Each of `sorted_hypotheses` as its compact JSON array text,
-        `["name","prop"]`: the pieces `canonical_key` joins."""
-        return tuple(map(_pair_text, self.sorted_hypotheses))
-
-    @cached_property
-    def hypotheses_by_name(self) -> Mapping:
-        """Each hypothesis's proposition under its name, read-only, for
-        lookups (its iteration order is not name order)."""
-        return MappingProxyType(dict(self.hypotheses))
+        """Each hypothesis as its compact JSON array text, `["name","prop"]`:
+        the pieces `canonical_key` joins."""
+        return tuple(map(_pair_text, self.hypotheses))
 
     @cached_property
     def propositions(self) -> frozenset:
@@ -147,41 +139,55 @@ class Obligation:
 
     @cached_property
     def sort_key(self) -> tuple:
-        """The obligation's place in `ordered_obligations`: goal text,
+        """The obligation's place in `ProofState.obligations`: goal text,
         then the (proposition, name) pairs in order."""
         return (self.goal, sorted((prop, name) for name, prop in self.hypotheses))
 
 
+def _in_order(obligations: Iterable[Obligation]) -> tuple:
+    """The distinct obligations in `sort_key` order. Distinct obligations
+    have distinct sort keys, so the order is total."""
+    obligations = tuple(obligations)
+    if len(obligations) < 2:  # nothing to sort
+        return obligations
+    return tuple(sorted(set(obligations), key=attrgetter("sort_key")))
+
+
 @dataclass(frozen=True)
 class ProofState:
-    """A set of obligations, optionally marked as an absorbing error state.
+    """Obligations, optionally marked as an absorbing error state.
 
-    QED is the non-error state with an empty obligation set. Error states
-    keep the obligations that were pending when the tactic failed, plus the
+    `obligations` is the tuple of distinct obligations in `sort_key` order
+    (by goal text, then by hypothesis list): the order in which the kernel
+    focuses, and prompts, keys, the wire and retrieval list goals. The
+    constructors build it from any iterable, so identical obligations
+    collapse to one and `==` and `hash` ignore the order given.
+
+    QED is the non-error state with no obligations. Error states keep the
+    obligations that were pending when the tactic failed, plus the
     environment's feedback message.
 
-    The obligation order and the canonical key are private
-    `functools.cached_property`s, read through `ordered_obligations` and
-    `canonical_key`: the search and `BridgeSession` share one of each
-    per state object, and `==`, `hash` and `repr` ignore them.
+    The canonical key is a private `functools.cached_property`, read
+    through `canonical_key`: the search and `BridgeSession` share one per
+    state object, and `==`, `hash` and `repr` ignore it.
     """
 
-    obligations: frozenset
+    obligations: tuple
     error_message: str | None = None
 
     @classmethod
     def of(cls, obligations: Iterable[Obligation]) -> "ProofState":
-        return cls(frozenset(obligations))
+        return cls(_in_order(obligations))
 
     @classmethod
     def qed(cls) -> "ProofState":
-        return cls(frozenset())
+        return cls(())
 
     @classmethod
     def error(cls, obligations: Iterable[Obligation], message: str) -> "ProofState":
         if not message:
             raise ValueError("error states need a feedback message")
-        return cls(frozenset(obligations), message)
+        return cls(_in_order(obligations), message)
 
     @property
     def is_error(self) -> bool:
@@ -192,25 +198,14 @@ class ProofState:
         return not self.is_error and not self.obligations
 
     @cached_property
-    def _ordered_obligations(self) -> tuple:
-        if len(self.obligations) < 2:  # nothing to sort
-            return tuple(self.obligations)
-        return tuple(sorted(self.obligations, key=attrgetter("sort_key")))
-
-    @cached_property
     def _canonical_key(self) -> str:
         # the compact JSON text of {"error": ..., "obligations": [[goal,
-        # sorted_hypotheses], ...]}, joined from each obligation's pair texts
+        # hypotheses], ...]}, joined from each obligation's pair texts
         error = "null" if self.error_message is None else encode_basestring(self.error_message)
         obligations = ",".join(
             f'[{encode_basestring(ob.goal)},[{",".join(ob.pair_texts)}]]'
-            for ob in self._ordered_obligations)
+            for ob in self.obligations)
         return f'{{"error":{error},"obligations":[{obligations}]}}'
-
-
-def ordered_obligations(state: ProofState) -> tuple:
-    """Deterministic obligation order: by goal text, then by hypothesis list."""
-    return state._ordered_obligations
 
 
 def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .core import GlobalContext, InfrastructureFailure, ProofState, ordered_obligations
+from .core import GlobalContext, InfrastructureFailure, ProofState
 
 NATURAL_STOP = "natural-stop"
 LENGTH_CAP = "length-cap"
@@ -93,12 +93,12 @@ def _goals(state: ProofState) -> tuple:
     goals = state.__dict__.get("_goals")
     if goals is None:
         blocks = []
-        for i, obligation in enumerate(ordered_obligations(state), start=1):
+        for i, obligation in enumerate(state.obligations, start=1):
             lines = [f"[GOAL] {i}", obligation.goal]
             if obligation.hypotheses:
                 lines.append(f"[HYPOTHESES] {i}")
                 lines.extend(f"[HYPOTHESIS] {name} : {prop}"
-                             for name, prop in obligation.sorted_hypotheses)
+                             for name, prop in obligation.hypotheses)
             blocks.append("\n".join(lines))
         goals = state.__dict__["_goals"] = ("\n".join(["[GOALS]", *blocks[:1]]),
                                             "\n".join(blocks[1:]))

@@ -21,7 +21,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from .core import ProofState, ordered_obligations
+from .core import ProofState
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -53,9 +53,6 @@ class RetrievalIndex:
     avg_doc_length: float
     doc_freq: dict  # term -> number of documents containing it
     by_name: tuple  # record indices in name order
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def build_index(corpus: Iterable[LemmaRecord]) -> RetrievalIndex:
@@ -100,9 +97,9 @@ def _weight(index: RetrievalIndex, idf: float, tf: int, length: int) -> float:
 
 def state_query(state: ProofState) -> str:
     parts = []
-    for obligation in ordered_obligations(state):
+    for obligation in state.obligations:
         parts.append(obligation.goal)
-        parts.extend(prop for _, prop in obligation.sorted_hypotheses)
+        parts.extend(prop for _, prop in obligation.hypotheses)
     return " ".join(parts)
 
 

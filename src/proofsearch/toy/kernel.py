@@ -1,9 +1,9 @@
 """Tactic semantics of the toy prover.
 
-Every tactic acts on the first obligation under the deterministic order of
-`core.ordered_obligations`. Failures never raise: they come back as
-absorbing error states whose message is a stable string (golden tests on
-prompt rendering rely on that).
+Every tactic acts on a state's first obligation, in the deterministic
+order in which `ProofState.obligations` is stored. Failures never raise:
+they come back as absorbing error states whose message is a stable
+string (golden tests on prompt rendering rely on that).
 
 Obligations carry text, so a step needs the focused goal (and for `rw`
 a hypothesis) as a `Term`. A `ToyEnvironment` owns a term table that
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Obligation, ProofEnvironment, ProofState, ordered_obligations
+from ..core import Obligation, ProofEnvironment, ProofState
 from .terms import And, Eq, Implies, Term, parse_term, print_term
 
 KNOWN_TACTICS = ("apply", "assumption", "exact", "intro", "refl", "rw", "split")
@@ -119,8 +119,7 @@ class ToyEnvironment(ProofEnvironment):
         """The theorem's one obligation, its goal and hypotheses printed
         through the table. Built at the first call and returned as the
         same object at every later one, so the stages of an episode share
-        its root and the views the root has built (key, obligation order,
-        goals block)."""
+        its root and the views the root has built (key, goals block)."""
         if theorem_id != self.theorem.name:
             raise KeyError(f"environment is bound to {self.theorem.name!r}, not {theorem_id!r}")
         if self._initial is None:
@@ -138,7 +137,7 @@ class ToyEnvironment(ProofEnvironment):
         read = _read_tactic(tactic)
         if isinstance(read, str):
             return ProofState.error(state.obligations, read)
-        focused, *rest = ordered_obligations(state)
+        focused, *rest = state.obligations
         result = self._step(focused, *read)
         if isinstance(result, str):
             return ProofState.error(state.obligations, result)
@@ -168,12 +167,10 @@ class ToyEnvironment(ProofEnvironment):
             return focused.with_goal(self._printed(term))
 
         goal = self._parsed(focused.goal)
-        hyps = focused.hypotheses_by_name
-
         if head == "intro":
             if not isinstance(goal, Implies):
                 return "intro failed: goal is not an implication"
-            if name in hyps:
+            if focused.hypothesis(name) is not None:
                 return f"intro failed: hypothesis name '{name}' already in use"
             new_hyp = (name, self._printed(goal.lhs))
             return [focused.with_hypothesis(self._printed(goal.rhs), new_hyp)]
@@ -189,9 +186,10 @@ class ToyEnvironment(ProofEnvironment):
             return "assumption failed: no hypothesis matches the goal"
 
         if head == "exact":
-            if name not in hyps:
+            prop = focused.hypothesis(name)
+            if prop is None:
                 return f"exact failed: no hypothesis named '{name}'"
-            if hyps[name] != focused.goal:
+            if prop != focused.goal:
                 return f"exact failed: hypothesis '{name}' does not match the goal"
             return []
 
@@ -203,7 +201,8 @@ class ToyEnvironment(ProofEnvironment):
             return []
 
         if head == "rw":
-            equation = self._parsed(hyps[name]) if name in hyps else self._lemmas.get(name)
+            prop = focused.hypothesis(name)
+            equation = self._parsed(prop) if prop is not None else self._lemmas.get(name)
             if equation is None:
                 return f"rw failed: no equation named '{name}'"
             if not isinstance(equation, Eq):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..core import ProofState, canonical_key, ordered_obligations
+from ..core import ProofState, canonical_key
 from .kernel import ToyEnvironment, ToyTheorem
 from .terms import Term
 
@@ -30,8 +30,7 @@ def candidate_tactics(state: ProofState, lemmas: Mapping[str, Term]) -> list:
     """All surface-syntax tactic candidates at a state, in canonical order."""
     if state.is_error or state.is_qed:
         return []
-    focused = ordered_obligations(state)[0]
-    hyp_names = [name for name, _ in focused.sorted_hypotheses]
+    hyp_names = [name for name, _ in state.obligations[0].hypotheses]
     equation_names = sorted(set(hyp_names) | set(lemmas))
     candidates = [f"intro {_fresh_intro_name(hyp_names)}", "split"]
     candidates.extend(f"exact {name}" for name in hyp_names)

@@ -2,7 +2,8 @@
 
     # comment and blank lines are ignored
     lemma NAME : TERM            file-level lemma, usable via `use`
-    theorem NAME                 opens a theorem record
+    theorem NAME                 opens a theorem record; NAME, which
+                                 names trace files, holds no '/'
       goal TERM                  exactly one per theorem
       hyp NAME : TERM            zero or more
       use LEMMA_NAME             zero or more references to file lemmas
@@ -73,6 +74,9 @@ def parse_suite(text: str) -> ToySuite:
             elif keyword == "theorem":
                 if not body:
                     raise SuiteFormatError("theorem needs a name", line_number)
+                if "/" in body:
+                    raise SuiteFormatError(f"theorem name {body!r} contains '/'; "
+                                           "it must be a file name", line_number)
                 if body in theorems:
                     raise SuiteFormatError(f"duplicate theorem {body!r}", line_number)
                 current = {"name": body, "line": line_number, "goal": None, "hyps": [],

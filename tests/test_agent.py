@@ -42,7 +42,6 @@ from proofsearch.core import (
     at_least_as_hard,
     canonical_key,
     lift_transition,
-    ordered_obligations,
 )
 from proofsearch.llm import (
     Completion,
@@ -212,8 +211,8 @@ class TestProgressGuard:
         env = ToyEnvironment(theorem)
         frame = env.apply_tactic(env.initial_state("two"), "split")
         new = lift_transition(env, frame, ["rw h", "split"])
-        assert [ob.goal for ob in ordered_obligations(frame)] == ["b", "c"]
-        assert [ob.goal for ob in ordered_obligations(new)] == ["a", "b", "c"]
+        assert [ob.goal for ob in frame.obligations] == ["b", "c"]
+        assert [ob.goal for ob in new.obligations] == ["a", "b", "c"]
         assert at_least_as_hard(new, frame)
 
         backend = SequenceBackend([wrap("split"), wrap("rw h"), wrap("split")])

@@ -37,7 +37,6 @@ from proofsearch import bridge_adapter
 import proofsearch.cli
 from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
 from proofsearch.cli import main as cli_main
-from proofsearch.core import ordered_obligations
 from proofsearch.llm import Completion, GuidanceBackend
 from proofsearch.metrics import (
     EpisodeResult,
@@ -843,6 +842,36 @@ class TestCli:
         for name in ("metrics.txt", "metrics.csv"):
             assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
+    @pytest.mark.parametrize("case", ["trace-is-a-directory", "trace-is-a-directory-resume",
+                                      "run-out-is-a-file", "report-out-is-a-file",
+                                      "bridge-cmd-missing"])
+    def test_os_error_exits_with_one_line(self, tmp_path, capsys, case):
+        suite = tmp_path / "one.toysuite"
+        suite.write_text("theorem ok\n  goal P -> P\nend\n", encoding="utf-8")
+        out, regular = tmp_path / "out", tmp_path / "regular"
+        regular.write_text("", encoding="utf-8")
+        run = ["run", "--suite", str(suite), "--out", str(out)]
+        if case.startswith("trace-is-a-directory"):
+            trace = out / "traces" / trace_file_name("ok", 1)
+            trace.mkdir(parents=True)
+            argv = run + ["--resume"] * case.endswith("resume")
+            expected = f"proofsearch run: {trace}: Is a directory"
+        elif case == "run-out-is-a-file":
+            argv = ["run", "--suite", str(suite), "--out", str(regular)]
+            expected = f"proofsearch run: {regular / 'traces'}: Not a directory"
+        elif case == "report-out-is-a-file":
+            assert cli_main(run) == 0
+            argv = ["report", "--traces", str(out / "traces"), "--out", str(regular)]
+            expected = f"proofsearch report: {regular}: File exists"
+        else:
+            argv = run + ["--bridge-cmd", "no-such-adapter-command --flag"]
+            expected = "proofsearch run: no-such-adapter-command: No such file or directory"
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [expected]
+
     def test_qed_reply_to_init_aborts_each_episode_without_a_traceback(self, tmp_path):
         # an adapter that answers every `init` with `qed`: no episode has a
         # tactic script, so none is a proof; each aborts, and the run exits 1
@@ -964,19 +993,34 @@ class TestBundledSuiteBytes:
     def test_q60_bytes_under_each_claimed_interpreter(self, tmp_path):
         """`pyproject.toml` claims Python 3.10 and later: the q60 run gives
         the pinned bytes under every CPython 3.10, 3.12 and 3.13 that starts
-        here. The child needs no pytest; the digest is taken in this process."""
+        here."""
         found = claimed_interpreters()
         if not found:
             pytest.skip("no CPython 3.10, 3.12 or 3.13 starts here, as python3.N on "
                         "PATH or under $PYENV_ROOT/versions (PYENV_ROOT defaults to ~/.pyenv)")
-        flags, expected = self.Q60
         for version, python in found.items():
             out = tmp_path / version
-            ran = subprocess.run([python, "-m", "proofsearch.cli", *self.argv(out), *flags],
-                                 env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-                                 capture_output=True, text=True, timeout=300)
+            ran = self.q60_in_child(python, out)
             assert ran.returncode == 0, f"CPython {version} at {python}: {ran.stderr}"
-            assert run_digest(out) == expected, f"CPython {version} at {python}"
+            assert run_digest(out) == self.Q60[1], f"CPython {version} at {python}"
+
+    @pytest.mark.parametrize("seed", ["0", "12345"])
+    def test_q60_bytes_under_each_hash_seed(self, tmp_path, seed):
+        """The q60 run gives the pinned bytes in a child of this interpreter
+        under each fixed `PYTHONHASHSEED`: no output may follow the
+        iteration order of a set or dict of strings."""
+        out = tmp_path / "out"
+        ran = self.q60_in_child(sys.executable, out, PYTHONHASHSEED=seed)
+        assert ran.returncode == 0, f"PYTHONHASHSEED={seed}: {ran.stderr}"
+        assert run_digest(out) == self.Q60[1], f"PYTHONHASHSEED={seed}"
+
+    def q60_in_child(self, python, out, **env) -> subprocess.CompletedProcess:
+        """The q60 run in a child process of `python`, with `env` added to
+        this process's environment. The child needs no pytest; the digest
+        is taken in this process."""
+        return subprocess.run([python, "-m", "proofsearch.cli", *self.argv(out), *self.Q60[0]],
+                              env={**os.environ, "PYTHONPATH": str(SRC_DIR), **env},
+                              capture_output=True, text=True, timeout=300)
 
 
 
@@ -1148,7 +1192,7 @@ class TestDeepSuiteBytes:
         assert asked
         for state, frame_state, _ in asked:
             goals = {ob.goal for ob in state.obligations}
-            assert ordered_obligations(frame_state)[0].goal in goals
+            assert frame_state.obligations[0].goal in goals
         assert any(answer for _, _, answer in asked)
 
 

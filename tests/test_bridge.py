@@ -45,7 +45,7 @@ class TestWireSerialization:
             ]
         )
         wire = obligations_to_wire(state)
-        assert obligations_from_wire(wire) == state.obligations
+        assert tuple(obligations_from_wire(wire)) == state.obligations
 
     def test_wire_order_deterministic(self):
         state = ProofState.of([Obligation.make("B"), Obligation.make("A")])

@@ -3,6 +3,7 @@ and lifted transitions."""
 
 import json
 import random
+from functools import cached_property
 
 import pytest
 
@@ -16,7 +17,6 @@ from proofsearch.core import (
     canonical_key,
     lift_transition,
     normalize_text,
-    ordered_obligations,
 )
 from proofsearch.toy import ToyEnvironment
 from proofsearch.toy.suite import parse_suite
@@ -30,8 +30,8 @@ class TestObligation:
     def test_whitespace_normalized_on_construction(self):
         ob = Obligation.make("P   ->\n Q", {"h": "  a =  b "})
         assert ob.goal == "P -> Q"
-        assert ob.hypotheses == frozenset({("h", "a = b")})
-        assert dict(ob.hypotheses_by_name) == {"h": "a = b"}
+        assert ob.hypotheses == (("h", "a = b"),)
+        assert ob.hypothesis("h") == "a = b"
 
     def test_equality_ignores_hypothesis_order(self):
         a = Obligation(goal="G", hypotheses=frozenset([("h1", "P"), ("h2", "Q")]))
@@ -42,9 +42,35 @@ class TestObligation:
         with pytest.raises(ValueError):
             Obligation(goal="G", hypotheses=frozenset([("h", "P"), ("h ", "Q")]))
 
+    def test_identical_pairs_collapse_and_clashing_names_raise(self):
+        ob = Obligation("g", [("h", "P"), ("h", "P")])
+        assert ob.hypotheses == (("h", "P"),)
+        assert ob == Obligation.make("g", {"h": "P"})
+        assert hash(ob) == hash(Obligation.make("g", {"h": "P"}))
+        # identical once normalized
+        assert Obligation("g", [(" h", "P  /\\ Q"), ("h", "P /\\ Q")]).hypotheses == (
+            ("h", "P /\\ Q"),)
+        with pytest.raises(ValueError):
+            Obligation("g", [("h", "P"), ("h", "Q")])
+
     def test_hypothesis_contents_drop_names(self):
         ob = Obligation.make("G", {"h1": "P", "h2": "P", "h3": "Q"})
         assert ob.propositions == frozenset({"P", "Q"})
+
+
+class TestStoredOrder:
+    def test_identical_obligations_collapse(self):
+        a, b = Obligation.make("A"), Obligation.make("B", {"h": "P"})
+        state = ProofState.of([b, a, Obligation.make("B", {"h": "P"}), a])
+        assert state.obligations == (a, b)
+        assert state == ProofState.of([a, b]) and hash(state) == hash(ProofState.of([a, b]))
+        assert ProofState.error([b, a, b], "msg").obligations == (a, b)
+
+    def test_split_on_a_repeated_conjunct_leaves_one_obligation(self):
+        theorem = parse_suite("theorem pp\n  goal P /\\ P\n  hyp h : Q\nend\n").theorem("pp")
+        env = ToyEnvironment(theorem)
+        state = env.apply_tactic(env.initial_state("pp"), "split")
+        assert state.obligations == (Obligation.make("P", {"h": "Q"}),)
 
 
 class TestQed:
@@ -178,18 +204,17 @@ class TestComputedOnce:
     may show in equality, hashing or repr, or change a value."""
 
     def test_stored_views_change_nothing(self):
-        # the same seed builds equal states the same way, so even the
-        # frozensets' iteration order, and with it repr, must agree
+        # equal states, built apart, must agree in repr too
         for state, fresh in zip(random_states(11, 200), random_states(11, 200)):
             key = canonical_key(state)
-            order = ordered_obligations(state)
-            assert order is ordered_obligations(state)
-            direct = sorted(state.obligations,
+            order = state.obligations
+            assert type(order) is tuple
+            direct = sorted(set(state.obligations),
                             key=lambda ob: (ob.goal, sorted((p, n) for n, p in ob.hypotheses)))
             assert order == tuple(direct)
             for ob in state.obligations:
-                assert ob.sorted_hypotheses == tuple(sorted(ob.hypotheses))
-                assert ob.hypotheses_by_name == dict(ob.hypotheses)
+                assert ob.hypotheses == tuple(sorted(set(ob.hypotheses)))
+                assert all(ob.hypothesis(n) == p for n, p in ob.hypotheses)
                 assert ob.propositions == frozenset(p for _, p in ob.hypotheses)
                 assert ob.sort_key == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
             if not state.is_error:
@@ -199,22 +224,30 @@ class TestComputedOnce:
             assert repr(state) == repr(fresh)
             assert canonical_key(fresh) == key
 
-    def test_key_is_compact_json_of_the_ordered_obligations(self):
+    def test_views_are_the_three_of_an_obligation_and_the_key_of_a_state(self):
+        views = {cls: sorted(name for name, value in vars(cls).items()
+                             if isinstance(value, cached_property))
+                 for cls in (Obligation, ProofState)}
+        assert views == {Obligation: ["pair_texts", "propositions", "sort_key"],
+                         ProofState: ["_canonical_key"]}
+
+    def test_key_is_compact_json_of_the_stored_obligations(self):
         for state in random_states(13, 50):
             payload = {"error": state.error_message,
                        "obligations": [[ob.goal, sorted(ob.hypotheses)]
-                                       for ob in ordered_obligations(state)]}
+                                       for ob in state.obligations]}
             assert canonical_key(state) == json.dumps(payload, ensure_ascii=False,
                                                       separators=(",", ":"))
 
     def test_name_view_is_read_only_and_kept(self):
+        # the name-ordered pairs are the stored field, a tuple
         ob = Obligation.make("P", {"h": "a = b", "g": "Q"})
-        assert ob.hypotheses_by_name is ob.hypotheses_by_name
+        assert ob.hypotheses is ob.hypotheses
         with pytest.raises(TypeError):
-            ob.hypotheses_by_name["h"] = "R"
-        assert ob.sorted_hypotheses is ob.sorted_hypotheses
-        assert ob.sorted_hypotheses == (("g", "Q"), ("h", "a = b"))
-        assert ob.hypotheses_by_name == {"g": "Q", "h": "a = b"}
+            ob.hypotheses[1] = ("h", "R")
+        assert ob.hypotheses == (("g", "Q"), ("h", "a = b"))
+        assert [ob.hypothesis(name) for name in ("", "f", "g", "g1", "h", "h ", "i")] == [
+            None, None, "Q", None, "a = b", None, None]
 
     def test_key_serialized_once_per_state(self, monkeypatch):
         # count calls of the function behind the state's stored key
@@ -356,8 +389,8 @@ def test_normalize_text_collapses_runs():
     assert normalize_text("  a  \n\t b ") == "a b"
 
 
-def test_ordered_obligations_sorted_by_goal_then_hypotheses():
+def test_obligations_stored_by_goal_then_hypotheses():
     a = Obligation.make("B")
     b = Obligation.make("A", {"h": "P"})
     c = Obligation.make("A")
-    assert ordered_obligations(ProofState.of([a, b, c])) == (c, b, a)
+    assert ProofState.of([a, b, c]).obligations == (c, b, a)

@@ -73,7 +73,7 @@ class TestTokenize:
 class TestBuildIndex:
     def test_empty_corpus(self):
         index = build_index([])
-        assert len(index) == 0
+        assert len(index.records) == 0
         assert retrieve(index, goal_state("P"), 5) == []
 
     def test_single_record_df(self):
@@ -188,7 +188,7 @@ class TestRetrieve:
         assert all(score == 0.0 for _, score in result)
 
     def test_positive_scores_outrank_zero(self, corpus_index):
-        result = retrieve(corpus_index, goal_state("Q", {"hp": "P"}), len(corpus_index))
+        result = retrieve(corpus_index, goal_state("Q", {"hp": "P"}), len(corpus_index.records))
         scores = [score for _, score in result]
         assert scores[0] > 0.0
         first_zero = next(i for i, s in enumerate(scores) if s == 0.0)

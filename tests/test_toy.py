@@ -3,7 +3,6 @@ brute-force oracle, and the suite file format."""
 
 import json
 from dataclasses import replace
-from types import MappingProxyType
 
 import pytest
 
@@ -17,7 +16,6 @@ from proofsearch.core import (
     canonical_key,
     lift_transition,
     normalize_text,
-    ordered_obligations,
 )
 from proofsearch.toy import ToyEnvironment, brute_force_prove, load_suite
 from proofsearch.toy.kernel import ToyTheorem
@@ -366,32 +364,29 @@ class TestTermTable:
         assert checked > 500
 
     def test_steps_build_no_hypothesis_dict(self, suite):
-        """A step looks names up in the obligation's kept name view: it
-        never walks the hypotheses, in any view, to build a dict per tactic."""
+        """A step looks names up in the obligation's name-ordered pairs by
+        bisection: it never walks the hypotheses, in any view, to build a
+        dict per tactic."""
 
         def refused(*args):
             raise AssertionError("a step walked an obligation's hypotheses")
 
+        class SealedPairs(tuple):  # indexing, slicing, hashing and == only
+            __iter__ = __reversed__ = __contains__ = index = count = refused
+
         class SealedSet(frozenset):
             __iter__ = refused
-
-        class SealedPairs(tuple):
-            __iter__ = refused
-
-        class SealedNames(dict):  # lookups only
-            __iter__ = keys = items = values = copy = refused
 
         steps = [(theorem, list(walk(ToyEnvironment(theorem), dict(theorem.lemmas))))
                  for theorem in suite.theorems.values()]
         for _, walked in steps:
             for state, _, _ in walked:
                 for ob in state.obligations:
-                    if not isinstance(ob.hypotheses, SealedSet):
+                    if not isinstance(ob.hypotheses, SealedPairs):
                         ob.__dict__.update(
-                            propositions=ob.propositions,
-                            hypotheses=SealedSet(ob.hypotheses),
-                            sorted_hypotheses=SealedPairs(sorted(ob.hypotheses)),
-                            hypotheses_by_name=MappingProxyType(SealedNames(ob.hypotheses)))
+                            propositions=SealedSet(ob.propositions),
+                            sort_key=ob.sort_key,
+                            hypotheses=SealedPairs(ob.hypotheses))
         for theorem, walked in steps:
             env = ToyEnvironment(theorem)
             for state, tactic, result in walked:
@@ -406,7 +401,7 @@ class TestTermTable:
                     continue
                 made = []
                 for ob in result.obligations:
-                    public = Obligation.make(ob.goal, ob.hypotheses_by_name)
+                    public = Obligation.make(ob.goal, dict(ob.hypotheses))
                     assert ob == public and hash(ob) == hash(public)
                     assert (canonical_key(ProofState.of([ob]))
                             == canonical_key(ProofState.of([public])))
@@ -476,10 +471,10 @@ def compact_json(value) -> str:
 
 
 class TestDerivedViews:
-    """A kernel child derives its name-ordered views from its parent's
-    (`with_hypothesis` for `intro`, `with_goal` for `split`, `rw` and
-    `apply`); every view equals the one built from scratch, and so does
-    the key."""
+    """A kernel child derives its name-ordered pairs and their texts from
+    its parent's (`with_hypothesis` for `intro`, `with_goal` for `split`,
+    `rw` and `apply`); each equals the one built from scratch, as does
+    every other view and the key."""
 
     # names with quotes around which `intro h` and `intro h1` insert, and
     # propositions whose `/\` JSON escapes
@@ -496,18 +491,21 @@ class TestDerivedViews:
                 if result.is_error or result.is_qed:
                     continue
                 head = tactic.split()[0]
-                for ob in result.obligations - state.obligations:
-                    if "sorted_hypotheses" in vars(ob) and "pair_texts" in vars(ob):
+                for ob in set(result.obligations) - set(state.obligations):
+                    if "pair_texts" in vars(ob):
                         derived[head] = derived.get(head, 0) + 1
-                    pairs = tuple(sorted(ob.hypotheses))
-                    assert ob.sorted_hypotheses == pairs
+                    pairs = tuple(sorted(set(ob.hypotheses)))
+                    assert ob.hypotheses == pairs
                     assert ob.pair_texts == tuple(compact_json(pair) for pair in pairs)
-                    assert ob.hypotheses_by_name == dict(ob.hypotheses)
+                    assert all(ob.hypothesis(n) == p for n, p in ob.hypotheses)
                     assert ob.propositions == frozenset(p for _, p in ob.hypotheses)
                     assert ob.sort_key == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
+                order = sorted(set(result.obligations),
+                               key=lambda ob: (ob.goal, sorted((p, n) for n, p in ob.hypotheses)))
+                assert result.obligations == tuple(order)
                 payload = {"error": None,
                            "obligations": [[ob.goal, sorted(ob.hypotheses)]
-                                           for ob in ordered_obligations(result)]}
+                                           for ob in result.obligations]}
                 assert canonical_key(result) == compact_json(payload)
         assert {"intro", "split", "rw", "apply"} <= set(derived), derived
         assert derived["intro"] > 20
@@ -518,7 +516,7 @@ class TestDerivedViews:
         canonical_key(state)
         child = env.apply_tactic(state, "intro h")
         ob, = child.obligations
-        assert [name for name, _ in ob.sorted_hypotheses] == ["a'b", "e'", "h", "h'", "z'"]
+        assert [name for name, _ in ob.hypotheses] == ["a'b", "e'", "h", "h'", "z'"]
         assert '["a\'b","S /\\\\ T"]' in canonical_key(child)
 
 
@@ -628,6 +626,15 @@ class TestSuiteFormat:
         with pytest.raises(SuiteFormatError) as info:
             parse_suite(text)
         assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("name", ["a/b", "../x", "/abs"])
+    def test_theorem_name_with_a_slash_rejected(self, name):
+        # the name is a trace file's name: a '/' would put the trace out of
+        # reach of `report`, or outside `--out`
+        with pytest.raises(SuiteFormatError) as info:
+            parse_suite(f"theorem ok\n  goal P -> P\nend\n\ntheorem {name}\n  goal P\nend\n")
+        assert str(info.value) == (f"line 5: theorem name {name!r} contains '/'; "
+                                   "it must be a file name")
 
     def test_comments_and_blanks_ignored(self):
         suite = parse_suite("# header\n\nlemma l : P\n\ntheorem t\n  goal P\n  use l\nend\n")
