@@ -35,7 +35,8 @@ from .metrics import (
     build_report,
 )
 from .retrieval import RetrievalIndex
-from .toy import ToyEnvironment, ToySuite, ToyTheorem, brute_force_prove
+from .toy import ToyEnvironment, ToySuite, ToyTheorem
+from .toy.oracle import brute_force_prove
 
 
 @dataclass

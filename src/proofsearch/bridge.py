@@ -164,7 +164,7 @@ class BridgeSession(ProofEnvironment):
             raise BridgeFailure("state was not issued by this session")
         response = self.call("apply", state_id=self._ids[key], tactic=tactic)
         if response["status"] == "error":
-            return ProofState.error(state.obligations, response.get("message") or "error")
+            return state.with_error(response.get("message") or "error")
         state_id, new_state = self._decode_state(response)
         if state_id is not None:
             self._ids[canonical_key(new_state)] = state_id

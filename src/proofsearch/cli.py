@@ -34,7 +34,8 @@ from .llm import (
     ScriptedBackend,
 )
 from .retrieval import build_index, load_corpus
-from .toy import ToyEnvironment, brute_force_prove, load_suite
+from .toy import ToyEnvironment, load_suite
+from .toy.oracle import brute_force_prove
 
 
 # SearchConfig fields whose flag is not the field name in kebab case, and

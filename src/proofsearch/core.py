@@ -46,7 +46,8 @@ class GlobalContext:
 
 
 def _pair_text(pair: tuple) -> str:
-    """`json.dumps(list(pair), ensure_ascii=False, separators=(",", ":"))`."""
+    """`json.dumps(list(pair), ensure_ascii=False, separators=(",", ":"))`:
+    the per-pair view whose pieces `canonical_key` joins."""
     return f"[{encode_basestring(pair[0])},{encode_basestring(pair[1])}]"
 
 
@@ -61,21 +62,27 @@ class Obligation:
     text; identical pairs collapse to one, and two propositions under one
     name raise. So `==` and `hash` ignore the order pairs are given in.
 
-    Three derived views are `functools.cached_property`s: `pair_texts`,
-    `propositions` and `sort_key`. Each is computed on first read and kept
-    on the instance; they are not dataclass fields, so `==`, `hash` and
-    `repr` ignore them, and an obligation that is never asked for them
-    pays nothing.
+    Three derived views are kept on the instance, built on first read:
+    `propositions` and `sort_key`, which are `functools.cached_property`s,
+    and the per-pair views of `pair_view(render)`, one tuple of
+    `render(pair)` over `hypotheses` for each render function asked for
+    (the key's pair texts, the prompt's hypothesis lines), so this module
+    knows none of their formats. None is a dataclass field, so `==`,
+    `hash` and `repr` ignore them, and an obligation that is never asked
+    for them pays nothing.
 
     A kernel that steps from an obligation builds its children with
     `with_goal` (same hypotheses, new goal) or `with_hypothesis` (one more
     pair, new goal). Both take text that is already normalized and a pair
     whose name is not in use, as they are. `with_goal` shares every view
-    its parent has built (`sort_key` with the goal replaced);
-    `with_hypothesis` inserts the new pair at its place in name order, and
-    into its parent's `pair_texts` where built, and leaves the other views
-    to be built on first read. Either child is `==`, hashes and keys the
-    same as one built through `make`.
+    its parent has built (`sort_key` with the goal replaced; the per-pair
+    views as one table, which the child's later views fill for both, as
+    the hypotheses are the same). `with_hypothesis` inserts the new pair
+    at its place in name order, its rendering into each per-pair view its
+    parent has built, and its proposition into the parent's
+    `propositions` where built, and leaves `sort_key` to be built on first
+    read. Either child is `==`, hashes and keys the same as one built
+    through `make`.
     """
 
     goal: str
@@ -106,16 +113,22 @@ class Obligation:
     def with_hypothesis(self, goal: str, pair: tuple) -> "Obligation":
         """This obligation plus the normalized (name, proposition) `pair`,
         whose name is not in use, under normalized goal text `goal`. The
-        pair, and its text where the parent has built `pair_texts`, goes
-        in at its place in name order."""
+        pair goes in at its place in name order, and so does its rendering
+        in each per-pair view the parent has built; its proposition joins
+        the parent's `propositions` where built."""
         child = object.__new__(Obligation)
         views = child.__dict__
         pairs = self.hypotheses
         at = bisect(pairs, pair)
         views.update(goal=goal, hypotheses=pairs[:at] + (pair,) + pairs[at:])
-        texts = self.__dict__.get("pair_texts")
-        if texts is not None:
-            views["pair_texts"] = texts[:at] + (_pair_text(pair),) + texts[at:]
+        built = self.__dict__
+        parent_views = built.get("_pair_views")
+        if parent_views:
+            views["_pair_views"] = child_views = {}
+            for render, view in parent_views.items():
+                child_views[render] = view[:at] + (render(pair),) + view[at:]
+        if "propositions" in built:
+            views["propositions"] = built["propositions"] | {pair[1]}
         return child
 
     def hypothesis(self, name: str) -> str | None:
@@ -127,10 +140,19 @@ class Obligation:
         return None
 
     @cached_property
-    def pair_texts(self) -> tuple:
-        """Each hypothesis as its compact JSON array text, `["name","prop"]`:
-        the pieces `canonical_key` joins."""
-        return tuple(map(_pair_text, self.hypotheses))
+    def _pair_views(self) -> dict:
+        """render function -> its per-pair view, filled by `pair_view`."""
+        return {}
+
+    def pair_view(self, render) -> tuple:
+        """`tuple(map(render, self.hypotheses))`, built at the first call
+        with this `render` (a function of one (name, proposition) pair,
+        the same object at every call) and kept."""
+        views = self._pair_views
+        view = views.get(render)
+        if view is None:
+            view = views[render] = tuple(map(render, self.hypotheses))
+        return view
 
     @cached_property
     def propositions(self) -> frozenset:
@@ -161,7 +183,8 @@ class ProofState:
     (by goal text, then by hypothesis list): the order in which the kernel
     focuses, and prompts, keys, the wire and retrieval list goals. The
     constructors build it from any iterable, so identical obligations
-    collapse to one and `==` and `hash` ignore the order given.
+    collapse to one and `==` and `hash` ignore the order given;
+    `with_error` keeps a state's stored tuple as it is.
 
     QED is the non-error state with no obligations. Error states keep the
     obligations that were pending when the tactic failed, plus the
@@ -185,9 +208,14 @@ class ProofState:
 
     @classmethod
     def error(cls, obligations: Iterable[Obligation], message: str) -> "ProofState":
+        return cls(_in_order(obligations)).with_error(message)
+
+    def with_error(self, message: str) -> "ProofState":
+        """The error state with this state's obligations, kept in their
+        stored order, and feedback `message`: `error` without the sort."""
         if not message:
             raise ValueError("error states need a feedback message")
-        return cls(_in_order(obligations), message)
+        return ProofState(self.obligations, message)
 
     @property
     def is_error(self) -> bool:
@@ -203,7 +231,7 @@ class ProofState:
         # hypotheses], ...]}, joined from each obligation's pair texts
         error = "null" if self.error_message is None else encode_basestring(self.error_message)
         obligations = ",".join(
-            f'[{encode_basestring(ob.goal)},[{",".join(ob.pair_texts)}]]'
+            f'[{encode_basestring(ob.goal)},[{",".join(ob.pair_view(_pair_text))}]]'
             for ob in self.obligations)
         return f'{{"error":{error},"obligations":[{obligations}]}}'
 

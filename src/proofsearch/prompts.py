@@ -85,11 +85,18 @@ def sketch_prompt() -> str:
     )
 
 
+def _hypothesis_line(pair: tuple) -> str:
+    return f"[HYPOTHESIS] {pair[0]} : {pair[1]}"
+
+
 def _goals(state: ProofState) -> tuple:
     """The goals block as (head, rest): the first goal with its hypotheses,
     where the retrieved entries attach, and the goals after it. Rendered
     on the first call and stored on the (frozen) state, outside its
-    fields: the search prompts at a state several times."""
+    fields: the search prompts at a state several times. The
+    `[HYPOTHESIS]` lines are each obligation's `pair_view` of
+    `_hypothesis_line`, which a kernel child inherits from its parent with
+    only its new pair's line rendered."""
     goals = state.__dict__.get("_goals")
     if goals is None:
         blocks = []
@@ -97,8 +104,7 @@ def _goals(state: ProofState) -> tuple:
             lines = [f"[GOAL] {i}", obligation.goal]
             if obligation.hypotheses:
                 lines.append(f"[HYPOTHESES] {i}")
-                lines.extend(f"[HYPOTHESIS] {name} : {prop}"
-                             for name, prop in obligation.hypotheses)
+                lines.extend(obligation.pair_view(_hypothesis_line))
             blocks.append("\n".join(lines))
         goals = state.__dict__["_goals"] = ("\n".join(["[GOALS]", *blocks[:1]]),
                                             "\n".join(blocks[1:]))
@@ -141,8 +147,8 @@ def promptify(bundle: PromptBundle, token_budget: int, style: str = "lean") -> A
         (_entries(bundle.retrieved) if bundle.retrieved else "", 3),
         (rest, 0),
         ("[INFORMAL-PROOF]\n" + hints.strip() if hints else "", 2),
-        ("[STEPS]" + "".join([f"[STEP]{t}" for t in bundle.steps]) if bundle.steps else "", 1),
-        ("[INCORRECT STEPS]" + "".join([f"[STEP]{t}" for t in bundle.bad_tactics])
+        ("[STEPS][STEP]" + "[STEP]".join(bundle.steps) if bundle.steps else "", 1),
+        ("[INCORRECT STEPS][STEP]" + "[STEP]".join(bundle.bad_tactics)
          if bundle.bad_tactics else "", 4),
         (last, 5),
         (bundle.format_error_notice or "[END]", 0),  # the notice carries its own [END]

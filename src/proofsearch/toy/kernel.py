@@ -133,14 +133,14 @@ class ToyEnvironment(ProofEnvironment):
         if state.is_error:
             return state
         if state.is_qed:
-            return ProofState.error(state.obligations, "no goals: the proof is already complete")
+            return state.with_error("no goals: the proof is already complete")
         read = _read_tactic(tactic)
         if isinstance(read, str):
-            return ProofState.error(state.obligations, read)
+            return state.with_error(read)
         focused, *rest = state.obligations
         result = self._step(focused, *read)
         if isinstance(result, str):
-            return ProofState.error(state.obligations, result)
+            return state.with_error(result)
         return ProofState.of(result + rest)
 
     def _parsed(self, text: str) -> Term:

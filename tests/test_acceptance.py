@@ -49,7 +49,8 @@ from proofsearch.prompts import (
     promptify,
 )
 from proofsearch.retrieval import LemmaRecord, build_index, tokenize
-from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy import ToyEnvironment
+from proofsearch.toy.oracle import brute_force_prove
 from proofsearch.toy.suite import parse_suite
 
 from conftest import SequenceBackend, fuzz_bundle, fuzz_tactic, wrap

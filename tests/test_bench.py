@@ -47,7 +47,8 @@ from proofsearch.metrics import (
 )
 from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import LemmaRecord, build_index
-from proofsearch.toy import ToyEnvironment, brute_force_prove
+from proofsearch.toy import ToyEnvironment
+from proofsearch.toy.oracle import brute_force_prove
 from proofsearch.toy.suite import parse_suite
 
 from conftest import CORPUS_PATH, SRC_DIR, SUITE_PATH, SequenceBackend

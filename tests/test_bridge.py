@@ -21,8 +21,8 @@ from proofsearch.bridge import (
 )
 from proofsearch.bridge_adapter import obligations_to_wire
 from proofsearch.core import GlobalContext, Obligation, ProofState, canonical_key
-from proofsearch.toy import ToyEnvironment, brute_force_prove
-from proofsearch.toy.oracle import candidate_tactics
+from proofsearch.toy import ToyEnvironment
+from proofsearch.toy.oracle import brute_force_prove, candidate_tactics
 from proofsearch.toy.terms import print_term
 
 from conftest import SUITE_PATH, SequenceBackend
@@ -222,15 +222,15 @@ class TestConformance:
 
     def test_adapter_imports_only_the_prover_it_serves(self):
         """Every spawn pays for what the adapter imports: `core` and `toy`,
-        not the search, the prompts, the model clients, retrieval or the
-        bridge client with its subprocess and select."""
+        not the search, the prompts, the model clients, retrieval, the
+        toy oracle or the bridge client with its subprocess and select."""
         code = "import sys, proofsearch.bridge_adapter; print(' '.join(sys.modules))"
         loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
                                     text=True, check=True).stdout.split())
         assert {"proofsearch.core", "proofsearch.toy"} <= loaded
         unused = {"proofsearch.agent", "proofsearch.prompts", "proofsearch.llm",
-                  "proofsearch.retrieval", "proofsearch.bridge", "subprocess", "queue",
-                  "select"}
+                  "proofsearch.retrieval", "proofsearch.bridge", "proofsearch.toy.oracle",
+                  "subprocess", "queue", "select"}
         assert sorted(loaded & unused) == []
 
 
@@ -309,8 +309,13 @@ class TestBridgeSession:
     def test_init_and_apply(self, session):
         state = session.initial_state("imp_self")
         assert state == ProofState.of([Obligation.make("P -> P")])
-        assert session.apply_tactic(state, "intro h") == ProofState.of(
-            [Obligation.make("P", {"h": "P"})])
+        child = session.apply_tactic(state, "intro h")
+        assert child == ProofState.of([Obligation.make("P", {"h": "P"})])
+        # a decoded state holds only the view its key needs, none for prompts
+        ob, = child.obligations
+        assert sorted(vars(ob)) == ["_pair_views", "goal", "hypotheses"]
+        assert [render.__name__ for render in ob._pair_views] == ["_pair_text"]
+        assert "_goals" not in vars(child)
 
     def test_shutdown_within_timeout(self, session):
         assert session.call("shutdown")["status"] == "ok"

@@ -66,6 +66,18 @@ class TestStoredOrder:
         assert state == ProofState.of([a, b]) and hash(state) == hash(ProofState.of([a, b]))
         assert ProofState.error([b, a, b], "msg").obligations == (a, b)
 
+    def test_with_error_equals_the_public_constructor(self):
+        # the stored tuple is kept as it is, not sorted again
+        for state in random_states(14, 200):
+            made = state.with_error("tactic failed")
+            public = ProofState.error(state.obligations, "tactic failed")
+            assert made.obligations is state.obligations
+            assert made == public and hash(made) == hash(public)
+            assert repr(made) == repr(public)
+            assert canonical_key(made) == canonical_key(public)
+        with pytest.raises(ValueError):
+            state.with_error("")
+
     def test_split_on_a_repeated_conjunct_leaves_one_obligation(self):
         theorem = parse_suite("theorem pp\n  goal P /\\ P\n  hyp h : Q\nend\n").theorem("pp")
         env = ToyEnvironment(theorem)
@@ -228,8 +240,21 @@ class TestComputedOnce:
         views = {cls: sorted(name for name, value in vars(cls).items()
                              if isinstance(value, cached_property))
                  for cls in (Obligation, ProofState)}
-        assert views == {Obligation: ["pair_texts", "propositions", "sort_key"],
+        assert views == {Obligation: ["_pair_views", "propositions", "sort_key"],
                          ProofState: ["_canonical_key"]}
+        # the per-pair views are one table, keyed by render function and
+        # filled only by what reads them: the key its pair texts
+        ob = Obligation.make("P", {"h": "a = b", "g": "Q"})
+        assert "_pair_views" not in vars(ob)
+        canonical_key(ProofState.of([ob]))
+        assert vars(ob)["_pair_views"] == {core._pair_text: ('["g","Q"]', '["h","a = b"]')}
+
+        def render(pair):
+            return f"{pair[0]}={pair[1]}"
+
+        assert ob.pair_view(render) == ("g=Q", "h=a = b")
+        assert ob.pair_view(render) is ob.pair_view(render)
+        assert list(vars(ob)["_pair_views"]) == [core._pair_text, render]
 
     def test_key_is_compact_json_of_the_stored_obligations(self):
         for state in random_states(13, 50):

@@ -17,9 +17,10 @@ from proofsearch.core import (
     lift_transition,
     normalize_text,
 )
-from proofsearch.toy import ToyEnvironment, brute_force_prove, load_suite
+from proofsearch.prompts import _goals
+from proofsearch.toy import ToyEnvironment, load_suite
 from proofsearch.toy.kernel import ToyTheorem
-from proofsearch.toy.oracle import candidate_tactics
+from proofsearch.toy.oracle import brute_force_prove, candidate_tactics
 from proofsearch.toy.suite import SuiteFormatError, parse_suite
 from proofsearch.toy.terms import (
     And,
@@ -366,7 +367,8 @@ class TestTermTable:
     def test_steps_build_no_hypothesis_dict(self, suite):
         """A step looks names up in the obligation's name-ordered pairs by
         bisection: it never walks the hypotheses, in any view, to build a
-        dict per tactic."""
+        dict per tactic, and renders only an `intro` child's new pair into
+        the per-pair views it inherits."""
 
         def refused(*args):
             raise AssertionError("a step walked an obligation's hypotheses")
@@ -377,20 +379,37 @@ class TestTermTable:
         class SealedSet(frozenset):
             __iter__ = refused
 
+        rendered = []
+
+        def render(pair):
+            rendered.append(pair)
+            return pair
+
         steps = [(theorem, list(walk(ToyEnvironment(theorem), dict(theorem.lemmas))))
                  for theorem in suite.theorems.values()]
         for _, walked in steps:
             for state, _, _ in walked:
                 for ob in state.obligations:
                     if not isinstance(ob.hypotheses, SealedPairs):
+                        ob.pair_view(render)
                         ob.__dict__.update(
                             propositions=SealedSet(ob.propositions),
                             sort_key=ob.sort_key,
                             hypotheses=SealedPairs(ob.hypotheses))
+        intros = 0
         for theorem, walked in steps:
             env = ToyEnvironment(theorem)
             for state, tactic, result in walked:
+                rendered.clear()
                 assert env.apply_tactic(state, tactic) == result
+                if tactic.startswith("intro") and not result.is_error:
+                    name = tactic.split()[1]
+                    assert len(rendered) == 1
+                    assert rendered[0] in [(name, ob.hypothesis(name)) for ob in result.obligations]
+                    intros += 1
+                else:
+                    assert rendered == []
+        assert intros > 10
 
     def test_kernel_obligations_equal_their_public_construction(self, suite):
         checked = memoized = 0
@@ -471,10 +490,10 @@ def compact_json(value) -> str:
 
 
 class TestDerivedViews:
-    """A kernel child derives its name-ordered pairs and their texts from
-    its parent's (`with_hypothesis` for `intro`, `with_goal` for `split`,
-    `rw` and `apply`); each equals the one built from scratch, as does
-    every other view and the key."""
+    """A kernel child derives its name-ordered pairs, every per-pair view
+    and `propositions` from its parent's (`with_hypothesis` for `intro`,
+    `with_goal` for `split`, `rw` and `apply`); each equals the one built
+    from scratch, as does every other view, the goals block and the key."""
 
     # names with quotes around which `intro h` and `intro h1` insert, and
     # propositions whose `/\` JSON escapes
@@ -483,32 +502,57 @@ class TestDerivedViews:
         hyps=[("a'b", "S /\\ T"), ("e'", "a = b"), ("h'", "T"), ("z'", "b = c")],
         lemmas=[("l'", "Q -> R"), ("m'", "P /\\ Q -> Q")], name="quoted")
 
+    @staticmethod
+    def build_views(state):
+        """Every view a search builds at a state it expands: the key (pair
+        texts), the goals block (hypothesis lines) and `propositions`."""
+        canonical_key(state)
+        _goals(state)
+        for ob in state.obligations:
+            ob.propositions
+
     def test_children_views_equal_views_built_from_scratch(self, suite):
         derived = {}
         for theorem in [*suite.theorems.values(), self.QUOTED]:
             env = ToyEnvironment(theorem)
+            self.build_views(env.initial_state(theorem.name))
             for state, tactic, result in walk(env, dict(theorem.lemmas)):
                 if result.is_error or result.is_qed:
                     continue
                 head = tactic.split()[0]
-                for ob in set(result.obligations) - set(state.obligations):
-                    if "pair_texts" in vars(ob):
-                        derived[head] = derived.get(head, 0) + 1
+                fresh = ProofState.of(Obligation(ob.goal, ob.hypotheses)
+                                      for ob in result.obligations)
+                assert result.obligations == fresh.obligations
+                for ob, new in zip(result.obligations, fresh.obligations):
+                    inherited = dict(vars(ob))  # before any view is read here
+                    views = inherited.get("_pair_views", {})
+                    for render, view in views.items():
+                        assert view == new.pair_view(render), (theorem.name, tactic)
+                        derived[head, render.__name__] = derived.get((head, render.__name__), 0) + 1
+                    for name in ("propositions", "sort_key"):
+                        if name in inherited:
+                            assert inherited[name] == getattr(new, name)
+                            derived[head, name] = derived.get((head, name), 0) + 1
                     pairs = tuple(sorted(set(ob.hypotheses)))
                     assert ob.hypotheses == pairs
-                    assert ob.pair_texts == tuple(compact_json(pair) for pair in pairs)
+                    assert ob.pair_view(proofsearch.core._pair_text) == tuple(
+                        compact_json(pair) for pair in pairs)
                     assert all(ob.hypothesis(n) == p for n, p in ob.hypotheses)
                     assert ob.propositions == frozenset(p for _, p in ob.hypotheses)
                     assert ob.sort_key == (ob.goal, sorted((p, n) for n, p in ob.hypotheses))
                 order = sorted(set(result.obligations),
                                key=lambda ob: (ob.goal, sorted((p, n) for n, p in ob.hypotheses)))
                 assert result.obligations == tuple(order)
+                assert _goals(result) == _goals(fresh)
                 payload = {"error": None,
                            "obligations": [[ob.goal, sorted(ob.hypotheses)]
                                            for ob in result.obligations]}
-                assert canonical_key(result) == compact_json(payload)
-        assert {"intro", "split", "rw", "apply"} <= set(derived), derived
-        assert derived["intro"] > 20
+                assert canonical_key(result) == canonical_key(fresh) == compact_json(payload)
+                self.build_views(result)
+        for view in ("_pair_text", "_hypothesis_line", "propositions"):
+            assert {"intro", "split", "rw", "apply"} <= {h for h, v in derived if v == view}, view
+        assert derived["intro", "_pair_text"] > 20 and derived["intro", "propositions"] > 20
+        assert derived["intro", "_hypothesis_line"] > 15
 
     def test_quoted_names_and_escaped_props_reach_the_key(self):
         env = ToyEnvironment(self.QUOTED)
