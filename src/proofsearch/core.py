@@ -62,27 +62,25 @@ class Obligation:
     text; identical pairs collapse to one, and two propositions under one
     name raise. So `==` and `hash` ignore the order pairs are given in.
 
-    Three derived views are kept on the instance, built on first read:
+    Derived views are kept on the instance, built on first read:
     `propositions` and `sort_key`, which are `functools.cached_property`s,
     and the per-pair views of `pair_view(render)`, one tuple of
     `render(pair)` over `hypotheses` for each render function asked for
-    (the key's pair texts, the prompt's hypothesis lines), so this module
-    knows none of their formats. None is a dataclass field, so `==`,
-    `hash` and `repr` ignore them, and an obligation that is never asked
-    for them pays nothing.
+    (the key's pair texts, the prompt's hypothesis lines), kept in the
+    instance dict under the function itself, so this module knows none of
+    their formats. None is a dataclass field, so `==`, `hash` and `repr`
+    ignore them, and an obligation that is never asked for them pays
+    nothing.
 
     A kernel that steps from an obligation builds its children with
     `with_goal` (same hypotheses, new goal) or `with_hypothesis` (one more
     pair, new goal). Both take text that is already normalized and a pair
     whose name is not in use, as they are. `with_goal` shares every view
-    its parent has built (`sort_key` with the goal replaced; the per-pair
-    views as one table, which the child's later views fill for both, as
-    the hypotheses are the same). `with_hypothesis` inserts the new pair
-    at its place in name order, its rendering into each per-pair view its
-    parent has built, and its proposition into the parent's
-    `propositions` where built, and leaves `sort_key` to be built on first
-    read. Either child is `==`, hashes and keys the same as one built
-    through `make`.
+    its parent has built (`sort_key` with the goal replaced).
+    `with_hypothesis` inserts the new pair at its place in name order, and
+    its rendering into each per-pair view its parent has built, and leaves
+    `propositions` and `sort_key` to be built on first read. Either child
+    is `==`, hashes and keys the same as one built through `make`.
     """
 
     goal: str
@@ -114,21 +112,15 @@ class Obligation:
         """This obligation plus the normalized (name, proposition) `pair`,
         whose name is not in use, under normalized goal text `goal`. The
         pair goes in at its place in name order, and so does its rendering
-        in each per-pair view the parent has built; its proposition joins
-        the parent's `propositions` where built."""
+        in each per-pair view the parent has built."""
         child = object.__new__(Obligation)
         views = child.__dict__
         pairs = self.hypotheses
         at = bisect(pairs, pair)
         views.update(goal=goal, hypotheses=pairs[:at] + (pair,) + pairs[at:])
-        built = self.__dict__
-        parent_views = built.get("_pair_views")
-        if parent_views:
-            views["_pair_views"] = child_views = {}
-            for render, view in parent_views.items():
-                child_views[render] = view[:at] + (render(pair),) + view[at:]
-        if "propositions" in built:
-            views["propositions"] = built["propositions"] | {pair[1]}
+        for render, view in self.__dict__.items():
+            if render.__class__ is not str:  # a per-pair view, keyed by its render
+                views[render] = view[:at] + (render(pair),) + view[at:]
         return child
 
     def hypothesis(self, name: str) -> str | None:
@@ -139,16 +131,11 @@ class Obligation:
             return pairs[at][1]
         return None
 
-    @cached_property
-    def _pair_views(self) -> dict:
-        """render function -> its per-pair view, filled by `pair_view`."""
-        return {}
-
     def pair_view(self, render) -> tuple:
         """`tuple(map(render, self.hypotheses))`, built at the first call
         with this `render` (a function of one (name, proposition) pair,
-        the same object at every call) and kept."""
-        views = self._pair_views
+        the same object at every call) and kept under it."""
+        views = self.__dict__
         view = views.get(render)
         if view is None:
             view = views[render] = tuple(map(render, self.hypotheses))
@@ -230,10 +217,12 @@ class ProofState:
         # the compact JSON text of {"error": ..., "obligations": [[goal,
         # hypotheses], ...]}, joined from each obligation's pair texts
         error = "null" if self.error_message is None else encode_basestring(self.error_message)
-        obligations = ",".join(
-            f'[{encode_basestring(ob.goal)},[{",".join(ob.pair_view(_pair_text))}]]'
-            for ob in self.obligations)
-        return f'{{"error":{error},"obligations":[{obligations}]}}'
+        obligations = []
+        for ob in self.obligations:
+            # a built view is read from the instance dict, without the call
+            texts = ob.__dict__.get(_pair_text) or ob.pair_view(_pair_text)
+            obligations.append(f'[{encode_basestring(ob.goal)},[{",".join(texts)}]]')
+        return f'{{"error":{error},"obligations":[{",".join(obligations)}]}}'
 
 
 def at_least_as_hard(o1: ProofState, o2: ProofState) -> bool:

@@ -240,21 +240,21 @@ class TestComputedOnce:
         views = {cls: sorted(name for name, value in vars(cls).items()
                              if isinstance(value, cached_property))
                  for cls in (Obligation, ProofState)}
-        assert views == {Obligation: ["_pair_views", "propositions", "sort_key"],
+        assert views == {Obligation: ["propositions", "sort_key"],
                          ProofState: ["_canonical_key"]}
-        # the per-pair views are one table, keyed by render function and
-        # filled only by what reads them: the key its pair texts
+        # the per-pair views are kept in the instance dict under their
+        # render function, built only when read: the key its pair texts
         ob = Obligation.make("P", {"h": "a = b", "g": "Q"})
-        assert "_pair_views" not in vars(ob)
+        assert list(vars(ob)) == ["goal", "hypotheses"]
         canonical_key(ProofState.of([ob]))
-        assert vars(ob)["_pair_views"] == {core._pair_text: ('["g","Q"]', '["h","a = b"]')}
+        assert vars(ob)[core._pair_text] == ('["g","Q"]', '["h","a = b"]')
 
         def render(pair):
             return f"{pair[0]}={pair[1]}"
 
         assert ob.pair_view(render) == ("g=Q", "h=a = b")
         assert ob.pair_view(render) is ob.pair_view(render)
-        assert list(vars(ob)["_pair_views"]) == [core._pair_text, render]
+        assert list(vars(ob)) == ["goal", "hypotheses", core._pair_text, render]
 
     def test_key_is_compact_json_of_the_stored_obligations(self):
         for state in random_states(13, 50):
