@@ -28,7 +28,7 @@ from .core import (
     canonical_key,
     encode_json,
 )
-from .llm import CompletionRequest, GuidanceBackend
+from .llm import CompletionRequest, GuidanceBackend, RecordedTimeout
 from .prompts import (
     ParsedAction,
     PromptBundle,
@@ -106,12 +106,6 @@ class QueryRecord:
     format_error: str | None = None
     result_class: str | None = None  # qed | progressed | error | no-progress | format-error | sketch
     latency_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        # A dataclass instance's dict holds exactly its fields, in declaration
-        # order; `dataclasses.asdict` would deep-copy every value, and a
-        # getattr per field name costs three times as much on this per-query path.
-        return {"type": "query", **vars(self)}
 
 
 def _field_dict(obj, names: tuple) -> dict:
@@ -233,7 +227,8 @@ class EpisodeTrace:
         self._require_body("compare")
         records = []
         for record in self.records:
-            item = record.to_dict()
+            # a dataclass instance's dict holds exactly its fields, in declaration order
+            item = {"type": "query", **vars(record)}
             item.pop("latency_seconds")
             records.append(item)
         trailer = _field_dict(self, _TRAILER_FIELDS)
@@ -258,23 +253,19 @@ class EpisodeTrace:
                                **_field_dict(self, _HEADER_FIELDS)})]
         append = lines.append
         ids: dict = {}
-
-        def state_id(key) -> int:
-            n = ids.get(key)
-            if n is None:
-                n = ids[key] = len(ids)
-                append(encode_json({"type": "state", "id": n, "key": key}))
-            return n
-
         for item in self.log:
-            if isinstance(item, QueryRecord):
-                line = item.to_dict()
-                line["state_key"] = state_id(item.state_key)
-            else:
-                if item[0] in _KEYED_EVENTS:
-                    item = (item[0], state_id(item[1]), *item[2:])
-                line = {"type": "event", "data": item}
-            append(encode_json(line))
+            record = isinstance(item, QueryRecord)
+            key = item.state_key if record else item[1] if item[0] in _KEYED_EVENTS else None
+            if key is not None:  # written as its state id, after its state line
+                n = ids.get(key)
+                if n is None:
+                    n = ids[key] = len(ids)
+                    append(f'{{"type": "state", "id": {n}, "key": {encode_json(key)}}}')
+                if record:
+                    append(encode_json({"type": "query", **vars(item), "state_key": n}))
+                    continue
+                item = (item[0], n, *item[2:])
+            append(f'{{"type": "event", "data": {encode_json(item)}}}')
         for note in self.notes:
             append(encode_json({"type": "note", "text": note}))
         append("")  # the body ends in a newline
@@ -423,7 +414,6 @@ class _Frame:
     state: ProofState
     key: str
     least_goal: str  # the goal of the state's first obligation in order
-    rho: object = None
 
 
 class _Searcher:
@@ -458,17 +448,18 @@ class _Searcher:
         frame = _Frame(state, key, state.obligations[0].goal)
         self.stack.append(frame)
         self.trace.event("push", key)
+        rho = None
         if self.index is not None:
-            frame.rho = self.rankings.get(key)
-            if frame.rho is None:
-                frame.rho = self.rankings[key] = retrieve(self.index, state,
-                                                          self.config.k_retrieve)
-            self.trace.event("retrieve", key, [[r.name, score] for r, score in frame.rho])
+            rho = self.rankings.get(key)
+            if rho is None:
+                rho = self.rankings[key] = retrieve(self.index, state, self.config.k_retrieve)
+            self.trace.event("retrieve", key, [[r.name, score] for r, score in rho])
         bad = self.bad.setdefault(key, [])
-        last_step: str | None = None
-        last_outcome: str | None = None
+        # the frame's one bundle: each query sets its last step, outcome and notice
+        bundle = PromptBundle(state=state, bad_tactics=bad, retrieved=rho, context=self.gctx,
+                              steps=path)
         for _ in range(self.config.per_state_budget):
-            queried = self._query_tactic(frame, bad, path, last_step, last_outcome)
+            queried = self._query_tactic(key, bundle)
             if queried is None:
                 # format repairs exhausted; the attempt is spent
                 continue
@@ -477,13 +468,13 @@ class _Searcher:
             if new_state.is_qed:
                 result = "qed"
             elif new_state.is_error:
-                result, last_outcome = "error", new_state.error_message
+                result, bundle.last_outcome = "error", new_state.error_message
             elif self._dominated(new_state) or len(self.stack) >= self.config.max_depth:
-                result, last_outcome = "no-progress", NO_PROGRESS_MESSAGE
+                result, bundle.last_outcome = "no-progress", NO_PROGRESS_MESSAGE
             else:
-                result, last_outcome = "progressed", "success"
+                result, bundle.last_outcome = "progressed", "success"
             record.result_class = result
-            last_step = tactic
+            bundle.last_step = tactic
             if result == "qed":
                 raise _Proved(path + [tactic])
             if result == "progressed":
@@ -504,55 +495,50 @@ class _Searcher:
         return any(f.least_goal in goals and at_least_as_hard(state, f.state)
                    for f in self.stack)
 
-    def _query_tactic(self, frame, bad, path, last_step, last_outcome):
-        """Prompt for one tactic, spending repair queries on format errors.
+    def _query_tactic(self, key: str, bundle: PromptBundle):
+        """Prompt for one tactic at the frame of `key`, spending repair
+        queries on format errors. Sets the bundle's notice, and logs one
+        record a query once the backend has answered.
 
-        Returns the tactic text, or None when format_retry_cap consecutive
+        Returns (tactic, record), or None when format_retry_cap consecutive
         repairs did not yield a parseable response.
         """
-        notice = None
+        bundle.format_error_notice = None
         for _ in range(self.config.format_retry_cap + 1):
             reason = self.budget.exhausted_reason()
             if reason is not None:
                 raise _Abort(reason)
-            bundle = PromptBundle(
-                state=frame.state,
-                bad_tactics=bad,
-                retrieved=frame.rho,
-                context=self.gctx,
-                steps=path,
-                last_step=last_step,
-                last_outcome=last_outcome,
-                format_error_notice=notice,
-            )
             prompt = promptify(bundle, self.config.token_budget, self.config.prompt_style)
-            # kept bare if the backend raises; its record replaces it otherwise
-            self.trace.event("promptify", frame.key)
             request = CompletionRequest(
                 system=prompt.system,
                 turns=[("user", prompt.agent_text)],
-                metadata={"state_key": frame.key, "stage": self.stage},
+                metadata={"state_key": key, "stage": self.stage},
             )
-            completion = self.backend.complete(request)
-            ordinal = self.budget.consume()
+            try:
+                completion = self.backend.complete(request)
+            except RecordedTimeout:  # the replayed run's clock ran out here
+                raise _Abort(REASON_TIMEOUT) from None
+            except InfrastructureFailure:
+                self.trace.event("promptify", key)  # a prompt with no record
+                raise
             parsed = parse_tactic(completion.text, completion.stop_reason)
             record = QueryRecord(
-                ordinal=ordinal,
+                ordinal=self.budget.consume(),
                 stage=self.stage,
-                state_key=frame.key,
+                state_key=key,
                 prompt_text=prompt.agent_text,
                 prompt_tokens=prompt.token_estimate,
                 response=completion.text,
                 stop_reason=completion.stop_reason,
                 latency_seconds=completion.latency_seconds,
             )
-            self.trace.log[-1] = record
+            self.trace.log.append(record)
             if isinstance(parsed, ParsedAction):
                 record.tactic = parsed.tactic
                 return parsed.tactic, record
             record.format_error = parsed.reason
             record.result_class = "format-error"
-            notice = parsed.repair_message
+            bundle.format_error_notice = parsed.repair_message
         return None
 
 
@@ -627,6 +613,10 @@ def generate_informal_sketch(
     )
     try:
         completion = backend.complete(request)
+    except RecordedTimeout:  # the replayed run's clock ran out here: skip as it did
+        budget.deadline = float("-inf")  # and end the next stage at its start, as it did
+        trace.notes.append(f"skipped: {REASON_TIMEOUT}")
+        return None
     except InfrastructureFailure as exc:
         trace.notes.append(f"skipped: infrastructure failure: {exc}")
         return None

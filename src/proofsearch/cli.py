@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .agent import EpisodeTrace, SearchConfig, TraceFormatError
+from .agent import REASON_TIMEOUT, EpisodeTrace, SearchConfig, TraceFormatError
 from .bench import (
     BenchmarkSuite,
     ResumeError,
@@ -129,7 +129,9 @@ def cmd_run(args) -> int:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
                 backend = ScriptedBackend({})
         elif args.backend == "replay":
-            backend = ReplayBackend(recorded[trace_file_name(theorem.name, attempt)].records)
+            recording = recorded[trace_file_name(theorem.name, attempt)]
+            backend = ReplayBackend(recording.records,
+                                    timed_out=recording.outcome.failure_reason == REASON_TIMEOUT)
         else:
             backend = HttpBackend(
                 HttpBackendConfig(

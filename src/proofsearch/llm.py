@@ -155,18 +155,30 @@ class HttpBackend(GuidanceBackend):
         raise InfrastructureFailure(f"transport retries exhausted: {last_error}")
 
 
+class RecordedTimeout(InfrastructureFailure):
+    """A replay was asked past the last record of an episode that timed
+    out: the recorded run's clock ran out there, so the search ends as
+    `timeout`, as the recording did."""
+
+
 class ReplayBackend(GuidanceBackend):
     """Answers from an earlier run's query records, in order. A request must
     ask what its record asked (stage, state key and user turn); one that
     does not raises and leaves the record unused. The system prompt follows
-    from the recorded search config, which `run` checks before replaying."""
+    from the recorded search config, which `run` checks before replaying.
+    A request past the last record raises RecordedTimeout when the
+    recorded episode timed out (`timed_out`), and InfrastructureFailure
+    otherwise."""
 
-    def __init__(self, records: Sequence):
+    def __init__(self, records: Sequence, timed_out: bool = False):
         self.records = list(records)
+        self.timed_out = timed_out
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:
         if self._cursor >= len(self.records):
+            if self.timed_out:
+                raise RecordedTimeout(f"the recording timed out after query {len(self.records)}")
             raise InfrastructureFailure("replay stream exhausted")
         record = self.records[self._cursor]
         asked = (request.metadata.get("stage"), request.metadata.get("state_key"),

@@ -34,7 +34,14 @@ class PromptBudgetError(InfrastructureFailure):
 @dataclass
 class PromptBundle:
     """Everything promptify needs: the current state, the failure set at
-    it, retrieval results, global context, and last-step feedback."""
+    it, retrieval results, global context, and last-step feedback.
+
+    The search builds one bundle per frame and prompts it at every query
+    there. Once a bundle is prompted, `state`, `retrieved`, `context` and
+    `steps` stay fixed: `promptify` joins their sections once and keeps
+    the text on the bundle, outside its fields. A query changes only the
+    rest: `bad_tactics` grows, and `last_step`, `last_outcome` and
+    `format_error_notice` are set."""
 
     state: ProofState
     bad_tactics: Sequence[str] = ()
@@ -93,10 +100,11 @@ def _goals(state: ProofState) -> tuple:
     """The goals block as (head, rest): the first goal with its hypotheses,
     where the retrieved entries attach, and the goals after it. Rendered
     on the first call and stored on the (frozen) state, outside its
-    fields: the search prompts at a state several times. The
-    `[HYPOTHESIS]` lines are each obligation's `pair_view` of
-    `_hypothesis_line`, which a kernel child inherits from its parent with
-    only its new pair's line rendered."""
+    fields: a frame's bundle joins it into its fixed text once, and the
+    stages of an episode push the same root state. The `[HYPOTHESIS]`
+    lines are each obligation's `pair_view` of `_hypothesis_line`, which
+    a kernel child inherits from its parent with only its new pair's line
+    rendered."""
     goals = state.__dict__.get("_goals")
     if goals is None:
         blocks = []
@@ -123,18 +131,42 @@ def _entries(retrieved: list) -> str:
     return "\n".join(lines)
 
 
+def _fixed(bundle: PromptBundle) -> tuple:
+    """The bundle's fixed sections as (text, sections). `sections` holds
+    the goals with the retrieved entries, the informal sketch and the
+    steps taken, as (text, drop rank) pairs in render order, an empty
+    text absent; `text` joins them. Built on the first call and kept on
+    the bundle, outside its fields, as `_goals` is kept on the state."""
+    fixed = bundle.__dict__.get("_fixed")
+    if fixed is None:
+        if bundle.state.is_error:
+            raise ValueError("cannot promptify an error state")
+        head, rest = _goals(bundle.state)
+        hints = bundle.context.informal_hints if bundle.context is not None else None
+        sections = (
+            (head, 0),
+            (_entries(bundle.retrieved) if bundle.retrieved else "", 3),
+            (rest, 0),
+            ("[INFORMAL-PROOF]\n" + hints.strip() if hints else "", 2),
+            ("[STEPS][STEP]" + "[STEP]".join(bundle.steps) if bundle.steps else "", 1),
+        )
+        fixed = bundle.__dict__["_fixed"] = ("\n".join([part for part, _ in sections if part]),
+                                             sections)
+    return fixed
+
+
 def promptify(bundle: PromptBundle, token_budget: int, style: str = "lean") -> AgentPrompt:
     """Render the agent prompt, trimming sections to fit the budget.
 
     Each section has a drop rank: under budget pressure rank 1 drops
     first, then 2, up to 5. The goals and the closing notice or [END]
     have rank 0 and never drop. If even those exceed the budget, a
-    PromptBudgetError is raised.
+    PromptBudgetError is raised. The fixed sections are joined once per
+    bundle (`_fixed`); each call joins that text with its own incorrect
+    steps, last step and notice or [END], and only a prompt over budget
+    is joined again section by section.
     """
-    if bundle.state.is_error:
-        raise ValueError("cannot promptify an error state")
-    head, rest = _goals(bundle.state)
-    hints = bundle.context.informal_hints if bundle.context is not None else None
+    fixed, sections = _fixed(bundle)
     last = ""
     if bundle.last_step is not None:
         if bundle.last_outcome == "success":
@@ -142,18 +174,15 @@ def promptify(bundle: PromptBundle, token_budget: int, style: str = "lean") -> A
         else:
             tail = f"[ERROR MESSAGE]\n{bundle.last_outcome or ''}".rstrip()
         last = f"[LAST STEP] {bundle.last_step}\n{tail}"
-    sections = [  # (text, drop rank) in render order; an empty text is absent
-        (head, 0),
-        (_entries(bundle.retrieved) if bundle.retrieved else "", 3),
-        (rest, 0),
-        ("[INFORMAL-PROOF]\n" + hints.strip() if hints else "", 2),
-        ("[STEPS][STEP]" + "[STEP]".join(bundle.steps) if bundle.steps else "", 1),
-        ("[INCORRECT STEPS][STEP]" + "[STEP]".join(bundle.bad_tactics)
-         if bundle.bad_tactics else "", 4),
-        (last, 5),
-        (bundle.format_error_notice or "[END]", 0),  # the notice carries its own [END]
-    ]
-    for dropped in range(6):  # ranks 1..dropped are left out; 0: the full prompt
+    bad = bundle.bad_tactics
+    incorrect = "[INCORRECT STEPS][STEP]" + "[STEP]".join(bad) if bad else ""
+    closing = bundle.format_error_notice or "[END]"  # the notice carries its own [END]
+    text = "\n".join([part for part in (fixed, incorrect, last, closing) if part])
+    estimate = estimate_tokens(text)
+    if estimate <= token_budget:
+        return AgentPrompt(system_prompt(style), text, estimate)
+    sections += ((incorrect, 4), (last, 5), (closing, 0))
+    for dropped in range(1, 6):  # ranks 1..dropped are left out
         text = "\n".join([part for part, rank in sections
                           if part and not 0 < rank <= dropped])
         estimate = estimate_tokens(text)

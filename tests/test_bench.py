@@ -2,6 +2,7 @@
 rendering and regeneration, the suite runner, and the CLI verbs."""
 
 import contextlib
+import csv
 import functools
 import hashlib
 import json
@@ -748,6 +749,57 @@ class TestCli:
                 out1 / "traces" / name)
         for name in ("metrics.txt", "metrics.csv"):
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+
+    UNKNOWN_TACTIC = "[RUN TACTIC] no_such_tactic [END]"
+
+    @pytest.mark.parametrize("flags, reply, step", [
+        (["--no-ensemble"], "", 0.25),
+        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.25),
+        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.125),
+    ], ids=["mid-stage", "at-a-stage-start", "at-the-sketch"])
+    def test_replay_ends_each_episode_as_recorded(self, tmp_path, monkeypatch, capsys,
+                                                  flags, reply, step):
+        """A replay gives the recorded run's metrics.csv and results.csv
+        (wall_seconds masked) for episodes that end proved, at the query
+        budget, in an exhausted search and at the wall-clock timeout. The
+        search's clock is faked: it moves `step` seconds at each query of
+        the first theorem, whose backend never proves it, so the recording
+        times out after 1 / step queries. An empty reply costs a repair
+        query; the tactic is unknown, so an attempt costs one query."""
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(proofsearch.agent, "time",
+                            SimpleNamespace(monotonic=lambda: clock.now))
+
+        class Ticking(GuidanceBackend):
+            def complete(self, request):
+                clock.now += step
+                return Completion(reply, NATURAL_STOP, 0.0)
+
+        oracle = proofsearch.cli.oracle_scripted_backend
+        timed, exhausted, spent = list(parse_suite(SUITE_PATH.read_text(encoding="utf-8"))
+                                       .theorems)[:3]
+        scripted = {timed: Ticking, exhausted: lambda: SequenceBackend([], self.UNKNOWN_TACTIC),
+                    spent: lambda: SequenceBackend([], "")}
+        monkeypatch.setattr(proofsearch.cli, "oracle_scripted_backend", lambda theorem, max_depth:
+                            scripted.get(theorem.name, lambda: oracle(theorem, max_depth))())
+        flags = [*flags, "--max-queries", "14", "--timeout", "1"]
+        out1, out2 = self.run_twice(tmp_path, flags, oracle_depth=2)
+        capsys.readouterr()
+
+        def rows(out):
+            with open(out / "results.csv", encoding="utf-8", newline="") as f:
+                return [{**row, "wall_seconds": None} for row in csv.DictReader(f)]
+
+        recorded = rows(out1)
+        assert {(row["theorem"], row["failure_reason"]) for row in recorded} >= {
+            (timed, "timeout"), (exhausted, "search exhausted"), (spent, "budget")}
+        assert any(row["proved"] == "1" for row in recorded)
+        assert rows(out2) == recorded
+        assert (out2 / "metrics.csv").read_bytes() == (out1 / "metrics.csv").read_bytes()
+        replayed = EpisodeTrace.load(out2 / "traces" / trace_file_name(timed, 1))
+        assert replayed.queries_used == round(1 / step)
+        assert replayed.notes == EpisodeTrace.load(out1 / "traces" / trace_file_name(timed, 1)).notes
+        assert replayed.events[-1][0] != "promptify"
 
     def test_replay_of_a_different_question_aborts(self, tmp_path, capsys):
         # the replay has no corpus, so its first prompt lacks the recorded lemmas

@@ -16,6 +16,7 @@ from proofsearch.llm import (
     HttpBackendConfig,
     InfrastructureFailure,
     RateLimiter,
+    RecordedTimeout,
     ReplayBackend,
     ScriptedBackend,
 )
@@ -79,8 +80,20 @@ class TestRecordReplay:
     def test_replay_exhaustion_is_infrastructure(self):
         replay = ReplayBackend([record_for(1, "only")])
         replay.complete(replay_request())
-        with pytest.raises(InfrastructureFailure, match="replay stream exhausted"):
+        with pytest.raises(InfrastructureFailure, match="replay stream exhausted") as raised:
             replay.complete(replay_request())
+        assert not isinstance(raised.value, RecordedTimeout)
+
+    def test_exhaustion_after_a_recorded_timeout_is_the_timeout(self):
+        replay = ReplayBackend([record_for(1, "only")], timed_out=True)
+        replay.complete(replay_request())
+        with pytest.raises(RecordedTimeout, match="^the recording timed out after query 1$"):
+            replay.complete(replay_request())
+        # a mismatch is still one
+        replay = ReplayBackend([record_for(1, "only")], timed_out=True)
+        with pytest.raises(InfrastructureFailure, match="^replay mismatch at query 1$") as raised:
+            replay.complete(replay_request(text="hello again"))
+        assert not isinstance(raised.value, RecordedTimeout)
 
     @pytest.mark.parametrize("asked", [
         {"stage": "retrieval"}, {"state_key": "t"}, {"text": "hello again"},

@@ -3,6 +3,7 @@ the response parser with partial-response salvage, and the repair message."""
 
 import random
 import re
+from dataclasses import replace
 from importlib import resources
 from types import SimpleNamespace
 
@@ -269,6 +270,97 @@ class TestTrimming:
             budget -= 1
         assert floor_text is not None
         assert "[ERROR]\nInvalid response:" in floor_text
+
+
+def fresh(bundle):
+    """A new bundle with the same field values; its lists are copies."""
+    return replace(bundle, bad_tactics=list(bundle.bad_tactics), steps=list(bundle.steps))
+
+
+def prompted(bundle, budget):
+    """The prompt, or the message of the PromptBudgetError raised instead."""
+    try:
+        return promptify(bundle, budget)
+    except PromptBudgetError as exc:
+        return str(exc)
+
+
+class TestFrameBundle:
+    """The search prompts one bundle per frame: it joins the fixed sections
+    once and changes only the incorrect steps, the last step and the
+    notice from query to query."""
+
+    @staticmethod
+    def queries(bundle):
+        """Walk the bundle through a frame's queries; yield at each."""
+        yield
+        bundle.bad_tactics.append("refl")
+        bundle.last_step, bundle.last_outcome = "refl", "refl failed: goal is not an equation"
+        yield
+        bundle.format_error_notice = repair_message("Sure!", NATURAL_STOP)
+        yield
+        bundle.format_error_notice = None
+        bundle.last_step, bundle.last_outcome = "intro h3", "success"
+        yield
+        bundle.bad_tactics.append("split")
+        bundle.last_step, bundle.last_outcome = "split", NATURAL_STOP
+        yield
+        bundle.format_error_notice = repair_message("[RUN TACTIC] split", LENGTH_CAP)
+        yield
+
+    @staticmethod
+    def first_query():
+        bundle = full_bundle()
+        bundle.bad_tactics, bundle.last_step, bundle.last_outcome = [], None, None
+        return bundle
+
+    def test_prompts_as_a_fresh_bundle_at_every_budget(self):
+        """At every budget from the full prompt's down to below the goals
+        floor, each prompt of the walk equals that of a new bundle."""
+        walked = self.first_query()
+        full = max(promptify(fresh(walked), BIG_BUDGET).token_estimate
+                   for _ in self.queries(walked))
+        floor = promptify(PromptBundle(walked.state), BIG_BUDGET).token_estimate
+        assert isinstance(prompted(PromptBundle(walked.state), floor - 1), str)
+        for budget in (BIG_BUDGET, *range(full, floor - 2, -1)):
+            bundle = self.first_query()
+            for n, _ in enumerate(self.queries(bundle)):
+                assert prompted(bundle, budget) == prompted(fresh(bundle), budget), (budget, n)
+
+    def test_fixed_sections_are_joined_once_a_frame(self, tmp_path, monkeypatch, capsys):
+        import proofsearch.agent
+        from proofsearch.agent import EpisodeTrace, QueryRecord
+        from proofsearch.cli import main as cli_main
+
+        from conftest import CORPUS_PATH, SUITE_PATH
+
+        bundles, calls = [], []  # each bundle is kept, so no two share an id
+
+        def counting(bundle, *args):
+            if "_fixed" not in vars(bundle):  # not joined yet
+                bundles.append(bundle)
+            calls.append(bundle)
+            return promptify(bundle, *args)
+
+        monkeypatch.setattr(proofsearch.agent, "promptify", counting)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
+                         "--out", str(out), "--oracle-depth", "2"]) == 0
+        capsys.readouterr()
+        frames = queries = 0
+        for path in sorted((out / "traces").iterdir()):
+            log = [item for item in EpisodeTrace.load(path).log
+                   if not (isinstance(item, tuple) and item[0] == "retrieve")]
+            queries += sum(1 for item in log
+                           if isinstance(item, QueryRecord) and item.result_class != "sketch")
+            # a frame prompts when its push is followed by a query
+            frames += sum(1 for item, after in zip(log, log[1:])
+                          if isinstance(item, tuple) and item[0] == "push"
+                          and isinstance(after, QueryRecord))
+        assert len(bundles) == len({id(b) for b in bundles}) == frames
+        assert len(calls) == queries
+        assert frames < queries
+        assert {id(b) for b in calls} == {id(b) for b in bundles}
 
 
 class TestParseTactic:

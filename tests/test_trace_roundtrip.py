@@ -8,8 +8,13 @@ For some seeds the environment also raises after a tactic parsed (the
 reference test's `environment`).
 """
 
-from proofsearch.agent import EpisodeTrace, ensemble_prove, prove
+import json
+import sys
 
+from proofsearch.agent import EpisodeTrace, ensemble_prove, prove
+from proofsearch.cli import main as cli_main
+
+from conftest import CORPUS_PATH, SUITE_PATH
 from test_reference_search import SEEDS, case, environment
 
 
@@ -54,3 +59,28 @@ def test_every_trace_round_trips(tmp_path):
         "backend raised after promptify", "environment raised after parse", "sketch",
         "skipped", "proved", "budget", "search exhausted", "infrastructure",
     } <= seen
+
+
+def test_every_trace_line_is_canonical_json(tmp_path, capsys):
+    """`save` writes its state and event lines by hand around the encoder:
+    each line of every trace of the reference seeds, and of the bundled
+    suite's run in process and over the loopback bridge, is what
+    `json.dumps(value, ensure_ascii=False)` writes for the value it holds."""
+    for n, (_, trace) in enumerate(traces()):
+        trace.save(tmp_path / "reference" / f"{n}.jsonl")
+    argv = ["run", "--suite", str(SUITE_PATH), "--corpus", str(CORPUS_PATH),
+            "--oracle-depth", "2"]
+    assert cli_main([*argv, "--out", str(tmp_path / "toy")]) == 0
+    assert cli_main([*argv, "--out", str(tmp_path / "bridge"), "--bridge-cmd",
+                     f"{sys.executable} -m proofsearch.bridge_adapter {SUITE_PATH}"]) == 0
+    assert capsys.readouterr().out.count("20/32 episodes proved") == 2
+    kinds = set()
+    for where, count in (("reference", 2 * len(SEEDS)), ("toy/traces", 32), ("bridge/traces", 32)):
+        paths = sorted((tmp_path / where).iterdir())
+        assert len(paths) == count, where
+        for path in paths:
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+                value = json.loads(line)
+                assert line == json.dumps(value, ensure_ascii=False), f"{where}/{path.name}:{n}"
+                kinds.add(value["type"])
+    assert kinds == {"header", "state", "event", "query", "note", "outcome"}
