@@ -412,7 +412,6 @@ class _Proved(Exception):
 @dataclass
 class _Frame:
     state: ProofState
-    key: str
     least_goal: str  # the goal of the state's first obligation in order
 
 
@@ -445,8 +444,7 @@ class _Searcher:
     # one state: push, retrieve, query loop, pop
     def _search(self, state: ProofState, path: list):
         key = canonical_key(state)
-        frame = _Frame(state, key, state.obligations[0].goal)
-        self.stack.append(frame)
+        self.stack.append(_Frame(state, state.obligations[0].goal))
         self.trace.event("push", key)
         rho = None
         if self.index is not None:
@@ -455,7 +453,7 @@ class _Searcher:
                 rho = self.rankings[key] = retrieve(self.index, state, self.config.k_retrieve)
             self.trace.event("retrieve", key, [[r.name, score] for r, score in rho])
         bad = self.bad.setdefault(key, [])
-        # the frame's one bundle: each query sets its last step, outcome and notice
+        # the frame's one bundle; only its last step, outcome and notice change per query
         bundle = PromptBundle(state=state, bad_tactics=bad, retrieved=rho, context=self.gctx,
                               steps=path)
         for _ in range(self.config.per_state_budget):
