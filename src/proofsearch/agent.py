@@ -453,7 +453,8 @@ class _Searcher:
                 rho = self.rankings[key] = retrieve(self.index, state, self.config.k_retrieve)
             self.trace.event("retrieve", key, [[r.name, score] for r, score in rho])
         bad = self.bad.setdefault(key, [])
-        # the frame's one bundle; only its last step, outcome and notice change per query
+        # the frame's one bundle: a query changes only its incorrect steps, last step,
+        # outcome and notice
         bundle = PromptBundle(state=state, bad_tactics=bad, retrieved=rho, context=self.gctx,
                               steps=path)
         for _ in range(self.config.per_state_budget):

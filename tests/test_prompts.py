@@ -9,7 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import proofsearch.agent
 from proofsearch import prompts
+from proofsearch.agent import EpisodeTrace, QueryRecord
+from proofsearch.cli import main as cli_main
 from proofsearch.core import GlobalContext, Obligation, ProofState
 from proofsearch.prompts import (
     AgentPrompt,
@@ -28,7 +31,7 @@ from proofsearch.prompts import (
 )
 from proofsearch.retrieval import LemmaRecord
 
-from conftest import fuzz_bundle, fuzz_tactic
+from conftest import CORPUS_PATH, SUITE_PATH, fuzz_bundle, fuzz_tactic
 
 
 def single_state(goal, hyps=None):
@@ -303,7 +306,7 @@ class TestFrameBundle:
         bundle.last_step, bundle.last_outcome = "intro h3", "success"
         yield
         bundle.bad_tactics.append("split")
-        bundle.last_step, bundle.last_outcome = "split", NATURAL_STOP
+        bundle.last_step, bundle.last_outcome = "split", "split failed: goal is not a conjunction"
         yield
         bundle.format_error_notice = repair_message("[RUN TACTIC] split", LENGTH_CAP)
         yield
@@ -328,12 +331,6 @@ class TestFrameBundle:
                 assert prompted(bundle, budget) == prompted(fresh(bundle), budget), (budget, n)
 
     def test_fixed_sections_are_joined_once_a_frame(self, tmp_path, monkeypatch, capsys):
-        import proofsearch.agent
-        from proofsearch.agent import EpisodeTrace, QueryRecord
-        from proofsearch.cli import main as cli_main
-
-        from conftest import CORPUS_PATH, SUITE_PATH
-
         bundles, calls = [], []  # each bundle is kept, so no two share an id
 
         def counting(bundle, *args):
