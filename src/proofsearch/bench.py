@@ -16,14 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .agent import (
-    EpisodeTrace,
-    SearchConfig,
-    SearchOutcome,
-    ensemble_prove,
-    overwrite_text,
-    prove,
-)
+from .agent import SearchConfig, ensemble_prove, prove
 from .core import GlobalContext, ProofEnvironment, canonical_key, lift_transition
 from .llm import GuidanceBackend, ScriptedBackend
 from .metrics import (
@@ -37,6 +30,7 @@ from .metrics import (
 from .retrieval import RetrievalIndex
 from .toy import ToyEnvironment, ToySuite, ToyTheorem
 from .toy.oracle import brute_force_prove
+from .trace import EpisodeTrace, SearchOutcome, overwrite_text
 
 
 @dataclass

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .agent import REASON_TIMEOUT, EpisodeTrace, SearchConfig, TraceFormatError
+from .agent import SearchConfig
 from .bench import (
     BenchmarkSuite,
     ResumeError,
@@ -36,6 +36,7 @@ from .llm import (
 from .retrieval import build_index, load_corpus
 from .toy import ToyEnvironment, load_suite
 from .toy.oracle import brute_force_prove
+from .trace import EpisodeTrace, TraceFormatError
 
 
 # SearchConfig fields whose flag is not the field name in kebab case, and
@@ -129,9 +130,7 @@ def cmd_run(args) -> int:
                 print(f"warning: oracle found no proof for {theorem.name}", file=sys.stderr)
                 backend = ScriptedBackend({})
         elif args.backend == "replay":
-            recording = recorded[trace_file_name(theorem.name, attempt)]
-            backend = ReplayBackend(recording.records,
-                                    timed_out=recording.outcome.failure_reason == REASON_TIMEOUT)
+            backend = ReplayBackend(recorded[trace_file_name(theorem.name, attempt)])
         else:
             backend = HttpBackend(
                 HttpBackendConfig(

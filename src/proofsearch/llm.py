@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 from .core import InfrastructureFailure
 from .prompts import LENGTH_CAP, NATURAL_STOP
+from .trace import REASON_TIMEOUT, EpisodeTrace
 
 
 @dataclass
@@ -162,17 +163,17 @@ class RecordedTimeout(InfrastructureFailure):
 
 
 class ReplayBackend(GuidanceBackend):
-    """Answers from an earlier run's query records, in order. A request must
-    ask what its record asked (stage, state key and user turn); one that
-    does not raises and leaves the record unused. The system prompt follows
-    from the recorded search config, which `run` checks before replaying.
-    A request past the last record raises RecordedTimeout when the
-    recorded episode timed out (`timed_out`), and InfrastructureFailure
-    otherwise."""
+    """Answers from the query records of an earlier run's trace, in order.
+    A request must ask what its record asked (stage, state key and user
+    turn); one that does not raises and leaves the record unused. The
+    system prompt follows from the recorded search config, which `run`
+    checks before replaying. A request past the last record raises
+    RecordedTimeout when the recorded episode timed out, and
+    InfrastructureFailure otherwise."""
 
-    def __init__(self, records: Sequence, timed_out: bool = False):
-        self.records = list(records)
-        self.timed_out = timed_out
+    def __init__(self, recording: EpisodeTrace):
+        self.records = recording.records
+        self.timed_out = recording.outcome.failure_reason == REASON_TIMEOUT
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:

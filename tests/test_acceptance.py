@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from proofsearch.agent import REASON_BUDGET, EpisodeTrace, SearchConfig, prove
+from proofsearch.agent import SearchConfig, prove
 from proofsearch.bench import (
     oracle_scripted_backend,
     replay_trace,
@@ -52,6 +52,7 @@ from proofsearch.retrieval import LemmaRecord, build_index, tokenize
 from proofsearch.toy import ToyEnvironment
 from proofsearch.toy.oracle import brute_force_prove
 from proofsearch.toy.suite import parse_suite
+from proofsearch.trace import REASON_BUDGET, EpisodeTrace
 
 from conftest import SequenceBackend, fuzz_bundle, fuzz_tactic, wrap
 from test_bridge import LOOPBACK, differential_pairs
@@ -561,7 +562,7 @@ def test_criterion_11_determinism(suite, tmp_path):
             return oracle_scripted_backend(theorem, max_depth=4)
 
         def replaying(theorem):
-            return ReplayBackend(EpisodeTrace.load(traces_dir / f"{theorem.name}.jsonl").records)
+            return ReplayBackend(EpisodeTrace.load(traces_dir / f"{theorem.name}.jsonl"))
 
         first = deterministic_run(theorems, oracle, tmp_path / "first")
         for trace in first:

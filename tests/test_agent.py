@@ -9,25 +9,13 @@ import zlib
 import pytest
 
 import proofsearch.agent
+import proofsearch.trace
 from proofsearch.agent import (
-    EpisodeTrace,
     NO_PROGRESS_MESSAGE,
-    QueryRecord,
-    REASON_BUDGET,
-    REASON_EXHAUSTED,
-    REASON_INFRASTRUCTURE,
-    REASON_TIMEOUT,
     SearchConfig,
-    SearchOutcome,
-    STAGE_INFORMAL,
-    STAGE_PLAIN,
-    STAGE_RETRIEVAL,
-    TRACE_SCHEMA,
-    TraceFormatError,
     _Budget,
     ensemble_prove,
     generate_informal_sketch,
-    overwrite_text,
     prove,
 )
 from proofsearch.bench import (
@@ -39,6 +27,7 @@ from proofsearch.bench import (
 from proofsearch.bridge import BridgeConfig, BridgeSession
 from proofsearch.core import (
     GlobalContext,
+    ProofState,
     at_least_as_hard,
     canonical_key,
     lift_transition,
@@ -53,6 +42,21 @@ from proofsearch.prompts import NATURAL_STOP
 from proofsearch.retrieval import build_index
 from proofsearch.toy import ToyEnvironment
 from proofsearch.toy.suite import ToySuite, parse_suite
+from proofsearch.trace import (
+    EpisodeTrace,
+    QueryRecord,
+    REASON_BUDGET,
+    REASON_EXHAUSTED,
+    REASON_INFRASTRUCTURE,
+    REASON_TIMEOUT,
+    SearchOutcome,
+    STAGE_INFORMAL,
+    STAGE_PLAIN,
+    STAGE_RETRIEVAL,
+    TRACE_SCHEMA,
+    TraceFormatError,
+    overwrite_text,
+)
 
 from conftest import SequenceBackend, wrap
 
@@ -330,6 +334,33 @@ class TestBudgets:
         assert trace.queries_used == 0
         assert trace.notes == ["infrastructure failure: token budget 5 cannot fit the goals "
                                "section (needs about 8)"]
+
+
+class TestInitialState:
+    """The search starts only from a state it can search: not an error,
+    and not one that is already QED."""
+
+    @staticmethod
+    def starting_at(scenarios, initial):
+        class Environment(ToyEnvironment):
+            def initial_state(self, theorem_id):
+                return initial(super().initial_state(theorem_id))
+
+        return Environment(scenarios.theorem("pp"))
+
+    def test_error_initial_state_raises(self, scenarios):
+        env = self.starting_at(scenarios, lambda state: state.with_error("broken"))
+        with pytest.raises(ValueError, match="^initial state must be non-error$"):
+            prove("pp", env, SequenceBackend([]), None, gctx_for(scenarios, "pp"), config())
+
+    def test_qed_initial_state_aborts_as_infrastructure(self, scenarios):
+        env = self.starting_at(scenarios, lambda state: ProofState.qed())
+        outcome, trace = prove("pp", env, SequenceBackend([wrap("intro h")]), None,
+                               gctx_for(scenarios, "pp"), config())
+        assert outcome == SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)
+        assert trace.aborted and trace.queries_used == 0 and trace.log == []
+        assert trace.notes == ["infrastructure failure: the theorem was closed at its initial "
+                               "state: no tactic script to replay"]
 
 
 class TestSketch:
@@ -732,6 +763,16 @@ def with_crc32(text: str) -> str:
     return body + "\n" + json.dumps(outcome, ensure_ascii=False) + "\n"
 
 
+def torn_rewrite(text: str) -> str:
+    """`text` written in place over a longer file by `overwrite_text`, and
+    killed partway through its last line: the file has the new length, a
+    new prefix and the old file's bytes after it. Here the old byte at the
+    new end is a newline, so the file ends in a line that is not JSON."""
+    written = text.rindex("\n", 0, -1) + 20
+    stale = "x" * (len(text) - 1) + "\n" + "x" * 40 + "\n"
+    return text[:written] + stale[written:len(text)]
+
+
 class TestTraceFormat:
     """The on-disk trace format, pinned line by line."""
 
@@ -788,7 +829,9 @@ class TestTraceFormat:
         lambda text: text[:text.rindex('{"type": "note"')],
         lambda text: text.replace('"lines": 10}', '"lines": 9}'),  # a wrong count
         lambda text: text.replace('{"type": "note"', '{"type": "note", "text": "x"}\n{"type": "note"'),
-    ], ids=["inside-outcome", "before-outcome", "before-note", "wrong-count", "extra-line"])
+        torn_rewrite,
+    ], ids=["inside-outcome", "before-outcome", "before-note", "wrong-count", "extra-line",
+            "torn-rewrite"])
     def test_cut_trace_loads_incomplete(self, tmp_path, cut):
         path = tmp_path / "pp__a2.jsonl"
         hand_built_trace().save(path)
@@ -903,7 +946,7 @@ class TestTraceFormat:
         def no_mkdir(self, *args, **kwargs):
             raise AssertionError(f"mkdir {self}")
 
-        monkeypatch.setattr(proofsearch.agent.Path, "mkdir", no_mkdir)
+        monkeypatch.setattr(proofsearch.trace.Path, "mkdir", no_mkdir)
         path = tmp_path / "pp__a2.jsonl"
         hand_built_trace().save(path)
         hand_built_trace().save(str(path))  # over the file, by a str path

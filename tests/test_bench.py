@@ -36,7 +36,8 @@ import proofsearch.agent
 import proofsearch.bridge
 from proofsearch import bridge_adapter
 import proofsearch.cli
-from proofsearch.agent import REASON_INFRASTRUCTURE, EpisodeTrace, SearchConfig
+import proofsearch.trace
+from proofsearch.agent import SearchConfig
 from proofsearch.cli import main as cli_main
 from proofsearch.llm import Completion, GuidanceBackend
 from proofsearch.metrics import (
@@ -51,6 +52,7 @@ from proofsearch.retrieval import LemmaRecord, build_index
 from proofsearch.toy import ToyEnvironment
 from proofsearch.toy.oracle import brute_force_prove
 from proofsearch.toy.suite import parse_suite
+from proofsearch.trace import REASON_INFRASTRUCTURE, EpisodeTrace, SearchOutcome
 
 from conftest import CORPUS_PATH, SRC_DIR, SUITE_PATH, SequenceBackend
 
@@ -578,6 +580,34 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "imp_self\tproved\tintro h; exact h" in out
+
+    @pytest.mark.parametrize("outcome, printed", [
+        (SearchOutcome(proved=False, failure_reason="budget"),
+         "imp_self: trace reports no proof; nothing to verify\n"),
+        (SearchOutcome(proved=True, proof=("exact h",)),
+         "imp_self: proof does NOT replay to QED\n"),
+    ], ids=["unproved", "wrong-proof"])
+    def test_replay_verb_on_a_trace_without_a_proof_that_replays(self, tmp_path, capsys,
+                                                                  outcome, printed):
+        trace = tmp_path / "imp_self__a1.jsonl"
+        EpisodeTrace(theorem="imp_self", config={}, outcome=outcome).save(trace)
+        assert cli_main(["replay", "--trace", str(trace), "--suite", str(SUITE_PATH)]) == 1
+        assert capsys.readouterr().out == printed
+
+    def test_report_verb_over_a_directory_without_traces(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert cli_main(["report", "--traces", str(tmp_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"no trace files under {tmp_path}\n")
+        assert not out.exists()
+
+    def test_oracle_verb_names_an_unproved_theorem(self, tmp_path, capsys):
+        suite = tmp_path / "two-steps.toysuite"
+        suite.write_text("theorem t\n  goal P -> P\nend\n", encoding="utf-8")
+        assert cli_main(["oracle", "--suite", str(suite), "--max-depth", "1"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("t\tunproved\t\n",
+                                                "# 0/1 proved within depth 1\n")
 
     def test_oracle_backend_without_a_proof_replies_empty(self, tmp_path, capsys):
         suite = tmp_path / "two-steps.toysuite"
@@ -1412,13 +1442,13 @@ class TestDamagedTraces:
     def test_report_parses_two_lines_per_trace(self, run, monkeypatch):
         """A guard against parsing whole bodies again to build a report."""
         parsed = []
-        loads = proofsearch.agent.json.loads
+        loads = proofsearch.trace.json.loads
 
         def counting_loads(text):
             parsed.append(text)
             return loads(text)
 
-        monkeypatch.setattr(proofsearch.agent, "json", SimpleNamespace(loads=counting_loads))
+        monkeypatch.setattr(proofsearch.trace, "json", SimpleNamespace(loads=counting_loads))
         results = results_from_traces(run / "traces")
         assert len(results) == 64 and not any(r.failure_reason == "incomplete" for r in results)
         assert len(parsed) == 2 * len(results)

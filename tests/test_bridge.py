@@ -4,6 +4,7 @@ environment, and transport-failure handling."""
 
 import io
 import json
+import select
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from proofsearch import bridge_adapter
-from proofsearch.agent import REASON_INFRASTRUCTURE, SearchConfig, prove
+from proofsearch.agent import SearchConfig, prove
 from proofsearch.bridge import (
     BridgeConfig,
     BridgeFailure,
@@ -24,6 +25,7 @@ from proofsearch.core import GlobalContext, Obligation, ProofState, canonical_ke
 from proofsearch.toy import ToyEnvironment
 from proofsearch.toy.oracle import brute_force_prove, candidate_tactics
 from proofsearch.toy.terms import print_term
+from proofsearch.trace import REASON_INFRASTRUCTURE
 
 from conftest import SUITE_PATH, SequenceBackend
 
@@ -527,6 +529,20 @@ class TestTransportFailures:
         finally:
             session.close()  # a blocked write ends with the adapter
             sender.join(timeout=10)
+
+    def test_adapter_that_closed_its_input_is_a_broken_pipe(self):
+        """An adapter that closes its stdin and keeps running fails the
+        request write, not the wait for a reply."""
+        script = ("import os, sys, time; os.close(0); print('closed', flush=True); "
+                  "time.sleep(30)")
+        session = self.run_adapter_script(script)
+        try:
+            assert select.select([session._proc.stdout], [], [], 10)[0]  # it has closed
+            with pytest.raises(BridgeFailure, match="^adapter pipe broken: "):
+                session.call("init", theorem="imp_self")
+            assert session._proc.poll() is None
+        finally:
+            session.close()
 
     def test_reply_that_is_not_utf8_fails_at_once(self):
         script = ("import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'\\xff\\xfe{}\\n'); "

@@ -1,4 +1,4 @@
-"""Guidance backends: scripted determinism, replay from query records, and
+"""Guidance backends: scripted determinism, replay of a recorded trace, and
 the HTTP client against a local mock chat-completions server."""
 
 import json
@@ -8,7 +8,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from proofsearch import llm
-from proofsearch.agent import QueryRecord
 from proofsearch.llm import (
     Completion,
     CompletionRequest,
@@ -21,6 +20,7 @@ from proofsearch.llm import (
     ScriptedBackend,
 )
 from proofsearch.prompts import LENGTH_CAP, NATURAL_STOP
+from proofsearch.trace import REASON_TIMEOUT, EpisodeTrace, QueryRecord, SearchOutcome
 
 from conftest import SequenceBackend
 
@@ -61,6 +61,12 @@ def record_for(ordinal, response, stage="plain", state_key="s", text="hello"):
                        stop_reason=NATURAL_STOP, latency_seconds=0.25 * ordinal)
 
 
+def recording(*records, failure_reason=None):
+    """A recorded episode's trace that holds `records` and ends unproved."""
+    return EpisodeTrace(theorem="t", config={}, log=list(records),
+                        outcome=SearchOutcome(proved=False, failure_reason=failure_reason))
+
+
 def replay_request(stage="plain", state_key="s", text="hello"):
     return CompletionRequest(system="sys", turns=[("user", text)],
                              metadata={"state_key": state_key, "stage": stage})
@@ -70,7 +76,7 @@ class TestRecordReplay:
     def test_round_trip_byte_identical(self):
         records = [record_for(1, "alpha"), record_for(2, "beta"),
                    record_for(3, "gamma", stage="informal", state_key="sketch", text="T")]
-        replay = ReplayBackend(records)
+        replay = ReplayBackend(recording(*records))
         replayed = [replay.complete(replay_request()), replay.complete(replay_request()),
                     replay.complete(replay_request("informal", "sketch", "T"))]
         assert replayed == [Completion("alpha", NATURAL_STOP, 0.25),
@@ -78,19 +84,19 @@ class TestRecordReplay:
                             Completion("gamma", NATURAL_STOP, 0.75)]
 
     def test_replay_exhaustion_is_infrastructure(self):
-        replay = ReplayBackend([record_for(1, "only")])
+        replay = ReplayBackend(recording(record_for(1, "only")))
         replay.complete(replay_request())
         with pytest.raises(InfrastructureFailure, match="replay stream exhausted") as raised:
             replay.complete(replay_request())
         assert not isinstance(raised.value, RecordedTimeout)
 
     def test_exhaustion_after_a_recorded_timeout_is_the_timeout(self):
-        replay = ReplayBackend([record_for(1, "only")], timed_out=True)
+        replay = ReplayBackend(recording(record_for(1, "only"), failure_reason=REASON_TIMEOUT))
         replay.complete(replay_request())
         with pytest.raises(RecordedTimeout, match="^the recording timed out after query 1$"):
             replay.complete(replay_request())
         # a mismatch is still one
-        replay = ReplayBackend([record_for(1, "only")], timed_out=True)
+        replay = ReplayBackend(recording(record_for(1, "only"), failure_reason=REASON_TIMEOUT))
         with pytest.raises(InfrastructureFailure, match="^replay mismatch at query 1$") as raised:
             replay.complete(replay_request(text="hello again"))
         assert not isinstance(raised.value, RecordedTimeout)
@@ -99,7 +105,7 @@ class TestRecordReplay:
         {"stage": "retrieval"}, {"state_key": "t"}, {"text": "hello again"},
     ], ids=["stage", "state-key", "prompt"])
     def test_mismatch_is_infrastructure_and_keeps_the_record(self, asked):
-        replay = ReplayBackend([record_for(1, "first"), record_for(2, "second")])
+        replay = ReplayBackend(recording(record_for(1, "first"), record_for(2, "second")))
         assert replay.complete(replay_request()).text == "first"
         with pytest.raises(InfrastructureFailure, match="^replay mismatch at query 2$"):
             replay.complete(replay_request(**asked))

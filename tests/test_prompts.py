@@ -11,7 +11,6 @@ import pytest
 
 import proofsearch.agent
 from proofsearch import prompts
-from proofsearch.agent import EpisodeTrace, QueryRecord
 from proofsearch.cli import main as cli_main
 from proofsearch.core import GlobalContext, Obligation, ProofState
 from proofsearch.prompts import (
@@ -30,6 +29,7 @@ from proofsearch.prompts import (
     system_prompt,
 )
 from proofsearch.retrieval import LemmaRecord
+from proofsearch.trace import EpisodeTrace, QueryRecord
 
 from conftest import CORPUS_PATH, SUITE_PATH, fuzz_bundle, fuzz_tactic
 

@@ -22,20 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from proofsearch.agent import (
-    NO_PROGRESS_MESSAGE,
-    REASON_BUDGET,
-    REASON_EXHAUSTED,
-    REASON_INFRASTRUCTURE,
-    STAGE_INFORMAL,
-    STAGE_PLAIN,
-    STAGE_RETRIEVAL,
-    QueryRecord,
-    SearchConfig,
-    SearchOutcome,
-    ensemble_prove,
-    prove,
-)
+from proofsearch.agent import NO_PROGRESS_MESSAGE, SearchConfig, ensemble_prove, prove
 from proofsearch.bridge import BridgeConfig, BridgeFailure, BridgeSession
 from proofsearch.core import GlobalContext
 from proofsearch.llm import Completion, CompletionRequest, InfrastructureFailure
@@ -53,6 +40,16 @@ from proofsearch.retrieval import LemmaRecord, build_index, retrieve
 from proofsearch.toy import ToyEnvironment, ToyTheorem
 from proofsearch.toy.suite import ToySuite, parse_suite
 from proofsearch.toy.terms import And, Atom, Eq, Implies, print_term
+from proofsearch.trace import (
+    REASON_BUDGET,
+    REASON_EXHAUSTED,
+    REASON_INFRASTRUCTURE,
+    STAGE_INFORMAL,
+    STAGE_PLAIN,
+    STAGE_RETRIEVAL,
+    QueryRecord,
+    SearchOutcome,
+)
 
 from test_bench import serving
 from test_toy import write_suite

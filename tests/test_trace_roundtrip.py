@@ -11,8 +11,9 @@ reference test's `environment`).
 import json
 import sys
 
-from proofsearch.agent import EpisodeTrace, ensemble_prove, prove
+from proofsearch.agent import ensemble_prove, prove
 from proofsearch.cli import main as cli_main
+from proofsearch.trace import EpisodeTrace
 
 from conftest import CORPUS_PATH, SUITE_PATH
 from test_reference_search import SEEDS, case, environment
