@@ -23,7 +23,7 @@ from .core import (
     at_least_as_hard,
     canonical_key,
 )
-from .llm import CompletionRequest, GuidanceBackend, RecordedTimeout
+from .llm import CompletionRequest, GuidanceBackend
 from .prompts import (
     ParsedAction,
     PromptBundle,
@@ -67,18 +67,23 @@ class SearchConfig:
 
 
 class _Budget:
-    """Query and wall-clock budget shared across ensemble stages."""
+    """Query and wall-clock budget shared across ensemble stages. The clock
+    runs out at the deadline, or once the episode's `log` is `timeout_at`
+    long: the backend's `timeout_at`, where a replay's recording timed out."""
 
-    def __init__(self, max_queries: int, wall_timeout_seconds: float):
+    def __init__(self, max_queries: int, wall_timeout_seconds: float, log: list | tuple = (),
+                 timeout_at: int | None = None):
         self.max_queries = max_queries
         self.queries_used = 0
         self.started = time.monotonic()
         self.deadline = self.started + wall_timeout_seconds
+        self.log = log
+        self.timeout_at = timeout_at
 
     def exhausted_reason(self) -> str | None:
         if self.queries_used >= self.max_queries:
             return REASON_BUDGET
-        if time.monotonic() >= self.deadline:
+        if len(self.log) == self.timeout_at or time.monotonic() >= self.deadline:
             return REASON_TIMEOUT
         return None
 
@@ -88,6 +93,20 @@ class _Budget:
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
+
+
+def _ask(backend, budget, trace, stage, key, system, text, tokens) -> QueryRecord:
+    """One query: ask `backend` to complete `text` under `system`, spend one
+    query of `budget` and log its record on `trace`. A backend that raises
+    spends and logs nothing."""
+    completion = backend.complete(CompletionRequest(
+        system=system, turns=[("user", text)], metadata={"state_key": key, "stage": stage}))
+    record = QueryRecord(ordinal=budget.consume(), stage=stage, state_key=key, prompt_text=text,
+                         prompt_tokens=tokens, response=completion.text,
+                         stop_reason=completion.stop_reason,
+                         latency_seconds=completion.latency_seconds)
+    trace.log.append(record)
+    return record
 
 
 class _Abort(Exception):
@@ -201,30 +220,13 @@ class _Searcher:
             if reason is not None:
                 raise _Abort(reason)
             prompt = promptify(bundle, self.config.token_budget, self.config.prompt_style)
-            request = CompletionRequest(
-                system=prompt.system,
-                turns=[("user", prompt.agent_text)],
-                metadata={"state_key": key, "stage": self.stage},
-            )
             try:
-                completion = self.backend.complete(request)
-            except RecordedTimeout:  # the replayed run's clock ran out here
-                raise _Abort(REASON_TIMEOUT) from None
+                record = _ask(self.backend, self.budget, self.trace, self.stage, key,
+                              prompt.system, prompt.agent_text, prompt.token_estimate)
             except InfrastructureFailure:
                 self.trace.event("promptify", key)  # a prompt with no record
                 raise
-            parsed = parse_tactic(completion.text, completion.stop_reason)
-            record = QueryRecord(
-                ordinal=self.budget.consume(),
-                stage=self.stage,
-                state_key=key,
-                prompt_text=prompt.agent_text,
-                prompt_tokens=prompt.token_estimate,
-                response=completion.text,
-                stop_reason=completion.stop_reason,
-                latency_seconds=completion.latency_seconds,
-            )
-            self.trace.log.append(record)
+            parsed = parse_tactic(record.response, record.stop_reason)
             if isinstance(parsed, ParsedAction):
                 record.tactic = parsed.tactic
                 return parsed.tactic, record
@@ -260,7 +262,8 @@ def prove(
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
     if budget is None:
-        budget = _Budget(config.max_queries, config.wall_timeout_seconds)
+        budget = _Budget(config.max_queries, config.wall_timeout_seconds, trace.log,
+                         backend.timeout_at)
     if rankings is None:
         rankings = {}
     trace.stage = stage
@@ -297,36 +300,14 @@ def generate_informal_sketch(
     if reason is not None:
         trace.notes.append(f"skipped: {reason}")
         return None
-    system = sketch_prompt()
-    request = CompletionRequest(
-        system=system,
-        turns=[("user", f"Theorem: {theorem_statement}")],
-        metadata={"state_key": "sketch", "stage": STAGE_INFORMAL},
-    )
     try:
-        completion = backend.complete(request)
-    except RecordedTimeout:  # the replayed run's clock ran out here: skip as it did
-        budget.deadline = float("-inf")  # and end the next stage at its start, as it did
-        trace.notes.append(f"skipped: {REASON_TIMEOUT}")
-        return None
+        record = _ask(backend, budget, trace, STAGE_INFORMAL, "sketch", sketch_prompt(),
+                      f"Theorem: {theorem_statement}", 0)
     except InfrastructureFailure as exc:
         trace.notes.append(f"skipped: infrastructure failure: {exc}")
         return None
-    ordinal = budget.consume()
-    trace.log.append(
-        QueryRecord(
-            ordinal=ordinal,
-            stage=STAGE_INFORMAL,
-            state_key="sketch",
-            prompt_text=f"Theorem: {theorem_statement}",
-            prompt_tokens=0,
-            response=completion.text,
-            stop_reason=completion.stop_reason,
-            result_class="sketch",
-            latency_seconds=completion.latency_seconds,
-        )
-    )
-    return completion.text
+    record.result_class = "sketch"
+    return record.response
 
 
 def ensemble_prove(
@@ -349,7 +330,8 @@ def ensemble_prove(
     every query with its stage.
     """
     trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
-    budget = _Budget(config.max_queries, config.wall_timeout_seconds)
+    budget = _Budget(config.max_queries, config.wall_timeout_seconds, trace.log,
+                     backend.timeout_at)
     rankings: dict = {}
     stages = [(STAGE_PLAIN, None)]
     if index is not None:

@@ -37,6 +37,10 @@ class Completion:
 
 
 class GuidanceBackend(ABC):
+    # the length of an episode's log at which its search ends as `timeout`,
+    # checked at each budget check; None but for a replay of a timed-out episode
+    timeout_at: int | None = None
+
     @abstractmethod
     def complete(self, request: CompletionRequest) -> Completion:
         """Return exactly one completion for the request."""
@@ -127,12 +131,12 @@ class HttpBackend(GuidanceBackend):
             headers["Authorization"] = f"Bearer {api_key}"
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         http_request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
-        start = time.monotonic()
         last_error: Exception | None = None
         for attempt in range(self.config.max_transport_retries + 1):
             if attempt:
                 time.sleep(self.config.backoff_seconds * 2 ** (attempt - 1))
             self.rate_limiter.wait()
+            start = time.monotonic()  # the model's time: no rate-limit wait or backoff
             try:
                 # urlopen raises HTTPError (an OSError) for every non-2xx status
                 with urllib.request.urlopen(
@@ -156,30 +160,25 @@ class HttpBackend(GuidanceBackend):
         raise InfrastructureFailure(f"transport retries exhausted: {last_error}")
 
 
-class RecordedTimeout(InfrastructureFailure):
-    """A replay was asked past the last record of an episode that timed
-    out: the recorded run's clock ran out there, so the search ends as
-    `timeout`, as the recording did."""
-
-
 class ReplayBackend(GuidanceBackend):
     """Answers from the query records of an earlier run's trace, in order.
     A request must ask what its record asked (stage, state key and user
     turn); one that does not raises and leaves the record unused. The
     system prompt follows from the recorded search config, which `run`
     checks before replaying. A request past the last record raises
-    RecordedTimeout when the recorded episode timed out, and
-    InfrastructureFailure otherwise."""
+    InfrastructureFailure. When the recorded episode timed out,
+    `timeout_at` is the length of its log: the recorded run stopped at its
+    first budget check after its last log line, so the search ends the
+    replay there as `timeout` too."""
 
     def __init__(self, recording: EpisodeTrace):
         self.records = recording.records
-        self.timed_out = recording.outcome.failure_reason == REASON_TIMEOUT
+        if recording.outcome.failure_reason == REASON_TIMEOUT:
+            self.timeout_at = len(recording.log)
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:
         if self._cursor >= len(self.records):
-            if self.timed_out:
-                raise RecordedTimeout(f"the recording timed out after query {len(self.records)}")
             raise InfrastructureFailure("replay stream exhausted")
         record = self.records[self._cursor]
         asked = (request.metadata.get("stage"), request.metadata.get("state_key"),

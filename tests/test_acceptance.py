@@ -32,6 +32,7 @@ from proofsearch.core import (
 )
 from proofsearch.llm import (
     Completion,
+    GuidanceBackend,
     ReplayBackend,
     ScriptedBackend,
 )
@@ -236,7 +237,7 @@ end
 """
 
 
-class AdversarialBackend:
+class AdversarialBackend(GuidanceBackend):
     """Proposes the identity rewrite half the time, otherwise a random
     tactic from a mixed pool."""
 

@@ -15,7 +15,6 @@ from proofsearch.llm import (
     HttpBackendConfig,
     InfrastructureFailure,
     RateLimiter,
-    RecordedTimeout,
     ReplayBackend,
     ScriptedBackend,
 )
@@ -86,20 +85,20 @@ class TestRecordReplay:
     def test_replay_exhaustion_is_infrastructure(self):
         replay = ReplayBackend(recording(record_for(1, "only")))
         replay.complete(replay_request())
-        with pytest.raises(InfrastructureFailure, match="replay stream exhausted") as raised:
+        with pytest.raises(InfrastructureFailure, match="replay stream exhausted"):
             replay.complete(replay_request())
-        assert not isinstance(raised.value, RecordedTimeout)
 
-    def test_exhaustion_after_a_recorded_timeout_is_the_timeout(self):
-        replay = ReplayBackend(recording(record_for(1, "only"), failure_reason=REASON_TIMEOUT))
+    def test_a_recorded_timeout_ends_the_search_where_its_log_ended(self):
+        """The search reads the timeout from `timeout_at`; the backend, asked
+        past the last record, raises as it does for any recording."""
+        timed = recording(record_for(1, "only"), failure_reason=REASON_TIMEOUT)
+        timed.event("push", "s")
+        replay = ReplayBackend(timed)
+        assert replay.timeout_at == len(timed.log) == 2
         replay.complete(replay_request())
-        with pytest.raises(RecordedTimeout, match="^the recording timed out after query 1$"):
+        with pytest.raises(InfrastructureFailure, match="^replay stream exhausted$"):
             replay.complete(replay_request())
-        # a mismatch is still one
-        replay = ReplayBackend(recording(record_for(1, "only"), failure_reason=REASON_TIMEOUT))
-        with pytest.raises(InfrastructureFailure, match="^replay mismatch at query 1$") as raised:
-            replay.complete(replay_request(text="hello again"))
-        assert not isinstance(raised.value, RecordedTimeout)
+        assert ReplayBackend(recording(record_for(1, "only"))).timeout_at is None
 
     @pytest.mark.parametrize("asked", [
         {"stage": "retrieval"}, {"state_key": "t"}, {"text": "hello again"},
@@ -169,14 +168,13 @@ def mock_server():
     server.server_close()
 
 
-def http_backend(base_url, **overrides):
+def http_backend(base_url, rate_limiter=None, **overrides):
     config = HttpBackendConfig(
         base_url=base_url,
         model="test-model",
-        backoff_seconds=0.01,
-        **overrides,
+        **{"backoff_seconds": 0.01, **overrides},
     )
-    return HttpBackend(config)
+    return HttpBackend(config, rate_limiter)
 
 
 class TestHttpBackend:
@@ -243,6 +241,19 @@ class TestHttpBackend:
         handler.behaviors = [behavior] * 10
         with pytest.raises(InfrastructureFailure):
             http_backend(base_url, max_transport_retries=1).complete(request_for())
+
+    def test_latency_leaves_out_the_rate_limiters_wait(self, mock_server):
+        base_url, _ = mock_server
+        backend = http_backend(base_url, RateLimiter(2.0))  # 0.5 s between requests
+        backend.complete(request_for())
+        assert backend.complete(request_for()).latency_seconds < 0.25
+
+    def test_latency_leaves_out_failed_attempts_and_backoff(self, mock_server):
+        base_url, handler = mock_server
+        handler.behaviors = [("error", 500), ("ok", {"text": "ok now"})]
+        completion = http_backend(base_url, backoff_seconds=0.3).complete(request_for())
+        assert (completion.text, handler.posts) == ("ok now", 2)
+        assert completion.latency_seconds < 0.3
 
     def test_unreachable_server(self):
         backend = http_backend("http://127.0.0.1:9", max_transport_retries=0,

@@ -29,12 +29,16 @@ from perfbench import harness  # noqa: E402
 # `metrics.trace_load`, which reads 0 on every workload because reports
 # read trace heads through `EpisodeTrace.load_head`, which perfbench does
 # not wrap (an open `FOUND:` line in CHANGES.md names this).
+# `agent.search` and `agent.ensemble_prove` are spans perfbench puts on
+# `prove` and `ensemble_prove`, which read 0 if `ensemble_prove` stopped
+# calling `prove` through `proofsearch.agent`.
+SEARCH = ("agent.search.self_ms", "agent.ensemble_prove.self_ms")
 LAYERS = {
     "search-enum": ("prompts.promptify.calls", "prompts.parse_tactic.calls",
                     "toy.apply_tactic.calls", "core.canonical_key.calls",
-                    "bench.trace_save.calls", "llm.complete.calls"),
-    "retrieval-corpus": ("retrieval.retrieve.calls",),
-    "bridge-loopback": ("bridge.call.calls", "bridge.spawns"),
+                    "bench.trace_save.calls", "llm.complete.calls", *SEARCH),
+    "retrieval-corpus": ("retrieval.retrieve.calls", *SEARCH),
+    "bridge-loopback": ("bridge.call.calls", "bridge.spawns", *SEARCH),
 }
 
 

@@ -25,7 +25,8 @@ import pytest
 from proofsearch.agent import NO_PROGRESS_MESSAGE, SearchConfig, ensemble_prove, prove
 from proofsearch.bridge import BridgeConfig, BridgeFailure, BridgeSession
 from proofsearch.core import GlobalContext
-from proofsearch.llm import Completion, CompletionRequest, InfrastructureFailure
+from proofsearch.llm import (Completion, CompletionRequest, GuidanceBackend,
+                             InfrastructureFailure)
 from proofsearch.prompts import (
     LENGTH_CAP,
     NATURAL_STOP,
@@ -323,7 +324,7 @@ def focused_names(state_key):
     return [name for name, _ in obligations[0][1]] if obligations else []
 
 
-class ChaosBackend:
+class ChaosBackend(GuidanceBackend):
     """Seeded adversary: mostly a tactic that fits the focused obligation,
     otherwise a malformed or cut-off response, an identity rewrite, a
     tactic outside the language, or, for some seeds, an infrastructure

@@ -47,3 +47,13 @@ def test_the_search_leaves_the_trace_file_to_the_trace_module():
     assert {"json", "zlib", "proofsearch.core"} <= trace
     assert sorted(name for name in trace if name.split(".")[0] == "proofsearch") == [
         "proofsearch.core"]
+
+
+def test_the_search_takes_only_the_backend_interface_from_llm():
+    """The search builds a request and reads a backend's `timeout_at`; a
+    backend's own errors and classes stay in `llm`."""
+    tree = ast.parse((PACKAGE_DIR / "agent.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "llm"
+             for alias in node.names]
+    assert sorted(names) == ["CompletionRequest", "GuidanceBackend"]
