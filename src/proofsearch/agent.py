@@ -32,9 +32,9 @@ from .prompts import (
     sketch_prompt,
 )
 from .retrieval import RetrievalIndex, retrieve
-from .trace import (REASON_BUDGET, REASON_EXHAUSTED, REASON_INFRASTRUCTURE, REASON_TIMEOUT,
-                    STAGE_INFORMAL, STAGE_PLAIN, STAGE_RETRIEVAL, EpisodeTrace, QueryRecord,
-                    SearchOutcome)
+from .trace import (INFRASTRUCTURE_NOTE, REASON_BUDGET, REASON_EXHAUSTED,
+                    REASON_INFRASTRUCTURE, REASON_TIMEOUT, STAGE_INFORMAL, STAGE_PLAIN,
+                    STAGE_RETRIEVAL, EpisodeTrace, QueryRecord, SearchOutcome)
 
 NO_PROGRESS_MESSAGE = (
     "no progress: the resulting proof state is at least as hard as a state "
@@ -142,6 +142,11 @@ class _Searcher:
         self.stack: list = []  # the frames of the states being searched, root first
 
     def run(self, theorem_id: str):
+        if self.stage == STAGE_INFORMAL:  # the stage starts with its sketch
+            sketch = generate_informal_sketch(self.gctx.theorem_statement, self.backend,
+                                              self.budget, self.trace)
+            if sketch is not None:
+                self.gctx = replace(self.gctx, informal_hints=sketch)
         reason = self.budget.exhausted_reason()
         if reason is not None:  # no budget left to start this stage
             raise _Abort(reason)
@@ -248,7 +253,8 @@ def prove(
     stage: str = STAGE_PLAIN,
     rankings: dict | None = None,
 ):
-    """Run one stage: the depth-first search for one theorem.
+    """Run one stage: the depth-first search for one theorem, which the
+    informal stage starts with a sketch query (`generate_informal_sketch`).
 
     Returns (SearchOutcome, EpisodeTrace) and records on the trace how the
     stage ended; a budget spent before it starts ends it with no call to
@@ -256,8 +262,9 @@ def prove(
     ranking: the stages of an episode share one, and a stage run alone
     gets its own, so each distinct state is ranked once an episode.
     An InfrastructureFailure aborts the trace and is not a proof failure:
-    one of the backend or the environment, `init` included, a token budget
-    too small for the goals, or an initial state that is already QED.
+    one of the backend (at the sketch too) or the environment, `init`
+    included, a token budget too small for the goals, or an initial state
+    that is already QED.
     """
     if trace is None:
         trace = EpisodeTrace(theorem=theorem_id, config=config.to_dict())
@@ -276,7 +283,7 @@ def prove(
     except _Abort as abort:
         outcome = SearchOutcome(proved=False, failure_reason=abort.reason)
     except InfrastructureFailure as exc:
-        trace.notes.append(f"infrastructure failure: {exc}")
+        trace.notes.append(f"{INFRASTRUCTURE_NOTE}{exc}")
         trace.aborted = True
         outcome = SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)
     trace.outcome = outcome
@@ -293,19 +300,16 @@ def generate_informal_sketch(
 ) -> str | None:
     """One few-shot completion producing an informal proof sketch.
 
-    Costs one query from the shared budget; None when the budget is
-    already exhausted or the backend fails.
+    Costs one query from the shared budget; None, with a `skipped` note,
+    when the budget is already exhausted. A backend failure raises
+    InfrastructureFailure, which aborts the episode as in the search.
     """
     reason = budget.exhausted_reason()
     if reason is not None:
         trace.notes.append(f"skipped: {reason}")
         return None
-    try:
-        record = _ask(backend, budget, trace, STAGE_INFORMAL, "sketch", sketch_prompt(),
-                      f"Theorem: {theorem_statement}", 0)
-    except InfrastructureFailure as exc:
-        trace.notes.append(f"skipped: infrastructure failure: {exc}")
-        return None
+    record = _ask(backend, budget, trace, STAGE_INFORMAL, "sketch", sketch_prompt(),
+                  f"Theorem: {theorem_statement}", 0)
     record.result_class = "sketch"
     return record.response
 
@@ -337,13 +341,8 @@ def ensemble_prove(
     if index is not None:
         stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
     for stage, stage_index in stages:
-        stage_gctx = gctx
-        if stage == STAGE_INFORMAL:
-            sketch = generate_informal_sketch(gctx.theorem_statement, backend, budget, trace)
-            if sketch is not None:
-                stage_gctx = replace(gctx, informal_hints=sketch)
         outcome, trace = prove(
-            theorem_id, env, backend, stage_index, stage_gctx, config,
+            theorem_id, env, backend, stage_index, gctx, config,
             trace=trace, budget=budget, stage=stage, rankings=rankings,
         )
         if outcome.failure_reason != REASON_EXHAUSTED:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .core import InfrastructureFailure
 from .prompts import LENGTH_CAP, NATURAL_STOP
-from .trace import REASON_TIMEOUT, EpisodeTrace
+from .trace import INFRASTRUCTURE_NOTE, REASON_TIMEOUT, EpisodeTrace
 
 
 @dataclass
@@ -166,20 +166,27 @@ class ReplayBackend(GuidanceBackend):
     turn); one that does not raises and leaves the record unused. The
     system prompt follows from the recorded search config, which `run`
     checks before replaying. A request past the last record raises
-    InfrastructureFailure. When the recorded episode timed out,
-    `timeout_at` is the length of its log: the recorded run stopped at its
-    first budget check after its last log line, so the search ends the
-    replay there as `timeout` too."""
+    InfrastructureFailure: with the recorded failure's message when an
+    infrastructure failure aborted the recorded episode, so the replay ends
+    with the recording's note, and `replay stream exhausted` otherwise.
+    When the recorded episode timed out, `timeout_at` is the length of its
+    log: the recorded run stopped at its first budget check after its last
+    log line, so the search ends the replay there as `timeout` too."""
 
     def __init__(self, recording: EpisodeTrace):
         self.records = recording.records
+        self._exhausted = "replay stream exhausted"
         if recording.outcome.failure_reason == REASON_TIMEOUT:
             self.timeout_at = len(recording.log)
+        elif recording.aborted:
+            note = recording.notes[-1] if recording.notes else ""
+            if note.startswith(INFRASTRUCTURE_NOTE):
+                self._exhausted = note[len(INFRASTRUCTURE_NOTE):]
         self._cursor = 0
 
     def complete(self, request: CompletionRequest) -> Completion:
         if self._cursor >= len(self.records):
-            raise InfrastructureFailure("replay stream exhausted")
+            raise InfrastructureFailure(self._exhausted)
         record = self.records[self._cursor]
         asked = (request.metadata.get("stage"), request.metadata.get("state_key"),
                  request.turns[-1][1])

@@ -8,6 +8,8 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
+from math import isfinite
 from pathlib import Path
 
 from .core import encode_json
@@ -22,6 +24,9 @@ REASON_BUDGET = "budget"
 REASON_TIMEOUT = "timeout"
 REASON_EXHAUSTED = "search exhausted"
 REASON_INFRASTRUCTURE = "infrastructure"
+
+# An aborted episode's last note: this, then the failure's message
+INFRASTRUCTURE_NOTE = "infrastructure failure: "
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,41 @@ _TRAILER_FIELDS = ("queries_used", "wall_seconds", "stage", "aborted")
 # state id there instead
 _KEYED_EVENTS = frozenset(("push", "retrieve", "bad", "pop", "promptify"))
 _TRANSITIONS = frozenset(("qed", "progressed", "error", "no-progress"))
+
+
+# The body lines `save` writes most are built from templates: each returns the
+# text `encode_json` gives for the line's value, without building the value.
+def _state_line(n: int, key: str) -> str:
+    return f'{{"type": "state", "id": {n}, "key": {encode_basestring(key)}}}'
+
+
+def _keyed_event_line(event: tuple, n: int) -> str:
+    """The line of a `_KEYED_EVENTS` event, its state key written as id `n`;
+    the kind is a plain name, so it needs no escaping."""
+    if len(event) == 2:
+        return f'{{"type": "event", "data": ["{event[0]}", {n}]}}'
+    return f'{{"type": "event", "data": ["{event[0]}", {n}, {encode_json(event[2:])[1:-1]}]}}'
+
+
+def _query_line(record: QueryRecord, n: int) -> str:
+    """The line of `record`, its state key written as id `n`: the value is
+    `{"type": "query", **vars(record), "state_key": n}`. A test holds the
+    keys written here to the fields of QueryRecord, in order."""
+    tactic, error, result = record.tactic, record.format_error, record.result_class
+    latency = record.latency_seconds
+    # the encoder writes a finite float as its repr, and nan and inf by name
+    latency = (repr(latency) if type(latency) is float and isfinite(latency)
+               else encode_json(latency))
+    return (f'{{"type": "query", "ordinal": {record.ordinal}, '
+            f'"stage": {encode_basestring(record.stage)}, "state_key": {n}, '
+            f'"prompt_text": {encode_basestring(record.prompt_text)}, '
+            f'"prompt_tokens": {record.prompt_tokens}, '
+            f'"response": {encode_basestring(record.response)}, '
+            f'"stop_reason": {encode_basestring(record.stop_reason)}, '
+            f'"tactic": {"null" if tactic is None else encode_basestring(tactic)}, '
+            f'"format_error": {"null" if error is None else encode_basestring(error)}, '
+            f'"result_class": {"null" if result is None else encode_basestring(result)}, '
+            f'"latency_seconds": {latency}}}')
 
 
 class TraceFormatError(ValueError):
@@ -198,16 +238,14 @@ class EpisodeTrace:
         for item in self.log:
             record = isinstance(item, QueryRecord)
             key = item.state_key if record else item[1] if item[0] in _KEYED_EVENTS else None
-            if key is not None:  # written as its state id, after its state line
-                n = ids.get(key)
-                if n is None:
-                    n = ids[key] = len(ids)
-                    append(f'{{"type": "state", "id": {n}, "key": {encode_json(key)}}}')
-                if record:
-                    append(encode_json({"type": "query", **vars(item), "state_key": n}))
-                    continue
-                item = (item[0], n, *item[2:])
-            append(f'{{"type": "event", "data": {encode_json(item)}}}')
+            if key is None:
+                append(f'{{"type": "event", "data": {encode_json(item)}}}')
+                continue
+            n = ids.get(key)  # written as its state id, after its state line
+            if n is None:
+                n = ids[key] = len(ids)
+                append(_state_line(n, key))
+            append(_query_line(item, n) if record else _keyed_event_line(item, n))
         for note in self.notes:
             append(encode_json({"type": "note", "text": note}))
         append("")  # the body ends in a newline

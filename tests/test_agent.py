@@ -36,6 +36,7 @@ from proofsearch.llm import (
     Completion,
     GuidanceBackend,
     InfrastructureFailure,
+    ReplayBackend,
     ScriptedBackend,
 )
 from proofsearch.prompts import NATURAL_STOP
@@ -383,15 +384,23 @@ class TestSketch:
         assert "skipped: budget" in trace.notes
 
     def test_sketch_infrastructure_noted(self, scenarios):
-        class FailingBackend(GuidanceBackend):
-            def complete(self, request):
+        """A backend failure at the sketch aborts the episode, as one in the
+        search does: it is not counted as a failed proof."""
+        def choose(request, prompt):
+            if request.metadata.get("state_key") == "sketch":
                 raise InfrastructureFailure("boom")
+            return wrap("split")  # always an error on needs_lemma
 
-        budget = _Budget(10, 600.0)
-        trace = EpisodeTrace(theorem="t", config=config().to_dict())
-        assert generate_informal_sketch("P", FailingBackend(), budget, trace) is None
-        assert any(note.startswith("skipped: infrastructure") for note in trace.notes)
-        assert budget.queries_used == 0
+        env = CountingEnvironment(scenarios.theorem("needs_lemma"))
+        outcome, trace = ensemble_prove(
+            "needs_lemma", env, PromptAwareBackend(choose), retrieval_index(scenarios),
+            gctx_for(scenarios, "needs_lemma"), config(per_state_budget=2))
+        assert outcome == SearchOutcome(proved=False, failure_reason=REASON_INFRASTRUCTURE)
+        assert trace.aborted and trace.stage == STAGE_INFORMAL
+        assert trace.notes == ["infrastructure failure: boom"]
+        assert trace.queries_used == 4
+        assert {r.stage for r in trace.records} == {STAGE_PLAIN, STAGE_RETRIEVAL}
+        assert env.initial_states == 2  # the informal stage's search never starts
 
 
 def retrieval_index(scenarios):
@@ -570,6 +579,61 @@ class TestEnsemble:
         assert outcome.failure_reason == REASON_TIMEOUT
         assert (env.initial_states, env.tactics) == (0, 0)
         assert trace.events == ()
+
+
+class DiesAfter(GuidanceBackend):
+    """Answers `split` to its first `n` queries, then raises at each one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def complete(self, request):
+        if self.n == 0:
+            raise InfrastructureFailure("backend died")
+        self.n -= 1
+        return Completion(wrap("split"), NATURAL_STOP, 0.0)
+
+
+class TestReplayOfAnAbortedEpisode:
+    @pytest.mark.parametrize("answered", [0, 3, 4], ids=["first-query", "mid-stage", "sketch"])
+    def test_backend_failure_replays_as_recorded(self, scenarios, tmp_path, answered):
+        """A replay asked past the last record of an episode that a backend
+        failure aborted raises with the recorded failure's message, so the
+        replayed trace equals the recording, note included."""
+        def episode(backend):
+            return ensemble_prove("needs_lemma", env_for(scenarios, "needs_lemma"), backend,
+                                  retrieval_index(scenarios), gctx_for(scenarios, "needs_lemma"),
+                                  config(per_state_budget=2))
+
+        _, recording = episode(DiesAfter(answered))
+        assert recording.aborted and len(recording.records) == answered
+        assert recording.notes == ["infrastructure failure: backend died"]
+        recording.save(tmp_path / "recorded.jsonl")
+        _, replayed = episode(ReplayBackend(EpisodeTrace.load(tmp_path / "recorded.jsonl")))
+        assert replayed.comparable() == recording.comparable()
+
+    def test_environment_failure_replays_past_the_failure(self, scenarios):
+        """The replay runs a live environment, which does not fail where the
+        recorded one did: it applies the last recorded tactic and searches
+        on, and its next query, past the recording, aborts it with the
+        recorded note."""
+        class FailingEnvironment(ToyEnvironment):
+            def apply_tactic(self, state, tactic):
+                raise InfrastructureFailure("environment down")
+
+        def episode(env, backend):
+            return prove("pp", env, backend, None, gctx_for(scenarios, "pp"), config())
+
+        _, recording = episode(FailingEnvironment(scenarios.theorem("pp")),
+                               SequenceBackend([wrap("intro h")]))
+        assert recording.notes == ["infrastructure failure: environment down"]
+        assert recording.records[-1].result_class is None
+        _, replayed = episode(env_for(scenarios, "pp"), ReplayBackend(recording))
+        assert replayed.aborted and replayed.notes == recording.notes
+        assert replayed.records[-1].result_class == "progressed"
+        assert replayed.events[:len(recording.events)] == recording.events
+        assert [e[0] for e in replayed.events[len(recording.events):]] == [
+            "transition", "push", "promptify"]
 
 
 def intro_then_split(request, prompt):

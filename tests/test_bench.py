@@ -39,7 +39,7 @@ import proofsearch.cli
 import proofsearch.trace
 from proofsearch.agent import SearchConfig
 from proofsearch.cli import main as cli_main
-from proofsearch.llm import Completion, GuidanceBackend
+from proofsearch.llm import Completion, GuidanceBackend, InfrastructureFailure
 from proofsearch.metrics import (
     EpisodeResult,
     aggregate_stats,
@@ -782,13 +782,14 @@ class TestCli:
 
     UNKNOWN_TACTIC = "[RUN TACTIC] no_such_tactic [END]"
 
-    @pytest.mark.parametrize("flags, reply, step", [
-        (["--no-ensemble"], "", 0.25),
-        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.25),
-        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.125),
-    ], ids=["mid-stage", "at-a-stage-start", "at-the-sketch"])
+    @pytest.mark.parametrize("flags, reply, step, sketch_fails", [
+        (["--no-ensemble"], "", 0.25, False),
+        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.25, False),
+        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.125, False),
+        (["--corpus", str(CORPUS_PATH)], UNKNOWN_TACTIC, 0.12, True),
+    ], ids=["mid-stage", "at-a-stage-start", "at-the-sketch", "at-a-sketch-failure"])
     def test_replay_ends_each_episode_as_recorded(self, tmp_path, monkeypatch, capsys,
-                                                  flags, reply, step):
+                                                  flags, reply, step, sketch_fails):
         """A replay gives the recorded run's metrics.csv, results.csv
         (wall_seconds masked) and comparable traces for episodes that end
         proved, at the query budget, in an exhausted search and at the
@@ -796,7 +797,10 @@ class TestCli:
         The search's clock is faked: it moves `step` seconds at each query
         of the first theorem, whose backend never proves it, so the
         recording times out after 1 / step queries. An empty reply costs a
-        repair query; the tactic is unknown, so an attempt costs one query."""
+        repair query; the tactic is unknown, so an attempt costs one query.
+        With `sketch_fails`, that backend raises at the sketch, its 9th
+        query, after the clock has run out: the episode ends aborted by
+        the failure, and so does its replay, with the recorded note."""
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(proofsearch.agent, "time",
                             SimpleNamespace(monotonic=lambda: clock.now))
@@ -804,6 +808,8 @@ class TestCli:
         class Ticking(GuidanceBackend):
             def complete(self, request):
                 clock.now += step
+                if sketch_fails and request.metadata["state_key"] == "sketch":
+                    raise InfrastructureFailure("the model went away")
                 return Completion(reply, NATURAL_STOP, 0.0)
 
         oracle = proofsearch.cli.oracle_scripted_backend
@@ -822,8 +828,9 @@ class TestCli:
                 return [{**row, "wall_seconds": None} for row in csv.DictReader(f)]
 
         recorded = rows(out1)
+        ending = REASON_INFRASTRUCTURE if sketch_fails else "timeout"
         assert {(row["theorem"], row["failure_reason"]) for row in recorded} >= {
-            (timed, "timeout"), (exhausted, "search exhausted"), (spent, "budget")}
+            (timed, ending), (exhausted, "search exhausted"), (spent, "budget")}
         assert any(row["proved"] == "1" for row in recorded)
         assert rows(out2) == recorded
         assert (out2 / "metrics.csv").read_bytes() == (out1 / "metrics.csv").read_bytes()
@@ -832,8 +839,10 @@ class TestCli:
         for name in names:
             assert (EpisodeTrace.load(out2 / "traces" / name).comparable()
                     == EpisodeTrace.load(out1 / "traces" / name).comparable()), name
-        assert EpisodeTrace.load(out2 / "traces" / trace_file_name(timed, 1)).queries_used == (
-            round(1 / step))
+        replayed = EpisodeTrace.load(out2 / "traces" / trace_file_name(timed, 1))
+        assert replayed.queries_used == (8 if sketch_fails else round(1 / step))
+        if sketch_fails:
+            assert replayed.notes == ["infrastructure failure: the model went away"]
 
     def test_replay_of_a_different_question_aborts(self, tmp_path, capsys):
         # the replay has no corpus, so its first prompt lacks the recorded lemmas

@@ -19,7 +19,8 @@ from proofsearch.llm import (
     ScriptedBackend,
 )
 from proofsearch.prompts import LENGTH_CAP, NATURAL_STOP
-from proofsearch.trace import REASON_TIMEOUT, EpisodeTrace, QueryRecord, SearchOutcome
+from proofsearch.trace import (REASON_INFRASTRUCTURE, REASON_TIMEOUT, EpisodeTrace, QueryRecord,
+                               SearchOutcome)
 
 from conftest import SequenceBackend
 
@@ -99,6 +100,23 @@ class TestRecordReplay:
         with pytest.raises(InfrastructureFailure, match="^replay stream exhausted$"):
             replay.complete(replay_request())
         assert ReplayBackend(recording(record_for(1, "only"))).timeout_at is None
+
+    def test_a_recorded_abort_ends_the_replay_with_its_failure(self):
+        """Asked past the last record of an episode that an infrastructure
+        failure aborted, the replay raises with that failure's message, so
+        the replayed episode ends with the recorded note."""
+        aborted = recording(record_for(1, "only"), failure_reason=REASON_INFRASTRUCTURE)
+        aborted.aborted = True
+        aborted.notes = ["skipped: budget", "infrastructure failure: backend died: reset"]
+        replay = ReplayBackend(aborted)
+        replay.complete(replay_request())
+        with pytest.raises(InfrastructureFailure, match="^backend died: reset$"):
+            replay.complete(replay_request())
+        aborted.notes = []
+        replay = ReplayBackend(aborted)
+        replay.complete(replay_request())
+        with pytest.raises(InfrastructureFailure, match="^replay stream exhausted$"):
+            replay.complete(replay_request())
 
     @pytest.mark.parametrize("asked", [
         {"stage": "retrieval"}, {"state_key": "t"}, {"text": "hello again"},

@@ -124,6 +124,10 @@ class ReferenceSearch:
     def run_stage(self, stage, index, gctx):
         self.trace.stage = stage
         try:
+            if stage == STAGE_INFORMAL:
+                sketch = self.sketch()
+                if sketch is not None:
+                    gctx = replace(gctx, informal_hints=sketch)
             if self.queries >= self.config.max_queries:
                 raise _Stop(SearchOutcome(proved=False, failure_reason=REASON_BUDGET))
             table = {}
@@ -220,11 +224,7 @@ class ReferenceSearch:
         statement = self.theorem.statement()
         request = CompletionRequest(sketch_prompt(), [("user", f"Theorem: {statement}")],
                                     {"state_key": "sketch", "stage": STAGE_INFORMAL})
-        try:
-            completion = self.backend.complete(request)
-        except (InfrastructureFailure, BridgeFailure) as exc:
-            self.trace.notes.append(f"skipped: infrastructure failure: {exc}")
-            return None
+        completion = self.backend.complete(request)  # a failure aborts the episode
         self.queries += 1
         self.trace.records.append(QueryRecord(
             self.queries, STAGE_INFORMAL, "sketch", f"Theorem: {statement}", 0,
@@ -246,12 +246,7 @@ def reference_ensemble(theorem, backend, index, gctx, config, fail_at=None):
     if index is not None:
         stages += [(STAGE_RETRIEVAL, index), (STAGE_INFORMAL, index)]
     for stage, stage_index in stages:
-        stage_gctx = gctx
-        if stage == STAGE_INFORMAL:
-            sketch = search.sketch()
-            if sketch is not None:
-                stage_gctx = replace(gctx, informal_hints=sketch)
-        outcome = search.run_stage(stage, stage_index, stage_gctx)
+        outcome = search.run_stage(stage, stage_index, gctx)
         if outcome.failure_reason != REASON_EXHAUSTED:
             break
     return outcome, search.trace
@@ -455,6 +450,29 @@ class TestReferenceSearch:
                                     gctx, config)
             assert_same(actual, reference_ensemble(theorem, backend(), index, gctx, config,
                                                    environment_failure(seed)))
+
+    def test_sketch_failure_matches_reference(self):
+        """No seed's backend fails at the sketch query itself; here every
+        one does, which aborts each episode that reaches the sketch."""
+        class FailsAtTheSketch(GuidanceBackend):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                if request.metadata["state_key"] == "sketch":
+                    raise InfrastructureFailure("no sketch today")
+                return self.inner.complete(request)
+
+        aborted = 0
+        for seed in SEEDS:
+            theorem, config, index, gctx, backend = case(seed)
+            actual = ensemble_prove(theorem.name, environment(seed, theorem),
+                                    FailsAtTheSketch(backend()), index, gctx, config)
+            expected = reference_ensemble(theorem, FailsAtTheSketch(backend()), index, gctx,
+                                          config, environment_failure(seed))
+            assert_same(actual, expected)
+            aborted += expected[1].notes[-1:] == ["infrastructure failure: no sketch today"]
+        assert aborted >= 50  # 57 of the 160 seeds reach the sketch
 
     def test_cases_reach_every_ending(self):
         """The seeds cover what the comparison must see: proofs, every
